@@ -411,10 +411,7 @@ def cmd_check(args):
         run.report["outputs"] = {"ok": not errs, "errors": errs[:10]}
         return run.finish(0 if not errs else 1)
     if kind == "triangulation":
-        try:
-            pt, dp = _load(args.inputs[0], PlaneTriangulation.from_json)
-        except InputError:
-            raise
+        pt, dp = _load(args.inputs[0], PlaneTriangulation.from_json)
         run.record(args.inputs[0], dp)
         run.report["outputs"] = {"ok": True, "n": pt.graph.n}
         return run.finish(0)
@@ -491,7 +488,6 @@ def build_parser():
 
     def common(p):
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--max-n", dest="max_n", type=int, default=None)
         p.add_argument("-o", "--out", default=None)
 

@@ -483,19 +483,17 @@ def glue_orthogonal(g: Graph, td: TreeDecomposition, pairs: dict):
             mrep = validate(sub, member)
             if not mrep.ok:
                 raise DecompositionError(f"pair at node {x} invalid: {mrep.errors[:3]}")
-        rg = TreeDecomposition(g.n, [frozenset(bag_order[v] for v in b) for b in r.bags],
-                               r.tree_edges)
+        rg = [frozenset(bag_order[v] for v in b) for b in r.bags]
         pg = [frozenset(bag_order[v] for v in b) for b in p.bags]
-        return rg, pg
+        return rg, r.tree_edges, pg
 
     removal, root = _leaf_removal_order(td)
-
-    def build(depth):
-        if depth == len(removal):
-            return globalize(root)
-        x, y = removal[depth]
-        tree_r, path_r = build(depth + 1)  # decomposition of g minus stripped sets
-        tx, px = globalize(x)
+    # put the stripped leaves back in reverse removal order, each onto the
+    # decomposition of everything put back before it
+    tree_bags, tree_edges, path_bags = globalize(root)
+    tree_edges = list(tree_edges)
+    for x, y in reversed(removal):
+        tx, tx_edges, px = globalize(x)
         adh = td.bags[x] & td.bags[y]
 
         def lowest(bags):
@@ -505,33 +503,32 @@ def glue_orthogonal(g: Graph, td: TreeDecomposition, pairs: dict):
             raise DecompositionError(
                 f"adhesion clique at node {x} not inside one bag of a member")
 
-        a_star = lowest(tree_r.bags)
-        p_star = lowest(tx.bags)
-        i_star = lowest(path_r)
+        a_star = lowest(tree_bags)
+        p_star = lowest(tx)
+        i_star = lowest(path_bags)
         j_star = lowest(px)
 
-        n_r = len(tree_r.bags)
-        edges = list(tree_r.tree_edges)
-        edges += [(n_r + a, n_r + b) for a, b in tx.tree_edges]
-        edges.append((a_star, n_r + p_star))
-        tree_out = TreeDecomposition(g.n, list(tree_r.bags) + list(tx.bags), edges)
+        n_r = len(tree_bags)
+        tree_edges += [(n_r + a, n_r + b) for a, b in tx_edges]
+        tree_edges.append((a_star, n_r + p_star))
+        tree_bags += tx
 
-        # overlay paths: global index i holds path_r[i] union px[i - i* + j*]
+        # overlay paths: global index i holds path_bags[i] union px[i - i* + j*]
         shift = i_star - j_star  # px index j sits at global index j + shift
         lo = min(0, shift)
-        hi = max(len(path_r) - 1, shift + len(px) - 1)
+        hi = max(len(path_bags) - 1, shift + len(px) - 1)
         merged = []
         for i in range(lo, hi + 1):
             bag = frozenset()
-            if 0 <= i < len(path_r):
-                bag |= path_r[i]
+            if 0 <= i < len(path_bags):
+                bag |= path_bags[i]
             j = i - shift
             if 0 <= j < len(px):
                 bag |= px[j]
             merged.append(bag)
-        return tree_out, merged
+        path_bags = merged
 
-    tree_out, path_bags = build(0)
+    tree_out = TreeDecomposition(g.n, tree_bags, tree_edges)
     path_out = PathDecomposition(g.n, path_bags)
     for member in (tree_out, path_out):
         mrep = validate(g, member)

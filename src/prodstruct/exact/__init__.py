@@ -2,10 +2,10 @@
 
 All oracles are exact and return witnesses.  Size caps are module constants
 with per-call overrides; exceeding a cap raises InstanceTooLarge, never
-silently truncates.  tw/pw run a subset dynamic program (jitted kernels, see
-_kernels), bw/td use branch-and-bound/memoized recursion, tree-f and TwIntTw
-enumerate elimination orderings / chordal completions, and twtw enumerates
-ordered pairs of set partitions.
+silently truncates.  tw, pw and tree-f share one elimination-ordering subset
+DP (see _kernels) and differ only in the cost of an elimination step; bw/td
+use branch-and-bound/memoized recursion, TwIntTw enumerates chordal
+completions, and twtw enumerates ordered pairs of set partitions.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from math import ceil, sqrt
 from ..graphs import Graph, GraphError, VertexPartition, quotient, subgraph_contained
 from ..decomposition import TreeDecomposition, PathDecomposition
 from ..rng import SplitMix64
-from ._kernels import treewidth_dp, pathwidth_dp, USE_NUMBA
+from ._kernels import (bits, component, elimination_dp, pathwidth_dp, q_set,
+                       recover_order, treewidth_dp)
 
 TW_MAX_N = 16
 PW_MAX_N = 16
@@ -38,42 +39,22 @@ def _cap(g: Graph, cap: int, max_n, what: str):
         raise InstanceTooLarge(f"{what}: n={g.n} exceeds cap {limit}")
 
 
-def _bits(mask: int):
-    while mask:
-        b = mask & (-mask)
-        yield b.bit_length() - 1
-        mask ^= b
-
-
-def _q_set(masks, t: int, v: int) -> int:
-    """Vertices outside t u {v} reachable from v through t, as a bitmask."""
-    comp = 1 << v
-    while True:
-        nxt = comp
-        for w in _bits(comp):
-            nxt |= masks[w] & t
-        if nxt == comp:
-            return_mask = nxt
-            break
-        comp = nxt
-    boundary = 0
-    for w in _bits(return_mask):
-        boundary |= masks[w]
-    return boundary & ~t & ~(1 << v)
-
-
 # -- treewidth -----------------------------------------------------------
 
-def _elimination_td(g: Graph, order) -> TreeDecomposition:
-    """Tree-decomposition from an elimination ordering: bags {v} u Q."""
-    masks = g.adjacency_masks()
-    pos = {v: i for i, v in enumerate(order)}
+def _elimination_bags(masks, order) -> list:
+    """Bitmask bags {v} u Q(prefix, v) of an elimination ordering."""
     bags = []
     prefix = 0
     for v in order:
-        q = _q_set(masks, prefix, v)
-        bags.append(frozenset([v]) | frozenset(_bits(q)))
+        bags.append(1 << v | q_set(masks, prefix, v))
         prefix |= 1 << v
+    return bags
+
+
+def _elimination_td(g: Graph, order) -> TreeDecomposition:
+    """Tree-decomposition from an elimination ordering: bags {v} u Q."""
+    pos = {v: i for i, v in enumerate(order)}
+    bags = [frozenset(bits(b)) for b in _elimination_bags(g.adjacency_masks(), order)]
     edges = []
     for i, v in enumerate(order):
         later = [pos[w] for w in bags[i] if w != v]
@@ -89,24 +70,8 @@ def treewidth_exact(g: Graph, max_n=None):
     _cap(g, TW_MAX_N, max_n, "treewidth_exact")
     if g.n == 0:
         return -1, TreeDecomposition(0, [frozenset()], [])
-    masks = g.adjacency_masks()
-    dp = treewidth_dp(masks)
-    full = (1 << g.n) - 1
-    value = int(dp[full])
-    # recover an elimination ordering (last-eliminated first)
-    order_rev = []
-    s = full
-    while s:
-        for v in _bits(s):
-            t = s ^ (1 << v)
-            q = bin(_q_set(masks, t, v)).count("1")
-            if max(int(dp[t]), q) == int(dp[s]):
-                order_rev.append(v)
-                s = t
-                break
-    order = list(reversed(order_rev))
-    td = _elimination_td(g, order)
-    return value, td
+    dp, cost = treewidth_dp(g.adjacency_masks())
+    return dp[-1], _elimination_td(g, recover_order(dp, cost))
 
 
 # -- pathwidth -----------------------------------------------------------
@@ -117,29 +82,14 @@ def pathwidth_exact(g: Graph, max_n=None):
     if g.n == 0:
         return -1, PathDecomposition(0, [frozenset()])
     masks = g.adjacency_masks()
-    dp = pathwidth_dp(masks)
-    full = (1 << g.n) - 1
-    value = int(dp[full])
-    order_rev = []
-    s = full
-    while s:
-        for v in _bits(s):
-            t = s ^ (1 << v)
-            if int(dp[t]) <= int(dp[s]):
-                order_rev.append(v)
-                s = t
-                break
-    order = list(reversed(order_rev))
+    dp, cost = pathwidth_dp(masks)
     bags = []
-    prefix = 0
-    for v in order:
+    prefix = reach = 0
+    for v in recover_order(dp, cost):
         prefix |= 1 << v
-        boundary = 0
-        for w in _bits(prefix):
-            boundary |= masks[w]
-        boundary &= ~prefix
-        bags.append(frozenset([v]) | frozenset(_bits(boundary)))
-    return value, PathDecomposition(g.n, bags)
+        reach |= masks[v]
+        bags.append(frozenset(bits(1 << v | reach & ~prefix)))   # {v} u (N(prefix) - prefix)
+    return dp[-1], PathDecomposition(g.n, bags)
 
 
 # -- bandwidth -----------------------------------------------------------
@@ -207,15 +157,7 @@ def treedepth_exact(g: Graph, max_n=None):
         out = []
         rest = mask
         while rest:
-            v = (rest & (-rest)).bit_length() - 1
-            comp = 1 << v
-            while True:
-                nxt = comp
-                for w in _bits(comp):
-                    nxt |= masks[w] & mask
-                if nxt == comp:
-                    break
-                comp = nxt
+            comp = component(masks, mask, (rest & -rest).bit_length() - 1)
             out.append(comp)
             rest &= ~comp
         return out
@@ -226,10 +168,10 @@ def treedepth_exact(g: Graph, max_n=None):
         cs = comps(mask)
         if len(cs) > 1:
             return max(solve(c)[0] for c in cs), -1
-        if all(masks[v] & mask == 0 for v in _bits(mask)):
+        if all(masks[v] & mask == 0 for v in bits(mask)):
             return 1, -1
         best, root = None, None
-        for v in _bits(mask):
+        for v in bits(mask):
             val = 1 + max(solve(c)[0] for c in comps(mask ^ (1 << v)))
             if best is None or val < best:
                 best, root = val, v
@@ -243,8 +185,8 @@ def treedepth_exact(g: Graph, max_n=None):
             for c in cs:
                 witness(c, par)
             return
-        if all(masks[v] & mask == 0 for v in _bits(mask)):
-            for v in _bits(mask):
+        if all(masks[v] & mask == 0 for v in bits(mask)):
+            for v in bits(mask):
                 parent[v] = par
             return
         _, root = solve(mask)
@@ -276,7 +218,7 @@ def longest_path_order(g: Graph) -> int:
         if length > best:
             best = length
         rest = masks[v] & ~visited
-        for w in _bits(rest):
+        for w in bits(rest):
             rec(w, visited | (1 << w), length + 1)
 
     for v in range(g.n):
@@ -315,34 +257,14 @@ def tree_param_exact(g: Graph, f: str, max_n=None):
 
     @lru_cache(maxsize=None)
     def bag_value(bag_mask):
-        sub, _ = g.subgraph(_bits(bag_mask))
+        sub, _ = g.subgraph(bits(bag_mask))
         return fn(sub)
 
-    full = (1 << g.n) - 1
-    dp = [0] * (full + 1)
-    for s in range(1, full + 1):
-        best = None
-        for v in _bits(s):
-            t = s ^ (1 << v)
-            bag = (1 << v) | _q_set(masks, t, v)
-            val = max(dp[t], bag_value(bag))
-            if best is None or val < best:
-                best = val
-        dp[s] = best
-    value = dp[full]
+    def cost(t, v):
+        return bag_value(1 << v | q_set(masks, t, v))
 
-    order_rev = []
-    s = full
-    while s:
-        for v in _bits(s):
-            t = s ^ (1 << v)
-            bag = (1 << v) | _q_set(masks, t, v)
-            if max(dp[t], bag_value(bag)) == dp[s]:
-                order_rev.append(v)
-                s = t
-                break
-    td = _elimination_td(g, list(reversed(order_rev)))
-    return value, td
+    dp = elimination_dp(g.n, cost)
+    return dp[-1], _elimination_td(g, recover_order(dp, cost))
 
 
 def neighborhood_lower_bound(g: Graph, f: str, max_n=None) -> int:
@@ -389,11 +311,7 @@ def _completions(g: Graph):
     masks = g.adjacency_masks()
     seen = {}
     for order in itertools.permutations(range(g.n)):
-        bags = []
-        prefix = 0
-        for v in order:
-            bags.append((1 << v) | _q_set(masks, prefix, v))
-            prefix |= 1 << v
+        bags = _elimination_bags(masks, order)
         maximal = tuple(sorted(b for b in bags
                                if not any(b != o and (b & o) == b for o in bags)))
         if maximal not in seen:

@@ -1,140 +1,112 @@
-"""Subset-DP kernels for treewidth and pathwidth.
+"""The elimination-ordering DP behind the treewidth, pathwidth and tree-f oracles.
 
-These two dynamic programs are the hot loops of the exact module: both walk
-all 2^n subsets with bitmask state.  The functions below are written in
-nopython-compatible style over numpy arrays and are jit-compiled with numba
-by default.  Setting PRODSTRUCT_PURE=1 (or a failed numba import) selects the
-identical pure-Python/numpy path; results are bit-for-bit the same either
-way.  benchmarks/bench_kernels.py compares the two.
+All three parameters are a minimum over vertex orderings of the largest cost
+of one elimination step (the Q-set recurrence of Bodlaender, Fomin, Koster,
+Kratsch & Thilikos, On exact algorithms for treewidth, ACM TALG 2012).
+elimination_dp fills that minimum for every subset of the vertices, and
+recover_order reads an optimal ordering back out of the table.  An oracle
+supplies only cost(t, v), the cost of eliminating v after the set t:
+
+- treewidth: |Q(t, v)|, the vertices outside t u {v} that v reaches through t;
+- pathwidth: |N(S) - S| for S = t u {v}, the vertex separation of S;
+- tree-f: f of the elimination bag {v} u Q(t, v) (in prodstruct.exact).
+
+Graphs are lists of neighbourhood bitmasks and vertex sets are int bitmasks.
+Tables are bytearrays of 2^n entries, so every value must stay below 256.
 """
 
-import os
+from array import array
 
-import numpy as np
-
-USE_NUMBA = os.environ.get("PRODSTRUCT_PURE", "") not in ("1", "true", "yes")
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:      # pragma: no cover - environment dependent
-        USE_NUMBA = False
-
-INF = 127
+# There is one kernel path, plain Python; benchmark reports still name it.
+USE_NUMBA = False
 
 
-def _treewidth_dp(adj, n):
-    """dp[S] = min over orderings of S-prefixes of the max elimination degree.
+def bits(mask: int):
+    """The vertices of a bitmask, in ascending order."""
+    while mask:
+        b = mask & -mask
+        yield b.bit_length() - 1
+        mask ^= b
 
-    adj: int64[n] neighborhood bitmasks.  The elimination degree of v after
-    eliminating T is |Q(T, v)|: vertices outside T u {v} reachable from v
-    through T.  dp[full] is the treewidth.
-    """
-    size = 1 << n
-    full = size - 1
-    dp = np.empty(size, dtype=np.int8)
-    dp[0] = 0
-    for s in range(1, size):
-        best = INF
+
+def component(masks, within: int, v: int) -> int:
+    """The vertices that v reaches through vertices of `within`, v included."""
+    comp = frontier = 1 << v
+    while frontier:
+        reach = 0
+        for w in bits(frontier):
+            reach |= masks[w]
+        frontier = reach & within & ~comp
+        comp |= frontier
+    return comp
+
+
+def q_set(masks, t: int, v: int) -> int:
+    """Q(t, v): the vertices outside t u {v} that v reaches through t."""
+    reach = 0
+    for w in bits(component(masks, t, v)):
+        reach |= masks[w]
+    return reach & ~t & ~(1 << v)
+
+
+def elimination_dp(n: int, cost) -> bytearray:
+    """dp[S] = min over v in S of max(dp[S - v], cost(S - v, v)), dp[empty] = 0."""
+    dp = bytearray(1 << n)
+    for s in range(1, 1 << n):
+        best = 256
         rest = s
         while rest:
-            bit = rest & (-rest)
+            bit = rest & -rest
             rest ^= bit
-            v = 0
-            b = bit
-            while b > 1:
-                b >>= 1
-                v += 1
             t = s ^ bit
-            # component of v in t u {v}, grown through t
-            comp = bit
-            while True:
-                nxt = comp
-                r2 = comp
-                while r2:
-                    b2 = r2 & (-r2)
-                    r2 ^= b2
-                    w = 0
-                    bb = b2
-                    while bb > 1:
-                        bb >>= 1
-                        w += 1
-                    nxt |= adj[w] & t
-                if nxt == comp:
-                    break
-                comp = nxt
-            # neighbors of the component outside t u {v}
-            boundary = 0
-            r2 = comp
-            while r2:
-                b2 = r2 & (-r2)
-                r2 ^= b2
-                w = 0
-                bb = b2
-                while bb > 1:
-                    bb >>= 1
-                    w += 1
-                boundary |= adj[w]
-            q = boundary & (full ^ t ^ bit)
-            cnt = 0
-            while q:
-                q &= q - 1
-                cnt += 1
-            cand = dp[t]
-            if cnt > cand:
-                cand = cnt
-            if cand < best:
-                best = cand
-        dp[s] = best
-    return dp
-
-
-def _pathwidth_dp(adj, n):
-    """Vertex-separation DP: dp[S] = max(b(S), min_v dp[S without v]).
-
-    b(S) = |N(S) \\ S|.  dp[full] is the pathwidth.
-    """
-    size = 1 << n
-    dp = np.empty(size, dtype=np.int8)
-    nb = np.zeros(size, dtype=np.int64)
-    dp[0] = 0
-    for s in range(1, size):
-        low = s & (-s)
-        v = 0
-        b = low
-        while b > 1:
-            b >>= 1
-            v += 1
-        nbs = nb[s ^ low] | adj[v]
-        nb[s] = nbs
-        q = nbs & ~s
-        boundary = 0
-        while q:
-            q &= q - 1
-            boundary += 1
-        best = INF
-        rest = s
-        while rest:
-            bit = rest & (-rest)
-            rest ^= bit
-            d = dp[s ^ bit]
+            d = dp[t]
+            if d >= best:       # max(d, cost) >= best: v cannot lower the minimum
+                continue
+            c = cost(t, bit.bit_length() - 1)
+            if c > d:
+                d = c
             if d < best:
                 best = d
-        if boundary > best:
-            best = boundary
         dp[s] = best
     return dp
 
 
-if USE_NUMBA:
-    _treewidth_dp = njit(cache=True)(_treewidth_dp)
-    _pathwidth_dp = njit(cache=True)(_pathwidth_dp)
+def recover_order(dp: bytearray, cost) -> list:
+    """An elimination ordering attaining dp[full], first-eliminated first.
+
+    Walking down from the full set, the last vertex of S is the first v in
+    ascending order with max(dp[S - v], cost(S - v, v)) == dp[S].
+    """
+    s = len(dp) - 1
+    order = []
+    while s:
+        for v in bits(s):
+            t = s ^ (1 << v)
+            # a v with dp[t] > dp[S] cannot attain dp[S]: its cost is not needed
+            if dp[t] <= dp[s] and max(dp[t], cost(t, v)) == dp[s]:
+                order.append(v)
+                s = t
+                break
+    order.reverse()
+    return order
 
 
 def treewidth_dp(masks):
-    adj = np.asarray(masks, dtype=np.int64)
-    return _treewidth_dp(adj, len(masks))
+    """The treewidth table (dp[full] is tw) and the cost it was filled with."""
+    def cost(t, v):
+        return q_set(masks, t, v).bit_count()
+    return elimination_dp(len(masks), cost), cost
 
 
 def pathwidth_dp(masks):
-    adj = np.asarray(masks, dtype=np.int64)
-    return _pathwidth_dp(adj, len(masks))
+    """The vertex-separation table (dp[full] is pw) and the cost it was filled with."""
+    size = 1 << len(masks)
+    nb = array("q", [0]) * size          # nb[S] = N(S), the union of S's neighbourhoods
+    for s in range(1, size):
+        low = s & -s
+        nb[s] = nb[s ^ low] | masks[low.bit_length() - 1]
+
+    def cost(t, v):
+        s = t | 1 << v
+        return (nb[s] & ~s).bit_count()
+    return elimination_dp(len(masks), cost), cost

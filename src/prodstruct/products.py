@@ -389,31 +389,29 @@ def glue_directed_products(g: Graph, td: TreeDecomposition, bag_embeddings: dict
     from .decomposition import _leaf_removal_order
     removal, root = _leaf_removal_order(td)
 
-    def build(depth):
-        """Returns (D1, D2, image: vertex -> (x, y)) for the residual host."""
-        if depth == len(removal):
-            e, bag_order = globalize(root)
-            return e.factors[0], e.factors[1], {
-                bag_order[v]: e.map[v] for v in range(len(bag_order))}
-        x, y = removal[depth]
-        d1, d2, image = build(depth + 1)
+    # put the stripped leaves back in reverse removal order; each one's factors
+    # are added disjointly to the factors of everything put back before it
+    e, bag_order = globalize(root)
+    n1, n2 = e.factors[0].n, e.factors[1].n
+    arcs1, arcs2 = list(e.factors[0].arcs), list(e.factors[1].arcs)
+    image = {bag_order[v]: e.map[v] for v in range(len(bag_order))}
+    for x, y in reversed(removal):
         e, bag_order = globalize(x)
         j1, j2 = e.factors
         adh = sorted(td.bags[x] & td.bags[y])
         k1 = {image[v][0] for v in adh}
         k2 = {image[v][1] for v in adh}
-        off1, off2 = d1.n, d2.n
-        arcs1 = list(d1.arcs) + [(u + off1, v + off1) for u, v in j1.arcs]
-        arcs1 += [(u, w + off1) for u in k1 for w in range(j1.n)]
-        arcs2 = list(d2.arcs) + [(u + off2, v + off2) for u, v in j2.arcs]
-        arcs2 += [(u, w + off2) for u in k2 for w in range(j2.n)]
-        new1, new2 = Digraph(off1 + j1.n, arcs1), Digraph(off2 + j2.n, arcs2)
+        arcs1 += [(u + n1, v + n1) for u, v in j1.arcs]
+        arcs1 += [(u, w + n1) for u in k1 for w in range(j1.n)]
+        arcs2 += [(u + n2, v + n2) for u, v in j2.arcs]
+        arcs2 += [(u, w + n2) for u in k2 for w in range(j2.n)]
         for i, v in enumerate(bag_order):
             if v not in image:
                 ex, ey = e.map[i]
-                image[v] = (ex + off1, ey + off2)
-        return new1, new2, image
+                image[v] = (ex + n1, ey + n2)
+        n1 += j1.n
+        n2 += j2.n
 
-    d1, d2, image = build(0)
+    d1, d2 = Digraph(n1, arcs1), Digraph(n2, arcs2)
     mapping = tuple(image[v] for v in range(g.n))
     return _checked(DirectedProductEmbedding(g, (d1, d2), mapping))
