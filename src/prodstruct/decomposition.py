@@ -8,6 +8,8 @@ Z are realized with explicit finite offset arithmetic.
 
 from __future__ import annotations
 
+import functools
+import heapq
 import json
 from dataclasses import dataclass
 from typing import Optional
@@ -150,7 +152,8 @@ def validate(g: Graph, td) -> ValidationReport:
             errors.append(f"vertex {v} in no bag")
 
     for u, v in g.edges():
-        if not any(u in b and v in b for b in td.bags):
+        s, t = (u, v) if len(nodes_of[u]) <= len(nodes_of[v]) else (v, u)
+        if not any(t in td.bags[x] for x in nodes_of[s]):
             errors.append(f"edge ({u},{v}) in no bag")
 
     adj = [[] for _ in range(td.nodes)]
@@ -180,9 +183,7 @@ def validate(g: Graph, td) -> ValidationReport:
 
 def torso(g: Graph, td: TreeDecomposition, x: int) -> Graph:
     """g[B_x] plus a clique on each adhesion set at x, relabeled by sorted bag."""
-    rep = validate(g, td)
-    if not rep.ok:
-        raise DecompositionError(f"invalid decomposition: {rep.errors[:3]}")
+    _require_valid(g, td)
     bag = sorted(td.bags[x])
     index = {v: i for i, v in enumerate(bag)}
     edges = set()
@@ -196,6 +197,19 @@ def torso(g: Graph, td: TreeDecomposition, x: int) -> Graph:
             for j in range(i + 1, len(adh)):
                 edges.add((index[adh[i]], index[adh[j]]))
     return Graph(len(bag), edges)
+
+
+@functools.lru_cache(maxsize=1)
+def _require_valid(g: Graph, td: TreeDecomposition) -> None:
+    """Raise unless td is a valid decomposition of g.
+
+    Both are immutable, so the last valid pair is remembered: glue_tree_f
+    asks for the torso at every node of one decomposition, and validating
+    all of it each time would make gluing quadratic in the node count.
+    """
+    rep = validate(g, td)
+    if not rep.ok:
+        raise DecompositionError(f"invalid decomposition: {rep.errors[:3]}")
 
 
 def orthogonality(td1, td2) -> int:
@@ -399,23 +413,22 @@ def _leaf_removal_order(td: TreeDecomposition):
 
     Leaves are processed in ascending node id among the current leaves.
     """
-    alive = set(range(td.nodes))
-    deg = [0] * td.nodes
     adj = [set() for _ in range(td.nodes)]
     for x, y in td.tree_edges:
         adj[x].add(y)
         adj[y].add(x)
-        deg[x] += 1
-        deg[y] += 1
+    # adj holds live neighbours only, so a leaf's set is its one neighbour;
+    # every node enters the heap once, when it becomes a leaf
+    leaves = [x for x in range(td.nodes) if len(adj[x]) <= 1]
     order = []
-    while len(alive) > 1:
-        leaf = min(x for x in alive if deg[x] <= 1)
-        nbr = min(adj[leaf] & alive)
+    for _ in range(td.nodes - 1):
+        leaf = heapq.heappop(leaves)
+        (nbr,) = adj[leaf]
         order.append((leaf, nbr))
-        alive.discard(leaf)
-        deg[nbr] -= 1
         adj[nbr].discard(leaf)
-    return order, min(alive)
+        if len(adj[nbr]) == 1:
+            heapq.heappush(leaves, nbr)
+    return order, leaves[0]
 
 
 def glue_tree_f(g: Graph, td: TreeDecomposition, torso_decomps: dict) -> TreeDecomposition:

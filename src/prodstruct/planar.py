@@ -4,6 +4,9 @@ duals, root-path bags, and the bandwidth-3 decomposition.
 Face traversal convention: from directed edge (u, v) the next directed edge
 is (v, w) where w precedes u in rotation[v].  With rotations listed
 clockwise this traces every face once per incident directed edge.
+
+The faces are computed once per triangulation, when it is built, and are
+read as `pt.faces`.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ class EmbeddingInvalid(ValueError):
 
 
 class PlaneTriangulation:
-    __slots__ = ("graph", "rotation", "outer_face")
+    __slots__ = ("graph", "rotation", "outer_face", "faces")
 
     def __init__(self, graph: Graph, rotation, outer_face):
         rotation = tuple(tuple(r) for r in rotation)
@@ -34,6 +37,7 @@ class PlaneTriangulation:
         fs = faces(self)
         if not any(_same_cycle(f, self.outer_face) for f in fs):
             raise EmbeddingInvalid("outer_face is not a face of the traversal")
+        self.faces = fs
 
     def to_json(self) -> str:
         import json
@@ -61,7 +65,10 @@ def _same_cycle(a, b) -> bool:
 
 
 def faces(pt: PlaneTriangulation) -> list:
-    """All faces as oriented triangles; errors on non-triangular faces."""
+    """All faces as oriented triangles; errors on non-triangular faces.
+
+    Each walk starts at the smallest directed edge not yet walked.
+    """
     g = pt.graph
     succ = {}
     for v, rot in enumerate(pt.rotation):
@@ -71,8 +78,9 @@ def faces(pt: PlaneTriangulation) -> list:
             succ[(u, v)] = (v, rot[(i - 1) % deg])
     unused = set(succ.keys())
     out = []
-    while unused:
-        start = min(unused)
+    for start in sorted(succ):
+        if start not in unused:
+            continue
         walk = [start]
         unused.discard(start)
         cur = succ[start]
@@ -145,7 +153,7 @@ def cotree(pt: PlaneTriangulation, t: LexBfsTree):
 
     Returns (face list, dual edge list as face-index pairs).
     """
-    fs = faces(pt)
+    fs = pt.faces
     face_of = {}
     for i, f in enumerate(fs):
         a, b, c = f
@@ -207,9 +215,8 @@ def planar_bandwidth3_decomposition(pt: PlaneTriangulation, r=None):
         bpos = {v: i for i, v in enumerate(order)}
         span = 0
         for u in order:
-            for v in pt.graph.adj[u]:
-                if v in bpos:
-                    span = max(span, abs(bpos[u] - bpos[v]))
+            for v in pt.graph.adj[u] & bag:
+                span = max(span, abs(bpos[u] - bpos[v]))
         per_bag.append(span)
         max_span = max(max_span, span)
     return td, t.order, {"max_span": max_span, "per_bag": per_bag}

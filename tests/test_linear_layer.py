@@ -1,0 +1,160 @@
+"""The polynomial layer at scale, checked against simple quadratic oracles.
+
+Each oracle below is the plain definition the fast code replaced: the face
+walk that restarts at the smallest unused directed edge, the any-bag edge
+check, and the leaf scan over every live node.  The fast code must give the
+same faces, errors and orders, and the planar pipeline and torso gluing must
+stay near-linear.
+"""
+
+import random
+import time
+from types import SimpleNamespace
+
+import networkx as nx
+import pytest
+
+from prodstruct.constructions import stacked_triangulation
+from prodstruct.decomposition import (TreeDecomposition, _leaf_removal_order,
+                                      glue_tree_f, validate)
+from prodstruct.planar import (EmbeddingInvalid, faces,
+                               planar_bandwidth3_decomposition)
+
+from test_glue_deep import stacked_3tree
+
+
+def walk_faces(pt) -> list:
+    """Faces by repeated walks from the smallest unused directed edge."""
+    succ = {}
+    for v, rot in enumerate(pt.rotation):
+        for i, u in enumerate(rot):
+            succ[(u, v)] = (v, rot[(i - 1) % len(rot)])
+    unused = set(succ)
+    out = []
+    while unused:
+        start = min(unused)
+        walk = [start]
+        unused.discard(start)
+        cur = succ[start]
+        while cur != start:
+            if cur not in unused:
+                raise EmbeddingInvalid(f"face walk reuses edge {cur}: {walk}")
+            walk.append(cur)
+            unused.discard(cur)
+            cur = succ[cur]
+        if len(walk) != 3:
+            raise EmbeddingInvalid(f"non-triangular face: {[e[0] for e in walk]}")
+        out.append(tuple(e[0] for e in walk))
+    if pt.graph.n - pt.graph.m + len(out) != 2:
+        raise EmbeddingInvalid("Euler formula violated")
+    return sorted(out)
+
+
+def scan_leaf_order(td):
+    """Leaf-removal order by scanning every live node for the smallest leaf."""
+    alive = set(range(td.nodes))
+    deg = [0] * td.nodes
+    adj = [set() for _ in range(td.nodes)]
+    for x, y in td.tree_edges:
+        adj[x].add(y)
+        adj[y].add(x)
+        deg[x] += 1
+        deg[y] += 1
+    order = []
+    while len(alive) > 1:
+        leaf = min(x for x in alive if deg[x] <= 1)
+        nbr = min(adj[leaf] & alive)
+        order.append((leaf, nbr))
+        alive.discard(leaf)
+        deg[nbr] -= 1
+        adj[nbr].discard(leaf)
+    return order, min(alive)
+
+
+def test_faces_match_the_restarting_walk():
+    for n in (3, 4, 10, 57, 250):
+        for seed in (0, 1, 2):
+            pt = stacked_triangulation(n, seed)
+            assert faces(pt) == walk_faces(pt) == pt.faces
+
+
+def test_corrupted_rotation_gives_the_same_error():
+    for n in (5, 10, 57):
+        for seed in (0, 1, 2):
+            pt = stacked_triangulation(n, seed)
+            for v in range(n):
+                rot = [list(r) for r in pt.rotation]
+                rot[v][0], rot[v][1] = rot[v][1], rot[v][0]
+                bad = SimpleNamespace(graph=pt.graph, rotation=rot)
+                with pytest.raises(EmbeddingInvalid) as fast:
+                    faces(bad)
+                with pytest.raises(EmbeddingInvalid) as slow:
+                    walk_faces(bad)
+                assert str(fast.value) == str(slow.value)
+
+
+def test_validate_edge_errors_match_any_bag_oracle():
+    rng = random.Random(3)
+    uncovered = 0
+    for n in (10, 57, 250):
+        pt = stacked_triangulation(n, n)
+        bw3, _, _ = planar_bandwidth3_decomposition(pt)
+        for g, td in ((pt.graph, bw3), stacked_3tree(n, n)):
+            for _ in range(3):
+                bags = list(td.bags)
+                for x in rng.sample(range(len(bags)), len(bags) // 3):
+                    bags[x] = frozenset()
+                broken = TreeDecomposition(td.host_n, bags, td.tree_edges)
+                oracle = [f"edge ({u},{v}) in no bag" for u, v in g.edges()
+                          if not any(u in b and v in b for b in bags)]
+                errors = validate(g, broken).errors
+                assert [e for e in errors if e.startswith("edge ")] == oracle
+                uncovered += len(oracle)
+    assert uncovered
+
+
+def test_leaf_removal_order_matches_the_scan():
+    rng = random.Random(5)
+    for n in list(range(1, 40)) + [200, 1000]:
+        ids = list(range(n))
+        rng.shuffle(ids)
+        edges = [(ids[i], ids[rng.randrange(i)]) for i in range(1, n)]
+        td = TreeDecomposition(n, [{x} for x in range(n)], edges)
+        assert _leaf_removal_order(td) == scan_leaf_order(td)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 20, 200, 1000])
+def test_faces_agree_with_networkx(n):
+    for seed in (0, 1, 2):
+        pt = stacked_triangulation(n, seed)
+        g = nx.Graph(pt.graph.edges())
+        g.add_nodes_from(range(n))
+        assert nx.check_planarity(g)[0]
+        emb = nx.PlanarEmbedding()
+        emb.set_data({v: list(rot) for v, rot in enumerate(pt.rotation)})
+        emb.check_structure()
+        seen, nx_faces = set(), []
+        for u, v in emb.edges():
+            if (u, v) not in seen:
+                nx_faces.append(frozenset(emb.traverse_face(u, v, mark_half_edges=seen)))
+        assert len(nx_faces) == 2 * n - 4
+        assert sorted(map(sorted, nx_faces)) == sorted(map(sorted, faces(pt)))
+
+
+def test_planar_pipeline_at_ten_thousand_vertices():
+    start = time.perf_counter()
+    pt = stacked_triangulation(10_000, 1)
+    td, order, rep = planar_bandwidth3_decomposition(pt)
+    assert validate(pt.graph, td).ok
+    assert rep["max_span"] <= 3 and len(order) == 10_000
+    assert time.perf_counter() - start < 20
+
+
+def test_glue_tree_f_at_1600_nodes():
+    g, td = stacked_3tree(1602, 1600)
+    pieces = {x: TreeDecomposition(len(b), [range(len(b))], [])
+              for x, b in enumerate(td.bags)}
+    start = time.perf_counter()
+    glued = glue_tree_f(g, td, pieces)
+    assert time.perf_counter() - start < 10
+    assert glued.nodes == 1600 and validate(g, glued).ok
