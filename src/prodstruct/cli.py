@@ -1,8 +1,14 @@
 """Command-line front end.
 
 Every command prints a RunReport JSON on stdout and writes value files with
--o/--out.  Exit codes: 0 pass, 1 check failed, 2 invalid input (malformed
-JSON, failed precondition, or size cap).
+-o/--out.  Exit codes: 0 ok / 1 failed / 2 bad input / 3 internal error.
+Bad input is an unreadable or malformed file or option, a failed
+precondition or a size cap; any other exception is a bug in the program.
+
+One registry per subcommand maps each kind to its input file kinds and its
+handler, and argparse takes its choices from the registry keys.  Handlers
+look library functions up when called (`X.treewidth_exact`, `Graph.from_json`)
+and hold none, so that a tracer or test that replaces one sees every call.
 """
 
 from __future__ import annotations
@@ -12,472 +18,406 @@ import hashlib
 import json
 import sys
 import time
+import traceback
 
 from . import constructions as C
+from . import decomposition as D
 from . import exact as X
-from .decomposition import (TreeDecomposition, PathDecomposition, Layering,
-                            DecompositionError, validate, orthogonality,
-                            bfs_layering, layering_to_path_decomposition,
-                            make_layered_witness,
-                            witness_to_bandwidth_decomposition,
-                            witness_to_partition, bipartite_orthogonal_paths,
-                            bipartite_star_decomposition, glue_tree_f,
-                            glue_orthogonal, project_product_decomposition)
-from .graphs import Graph, Digraph, GraphError, VertexPartition
-from .planar import PlaneTriangulation, EmbeddingInvalid, planar_bandwidth3_decomposition
-from .products import (ProductEmbedding, DirectedProductEmbedding,
-                       EmbeddingError, cartesian, direct, strong,
-                       directed_strong, validate_embedding,
-                       validate_directed_embedding, embed_join_product,
-                       embed_move_apex, embed_apex_partition,
-                       partition_product_check, degree_partition,
-                       orient_apex_fan, glue_directed_products)
+from . import planar as PL
+from . import products as P
+from .graphs import Digraph, Graph, GraphError, VertexPartition
 
 
 class InputError(ValueError):
     pass
 
 
-def _read(path: str) -> str:
-    try:
-        with open(path) as f:
-            return f.read()
-    except OSError as ex:
-        raise InputError(f"cannot read {path}: {ex}")
+BAD_INPUT = (InputError, GraphError, D.DecompositionError, P.EmbeddingError,
+             PL.EmbeddingInvalid, X.InstanceTooLarge)
 
 
-def _load(path: str, parser):
-    text = _read(path)
+def _parse(what, parse, *args):
+    """parse(*args), with outside data of the wrong shape reported as bad input."""
     try:
-        return parser(text), hashlib.sha256(text.encode()).hexdigest()
+        return parse(*args)
     except (ValueError, KeyError, TypeError) as ex:
-        raise InputError(f"malformed {path}: {ex}")
+        raise InputError(f"malformed {what}: {ex}")
 
 
-def _graph(path):
-    return _load(path, Graph.from_json)
+# input file kind -> the class whose from_json parses it; a "json" file is a
+# payload that its handler parses, and unlike the others it is not hashed
+LOADERS = {"graph": Graph, "digraph": Digraph, "td": D.TreeDecomposition,
+           "pd": D.PathDecomposition, "triangulation": PL.PlaneTriangulation,
+           "layering": D.Layering}
 
 
-def _digraph(path):
-    return _load(path, Digraph.from_json)
+def _csv_ints(text, flag):
+    try:
+        return [int(x) for x in text.split(",")] if text else []
+    except ValueError:
+        raise InputError(f"{flag} takes comma-separated integers, got {text!r}")
 
 
-def _td(path):
-    return _load(path, TreeDecomposition.from_json)
+def _seed(args, what):
+    if args.seed is None:
+        raise InputError(f"{what} requires --seed")
+    return args.seed
 
 
-def _pd(path):
-    return _load(path, PathDecomposition.from_json)
-
-
-def _layering(path):
-    def parse(text):
-        d = json.loads(text)
-        layers = d["layers"]
-        return Layering(sum(len(l) for l in layers), layers)
-    return _load(path, parse)
-
-
-def _embedding_json(text: str, guest: Graph) -> ProductEmbedding:
-    d = json.loads(text)
-    factors = tuple(Graph.from_json(json.dumps(f)) for f in d["factors"])
-    return ProductEmbedding(guest, factors, d["c"],
-                            tuple(tuple(t) for t in d["map"]))
-
-
-def _directed_embedding_json(text: str, guest: Graph) -> DirectedProductEmbedding:
-    d = json.loads(text)
-    factors = tuple(Digraph.from_json(json.dumps(f)) for f in d["factors"])
-    return DirectedProductEmbedding(guest, factors,
-                                    tuple(tuple(t) for t in d["map"]))
-
-
-def _csv_ints(text: str) -> list:
-    return [int(x) for x in text.split(",")] if text else []
+def _js(obj):
+    return json.loads(obj.to_json())
 
 
 class Run:
-    def __init__(self, args):
-        self.report = {"command": sys.argv[1:], "inputs": {}, "outputs": {},
+    """One command's RunReport: argv, input sha256s, outputs, files written."""
+
+    def __init__(self, argv, args):
+        self.outputs = {}
+        self.report = {"command": argv, "inputs": {}, "outputs": self.outputs,
                        "seed": getattr(args, "seed", None)}
         self.out = getattr(args, "out", None)
         self.t0 = time.monotonic()
 
-    def record(self, path, digest):
-        self.report["inputs"][path] = digest
+    def load(self, path, kind):
+        try:
+            with open(path) as f:
+                text = f.read()
+        except OSError as ex:
+            raise InputError(f"cannot read {path}: {ex}")
+        if kind == "json":
+            return _parse(path, json.loads, text)
+        value = _parse(path, LOADERS[kind].from_json, text)
+        self.report["inputs"][path] = hashlib.sha256(text.encode()).hexdigest()
+        return value
 
-    def write(self, text, suffix=""):
+    def inputs(self, args, kinds):
+        """The positional input files, one of each declared kind, loaded."""
+        if len(args.inputs) != len(kinds):
+            raise InputError(f"{args.cmd} {args.kind} takes {len(kinds)} input files "
+                             f"({', '.join(kinds)}), got {len(args.inputs)}")
+        return [self.load(path, kind) for path, kind in zip(args.inputs, kinds)]
+
+    def emit(self, text, inline_key, suffix="", file_key="file"):
+        """Write text to the -o path plus suffix, or else inline it as JSON."""
         if self.out is None:
-            return None
+            self.outputs[inline_key] = json.loads(text)
+            return
         path = self.out + suffix
-        with open(path, "w") as f:
-            f.write(text)
-        return path
+        try:
+            with open(path, "w") as f:
+                f.write(text)
+        except OSError as ex:
+            raise InputError(f"cannot write {path}: {ex}")
+        self.outputs[file_key] = path
 
-    def finish(self, code=0):
+    def finish(self, ok=True):
         self.report["wall_time_s"] = round(time.monotonic() - self.t0, 3)
         print(json.dumps(self.report, indent=2, sort_keys=True))
-        return code
+        return 0 if ok else 1
+
+
+# -- JSON payloads --------------------------------------------------------
+
+def _embedding(d, guest, factor=Graph):
+    """The embedding of guest in JSON object d: a ProductEmbedding, or with
+    factor=Digraph a DirectedProductEmbedding, whose map holds pairs."""
+    factors = tuple(factor.from_json(json.dumps(f)) for f in d["factors"])
+    images = tuple(tuple(t) for t in d["map"])
+    if len(factors) != 2 or not all(type(x) is int for t in images for x in t):
+        raise InputError("an embedding has 2 factors and integer map coordinates")
+    if factor is Digraph:
+        return P.DirectedProductEmbedding(guest, factors, tuple((x, y) for x, y in images))
+    if d["c"] is not None and type(d["c"]) is not int:
+        raise InputError("c must be an integer or null")
+    return P.ProductEmbedding(guest, factors, d["c"], images)
+
+
+def _per_node(items, td, what, parse):
+    """{x: parse(items[x], x)} for a JSON list with one entry per node of td."""
+    if not isinstance(items, list) or len(items) != td.nodes:
+        raise InputError(f"{what}: expected a list of {td.nodes} entries, one per node")
+    return {x: _parse(f"{what} entry {x}", parse, item, x) for x, item in enumerate(items)}
 
 
 # -- gen ------------------------------------------------------------------
 
-def cmd_gen(args):
-    run = Run(args)
-    fam = args.family
-    p = _csv_ints(args.params)
-    witness = None
-    extra = {}
-    if fam == "path":
-        g = C.path(*p)
-    elif fam == "cycle":
-        g = C.cycle(*p)
-    elif fam == "complete":
-        g = C.complete(*p)
-    elif fam == "multipartite":
-        g = C.complete_multipartite(p)
-    elif fam == "star":
-        g = C.star(*p)
-    elif fam == "grid2":
-        g = C.grid2(*p)
-    elif fam == "grid3":
-        g = C.grid3(*p)
-    elif fam == "hex":
-        diag = _csv_ints(args.diagonals) if args.diagonals else None
-        g, pd, orderings, spans = C.hex_graph(p[0], diag)
-        witness = pd.to_json()
-        extra = {"orderings": orderings, "spans": spans}
-    elif fam == "tri-grid3":
-        g = C.triangulated_grid3(*p)
-    elif fam == "pyramid":
-        g = C.pyramid(*p)
-    elif fam == "windmill":
-        g = C.windmill(*p)
-    elif fam == "flower":
-        g = C.flower(*p)
-    elif fam == "treedepth-family":
-        g = C.treedepth_family(*p)
-    elif fam == "separating":
-        g, w = C.separating_graph(*p)
-        witness = w.to_json()
-    elif fam == "v8":
-        g = C.v8()
-    elif fam == "stacked":
-        if args.seed is None:
-            raise InputError("stacked requires --seed")
-        pt = C.stacked_triangulation(p[0], args.seed)
-        run.report["outputs"]["n"] = pt.graph.n
-        path = run.write(pt.to_json())
-        if path:
-            run.report["outputs"]["file"] = path
-        else:
-            run.report["outputs"]["triangulation"] = json.loads(pt.to_json())
-        return run.finish()
-    elif fam == "random-regular":
-        if args.seed is None:
-            raise InputError("random-regular requires --seed")
-        g = C.random_regular(p[0], p[1], args.seed)
-    elif fam == "tightness":
-        g, f1, f2, e = C.tightness_example(*p)
-        witness = e.to_json()
-        extra = {"factors": [json.loads(f1.to_json()), json.loads(f2.to_json())]}
+def _plain(name, params):
+    """A family whose generator takes --params and returns one graph."""
+    return params, lambda p, a: (getattr(C, name)(*p), None, {})
+
+
+def _hex(p, a):
+    g, pd, orderings, spans = C.hex_graph(*p, _csv_ints(a.diagonals, "--diagonals") or None)
+    return g, pd, {"orderings": orderings, "spans": spans}
+
+
+def _tightness(p, a):
+    g, f1, f2, e = C.tightness_example(*p)
+    return g, e, {"factors": [_js(f1), _js(f2)]}
+
+
+# family -> (names of its --params, None for any number of them;
+#            build(params, args) -> (graph or triangulation, witness or None,
+#                                    extra outputs))
+FAMILIES = {
+    "path": _plain("path", ("n",)),
+    "cycle": _plain("cycle", ("n",)),
+    "complete": _plain("complete", ("n",)),
+    "multipartite": (None, lambda p, a: (C.complete_multipartite(p), None, {})),
+    "star": _plain("star", ("n",)),
+    "grid2": _plain("grid2", ("m", "n")),
+    "grid3": _plain("grid3", ("a", "b", "c")),
+    "hex": (("n",), _hex),
+    "tri-grid3": _plain("triangulated_grid3", ("a", "b", "c")),
+    "pyramid": _plain("pyramid", ("n",)),
+    "windmill": _plain("windmill", ("k",)),
+    "flower": _plain("flower", ("k",)),
+    "treedepth-family": _plain("treedepth_family", ("k", "c")),
+    "separating": (("c",), lambda p, a: (*C.separating_graph(*p), {})),
+    "v8": _plain("v8", ()),
+    "stacked": (("n",), lambda p, a: (C.stacked_triangulation(*p, _seed(a, "stacked")),
+                                      None, {})),
+    "random-regular": (("n", "d"), lambda p, a: (
+        C.random_regular(*p, _seed(a, "random-regular")), None, {})),
+    "tightness": (("p", "q", "m"), _tightness),
+}
+
+
+def cmd_gen(run, args):
+    names, build = FAMILIES[args.kind]
+    p = _csv_ints(args.params, "--params")
+    if names is not None and len(p) != len(names):
+        raise InputError(f"gen {args.kind} takes {len(names)} --params ({','.join(names)})")
+    made, witness, extra = build(p, args)
+    if isinstance(made, PL.PlaneTriangulation):
+        run.outputs["n"] = made.graph.n
+        run.emit(made.to_json(), "triangulation")
     else:
-        raise InputError(f"unknown family {fam!r}")
-    run.report["outputs"].update({"n": g.n, "m": g.m, **extra})
-    path = run.write(g.to_json())
-    if path:
-        run.report["outputs"]["file"] = path
-    else:
-        run.report["outputs"]["graph"] = json.loads(g.to_json())
+        run.outputs.update(n=made.n, m=made.m, **extra)
+        run.emit(made.to_json(), "graph")
     if witness is not None:
-        wpath = run.write(witness, ".witness.json")
-        if wpath:
-            run.report["outputs"]["witness_file"] = wpath
-        else:
-            run.report["outputs"]["witness"] = json.loads(witness)
+        run.emit(witness.to_json(), "witness", ".witness.json", "witness_file")
     return run.finish()
 
 
 # -- product --------------------------------------------------------------
 
-def cmd_product(args):
-    run = Run(args)
-    if args.op == "dstrong":
-        a, da = _digraph(args.a)
-        b, db = _digraph(args.b)
-        out = directed_strong(a, b)
-    else:
-        a, da = _graph(args.a)
-        b, db = _graph(args.b)
-        out = {"cartesian": cartesian, "direct": direct, "strong": strong}[args.op](a, b)
-    run.record(args.a, da)
-    run.record(args.b, db)
-    run.report["outputs"]["n"] = out.n
-    path = run.write(out.to_json())
-    if path:
-        run.report["outputs"]["file"] = path
-    else:
-        run.report["outputs"]["graph"] = json.loads(out.to_json())
+# op -> (kind of both inputs, name of the product in prodstruct.products)
+PRODUCTS = {
+    "cartesian": ("graph", "cartesian"),
+    "direct": ("graph", "direct"),
+    "strong": ("graph", "strong"),
+    "dstrong": ("digraph", "directed_strong"),
+}
+
+
+def cmd_product(run, args):
+    kind, name = PRODUCTS[args.kind]
+    out = getattr(P, name)(*run.inputs(args, (kind, kind)))
+    run.outputs["n"] = out.n
+    run.emit(out.to_json(), "graph")
     return run.finish()
 
 
 # -- embed ----------------------------------------------------------------
 
-def cmd_embed(args):
-    run = Run(args)
-    kind = args.kind
-    if kind in ("join-product", "move-apex"):
-        a, da = _graph(args.inputs[0])
-        b, db = _graph(args.inputs[1])
-        run.record(args.inputs[0], da)
-        run.record(args.inputs[1], db)
-        fn = embed_join_product if kind == "join-product" else embed_move_apex
-        e = fn(a, b, args.p, args.q)
-    elif kind == "apex-partition":
-        g, dg = _graph(args.inputs[0])
-        run.record(args.inputs[0], dg)
-        e, f1, f2 = embed_apex_partition(g, _csv_ints(args.v1), args.include_apex)
-    elif kind == "partition-check":
-        g, dg = _graph(args.inputs[0])
-        run.record(args.inputs[0], dg)
-        d1 = json.loads(_read(args.inputs[1]))
-        d2 = json.loads(_read(args.inputs[2]))
-        p1 = VertexPartition(g.n, d1["parts"])
-        p2 = VertexPartition(g.n, d2["parts"])
-        e, bad = partition_product_check(g, p1, p2, args.c)
-        if e is None:
-            run.report["outputs"]["violating_pair"] = list(bad)
-            return run.finish(1)
-    elif kind == "degree-partition":
-        g, dg = _graph(args.inputs[0])
-        run.record(args.inputs[0], dg)
-        vp = degree_partition(g, args.threshold)
-        run.report["outputs"]["parts"] = [sorted(x) for x in vp.parts]
-        return run.finish()
-    elif kind == "apex-fan":
-        h, dh = _graph(args.inputs[0])
-        run.record(args.inputs[0], dh)
-        j, f, e = orient_apex_fan(h, _csv_ints(args.ordering), args.path_len, args.a)
-        run.report["outputs"]["j"] = json.loads(j.to_json())
-        run.report["outputs"]["f"] = json.loads(f.to_json())
-    elif kind == "glue-directed":
-        g, dg = _graph(args.inputs[0])
-        td, dt = _td(args.inputs[1])
-        run.record(args.inputs[0], dg)
-        run.record(args.inputs[1], dt)
-        embs = json.loads(_read(args.inputs[2]))
-        bag_embeddings = {}
-        for x in range(td.nodes):
-            sub, _ = g.subgraph(td.bags[x])
-            bag_embeddings[x] = _directed_embedding_json(json.dumps(embs[x]), sub)
-        e = glue_directed_products(g, td, bag_embeddings, args.h)
-    else:
-        raise InputError(f"unknown embed kind {kind!r}")
-    checker = (validate_directed_embedding
-               if isinstance(e, DirectedProductEmbedding) else validate_embedding)
-    errs = checker(e)
-    run.report["outputs"]["valid"] = not errs
-    run.report["outputs"]["errors"] = errs[:10]
-    path = run.write(e.to_json())
-    if path:
-        run.report["outputs"]["file"] = path
-    else:
-        run.report["outputs"]["embedding"] = json.loads(e.to_json())
-    return run.finish(0 if not errs else 1)
+def _partition_check(out, a, g, d1, d2):
+    parts = [_parse("parts", lambda d: VertexPartition(g.n, d["parts"]), d) for d in (d1, d2)]
+    e, bad = P.partition_product_check(g, *parts, a.c)
+    if e is None:
+        out["violating_pair"] = list(bad)
+    return e
+
+
+def _apex_fan(out, a, h):
+    j, f, e = P.orient_apex_fan(h, _csv_ints(a.ordering, "--ordering"), a.path_len, a.a)
+    out["j"] = _js(j)
+    out["f"] = _js(f)
+    return e
+
+
+def _glue_directed(out, a, g, td, embs):
+    guests = [g.subgraph(bag)[0] for bag in td.bags]
+    return P.glue_directed_products(g, td, _per_node(
+        embs, td, "bag embeddings", lambda d, x: _embedding(d, guests[x], Digraph)), a.h)
+
+
+# kind -> (input kinds, handler(outputs, args, *inputs) -> the embedding to
+#          validate and write, or None when there is none)
+EMBED = {
+    "join-product": (("graph", "graph"),
+                     lambda out, a, g1, g2: P.embed_join_product(g1, g2, a.p, a.q)),
+    "move-apex": (("graph", "graph"),
+                  lambda out, a, g1, g2: P.embed_move_apex(g1, g2, a.p, a.q)),
+    "apex-partition": (("graph",), lambda out, a, g: P.embed_apex_partition(
+        g, _csv_ints(a.v1, "--v1"), a.include_apex)[0]),
+    "partition-check": (("graph", "json", "json"), _partition_check),
+    "degree-partition": (("graph",), lambda out, a, g: out.update(
+        parts=[sorted(x) for x in P.degree_partition(g, a.threshold).parts])),
+    "apex-fan": (("graph",), _apex_fan),
+    "glue-directed": (("graph", "td", "json"), _glue_directed),
+}
+
+
+def cmd_embed(run, args):
+    kinds, make = EMBED[args.kind]
+    e = make(run.outputs, args, *run.inputs(args, kinds))
+    if e is None:       # degree-partition, or partition-check found a violating pair
+        return run.finish("violating_pair" not in run.outputs)
+    directed = isinstance(e, P.DirectedProductEmbedding)
+    errs = (P.validate_directed_embedding if directed else P.validate_embedding)(e)
+    run.outputs.update(valid=not errs, errors=errs[:10])
+    run.emit(e.to_json(), "embedding")
+    return run.finish(not errs)
 
 
 # -- decomp ---------------------------------------------------------------
 
-def cmd_decomp(args):
-    run = Run(args)
-    kind = args.kind
-    out = {}
-    files = []
-    if kind == "planar-lexbfs":
-        pt, dp = _load(args.inputs[0], PlaneTriangulation.from_json)
-        run.record(args.inputs[0], dp)
-        td, order, rep = planar_bandwidth3_decomposition(pt, args.root)
-        files.append(td.to_json())
-        out = {"order": order, **rep}
-    elif kind == "bfs-layering":
-        g, dg = _graph(args.inputs[0])
-        run.record(args.inputs[0], dg)
-        l = bfs_layering(g, args.root or 0)
-        files.append(l.to_json())
-    elif kind == "layering-path":
-        l, dl = _layering(args.inputs[0])
-        run.record(args.inputs[0], dl)
-        files.append(layering_to_path_decomposition(l).to_json())
-    elif kind in ("witness-bandwidth", "witness-partition"):
-        g, dg = _graph(args.inputs[0])
-        l, dl = _layering(args.inputs[1])
-        td, dt = _td(args.inputs[2])
-        for p, d in zip(args.inputs, (dg, dl, dt)):
-            run.record(p, d)
-        w = make_layered_witness(g, l, td)
-        out["k"] = w.k
-        if kind == "witness-bandwidth":
-            td2, orderings, span = witness_to_bandwidth_decomposition(g, w)
-            files.append(td2.to_json())
-            out.update({"orderings": orderings, "max_span": span})
-        else:
-            vp = witness_to_partition(w)
-            out["parts"] = [sorted(x) for x in vp.parts]
-    elif kind in ("bipartite-ortho", "bipartite-star"):
-        g, dg = _graph(args.inputs[0])
-        run.record(args.inputs[0], dg)
-        side = _csv_ints(args.side)
-        if kind == "bipartite-ortho":
-            p1, p2 = bipartite_orthogonal_paths(g, side)
-            files += [p1.to_json(), p2.to_json()]
-            out["orthogonality"] = orthogonality(p1.as_tree(), p2.as_tree())
-        else:
-            files.append(bipartite_star_decomposition(g, side).to_json())
-    elif kind == "glue-tree-f":
-        g, dg = _graph(args.inputs[0])
-        td, dt = _td(args.inputs[1])
-        run.record(args.inputs[0], dg)
-        run.record(args.inputs[1], dt)
-        pieces = json.loads(_read(args.inputs[2]))
-        torso_decomps = {x: TreeDecomposition.from_json(json.dumps(pieces[x]))
-                         for x in range(td.nodes)}
-        files.append(glue_tree_f(g, td, torso_decomps).to_json())
-    elif kind == "glue-ortho":
-        g, dg = _graph(args.inputs[0])
-        td, dt = _td(args.inputs[1])
-        run.record(args.inputs[0], dg)
-        run.record(args.inputs[1], dt)
-        raw = json.loads(_read(args.inputs[2]))
-        pairs = {x: (TreeDecomposition.from_json(json.dumps(raw[x][0])),
-                     PathDecomposition.from_json(json.dumps(raw[x][1])))
-                 for x in range(td.nodes)}
-        t, p = glue_orthogonal(g, td, pairs)
-        files += [t.to_json(), p.to_json()]
-        out["orthogonality"] = orthogonality(t, p.as_tree())
-    elif kind == "project-product":
-        g, dg = _graph(args.inputs[0])
-        run.record(args.inputs[0], dg)
-        e = _embedding_json(_read(args.inputs[1]), g)
-        td1, d1 = _td(args.inputs[2])
-        td2, d2 = _td(args.inputs[3])
-        run.record(args.inputs[2], d1)
-        run.record(args.inputs[3], d2)
-        o1, o2 = project_product_decomposition(e, td1, td2)
-        files += [o1.to_json(), o2.to_json()]
-        out["orthogonality"] = orthogonality(o1, o2)
-    else:
-        raise InputError(f"unknown decomp kind {kind!r}")
-    run.report["outputs"].update(out)
+def _planar_lexbfs(out, a, pt):
+    td, order, rep = PL.planar_bandwidth3_decomposition(pt, a.root)
+    out.update(rep, order=order)
+    return [td.to_json()]
+
+
+def _witness_bandwidth(out, a, g, l, td):
+    w = D.make_layered_witness(g, l, td)
+    td2, orderings, span = D.witness_to_bandwidth_decomposition(g, w)
+    out.update(k=w.k, orderings=orderings, max_span=span)
+    return [td2.to_json()]
+
+
+def _witness_partition(out, a, g, l, td):
+    w = D.make_layered_witness(g, l, td)
+    out.update(k=w.k, parts=[sorted(x) for x in D.witness_to_partition(w).parts])
+    return []
+
+
+def _glue_tree_f(out, a, g, td, pieces):
+    torso_decomps = _per_node(pieces, td, "torso decompositions",
+                              lambda d, x: D.TreeDecomposition.from_json(json.dumps(d)))
+    return [D.glue_tree_f(g, td, torso_decomps).to_json()]
+
+
+def _pair(d, x):
+    t, p = d
+    return (D.TreeDecomposition.from_json(json.dumps(t)),
+            D.PathDecomposition.from_json(json.dumps(p)))
+
+
+def _both(out, d1, d2):
+    """Two decompositions of one graph to write, and their orthogonality."""
+    out["orthogonality"] = D.orthogonality(d1, d2)
+    return [d1.to_json(), d2.to_json()]
+
+
+# kind -> (input kinds, handler(outputs, args, *inputs) -> texts of the files
+#          to write: -o itself for one, -o.0, -o.1 for two)
+DECOMP = {
+    "planar-lexbfs": (("triangulation",), _planar_lexbfs),
+    "bfs-layering": (("graph",),
+                     lambda out, a, g: [D.bfs_layering(g, a.root or 0).to_json()]),
+    "layering-path": (("layering",),
+                      lambda out, a, l: [D.layering_to_path_decomposition(l).to_json()]),
+    "witness-bandwidth": (("graph", "layering", "td"), _witness_bandwidth),
+    "witness-partition": (("graph", "layering", "td"), _witness_partition),
+    "bipartite-ortho": (("graph",), lambda out, a, g: _both(
+        out, *D.bipartite_orthogonal_paths(g, _csv_ints(a.side, "--side")))),
+    "bipartite-star": (("graph",), lambda out, a, g: [
+        D.bipartite_star_decomposition(g, _csv_ints(a.side, "--side")).to_json()]),
+    "glue-tree-f": (("graph", "td", "json"), _glue_tree_f),
+    "glue-ortho": (("graph", "td", "json"), lambda out, a, g, td, pairs: _both(
+        out, *D.glue_orthogonal(g, td, _per_node(pairs, td, "orthogonal pairs", _pair)))),
+    "project-product": (("graph", "json", "td", "td"), lambda out, a, g, emb, t1, t2: _both(
+        out, *D.project_product_decomposition(_parse("embedding", _embedding, emb, g), t1, t2))),
+}
+
+
+def cmd_decomp(run, args):
+    kinds, make = DECOMP[args.kind]
+    files = make(run.outputs, args, *run.inputs(args, kinds))
     for i, text in enumerate(files):
-        suffix = "" if len(files) == 1 else f".{i}"
-        path = run.write(text, suffix)
-        if path:
-            run.report["outputs"][f"file{i}"] = path
-        else:
-            run.report["outputs"][f"value{i}"] = json.loads(text)
+        run.emit(text, f"value{i}", "" if len(files) == 1 else f".{i}", f"file{i}")
     return run.finish()
 
 
 # -- check ----------------------------------------------------------------
 
-def cmd_check(args):
-    run = Run(args)
-    kind = args.kind
-    if kind in ("td", "pd"):
-        g, dg = _graph(args.inputs[0])
-        dec, dd = (_td if kind == "td" else _pd)(args.inputs[1])
-        run.record(args.inputs[0], dg)
-        run.record(args.inputs[1], dd)
-        rep = validate(g, dec)
-        run.report["outputs"] = {"ok": rep.ok, "errors": rep.errors[:10],
-                                 "width": rep.width, "adhesion": rep.adhesion,
-                                 "taut": rep.taut}
-        return run.finish(0 if rep.ok else 1)
-    if kind == "ortho":
-        g, dg = _graph(args.inputs[0])
-        td1, d1 = _td(args.inputs[1])
-        td2, d2 = _td(args.inputs[2])
-        for p, d in zip(args.inputs, (dg, d1, d2)):
-            run.record(p, d)
-        ok = validate(g, td1).ok and validate(g, td2).ok
-        run.report["outputs"] = {"ok": ok,
-                                 "value": orthogonality(td1, td2) if ok else None}
-        return run.finish(0 if ok else 1)
-    if kind == "embedding":
-        g, dg = _graph(args.inputs[0])
-        run.record(args.inputs[0], dg)
-        e = _embedding_json(_read(args.inputs[1]), g)
-        errs = validate_embedding(e)
-        run.report["outputs"] = {"ok": not errs, "errors": errs[:10]}
-        return run.finish(0 if not errs else 1)
-    if kind == "triangulation":
-        pt, dp = _load(args.inputs[0], PlaneTriangulation.from_json)
-        run.record(args.inputs[0], dp)
-        run.report["outputs"] = {"ok": True, "n": pt.graph.n}
-        return run.finish(0)
-    raise InputError(f"unknown check kind {kind!r}")
+def _check_decomposition(g, dec):
+    rep = D.validate(g, dec)
+    return {"ok": rep.ok, "errors": rep.errors[:10], "width": rep.width,
+            "adhesion": rep.adhesion, "taut": rep.taut}
+
+
+def _check_ortho(g, td1, td2):
+    ok = D.validate(g, td1).ok and D.validate(g, td2).ok
+    return {"ok": ok, "value": D.orthogonality(td1, td2) if ok else None}
+
+
+def _check_embedding(g, emb):
+    errs = P.validate_embedding(_parse("embedding", _embedding, emb, g))
+    return {"ok": not errs, "errors": errs[:10]}
+
+
+# kind -> (input kinds, handler(*inputs) -> outputs, whose "ok" is the verdict)
+CHECK = {
+    "td": (("graph", "td"), _check_decomposition),
+    "pd": (("graph", "pd"), _check_decomposition),
+    "ortho": (("graph", "td", "td"), _check_ortho),
+    "embedding": (("graph", "json"), _check_embedding),
+    "triangulation": (("triangulation",), lambda pt: {"ok": True, "n": pt.graph.n}),
+}
+
+
+def cmd_check(run, args):
+    kinds, check = CHECK[args.kind]
+    run.outputs.update(check(*run.inputs(args, kinds)))
+    return run.finish(run.outputs["ok"])
 
 
 # -- exact ----------------------------------------------------------------
 
-def cmd_exact(args):
-    run = Run(args)
-    g, dg = _graph(args.graph)
-    run.record(args.graph, dg)
-    param = args.param
-    mx = args.max_n
-    out = {"param": param}
-    if param == "tw":
-        v, w = X.treewidth_exact(g, mx)
-        out.update(value=v, witness=json.loads(w.to_json()))
-    elif param == "pw":
-        v, w = X.pathwidth_exact(g, mx)
-        out.update(value=v, witness=json.loads(w.to_json()))
-    elif param == "bw":
-        v, w = X.bandwidth_exact(g, mx)
-        out.update(value=v, witness=w)
-    elif param == "td":
-        v, w = X.treedepth_exact(g, mx)
-        out.update(value=v, witness=w)
-    elif param in ("ttw", "tpw", "tbw", "ttd", "tree-maxdeg", "tree-longest-path"):
-        f = {"ttw": "tw", "tpw": "pw", "tbw": "bw", "ttd": "td",
-             "tree-maxdeg": "maxdeg", "tree-longest-path": "longest-path"}[param]
-        v, w = X.tree_param_exact(g, f, mx)
-        out.update(value=v, witness=json.loads(w.to_json()))
-    elif param == "twintw":
-        v, pair = X.twintw_exact(g, mx)
-        out["value"] = v
-        if pair is not None:
-            out["witness"] = [json.loads(t.to_json()) for t in pair]
-    elif param == "twtw":
-        v, w = X.twtw_exact(g, args.c, mx)
-        out["value"] = v
-        if w is not None:
-            p1, p2, q1, q2 = w
-            out["witness"] = {
-                "parts1": [sorted(x) for x in p1.parts],
-                "parts2": [sorted(x) for x in p2.parts],
-                "quotient1": json.loads(q1.to_json()),
-                "quotient2": json.loads(q2.to_json()),
-            }
-    else:
-        raise InputError(f"unknown parameter {param!r}")
-    run.report["outputs"] = out
+def _exact(v, w, witness=_js):
+    """An oracle's value and witness as outputs; no witness key when it is None."""
+    return {"value": v} if w is None else {"value": v, "witness": witness(w)}
+
+
+def _twtw_witness(w):
+    p1, p2, q1, q2 = w
+    return {"parts1": [sorted(x) for x in p1.parts], "parts2": [sorted(x) for x in p2.parts],
+            "quotient1": _js(q1), "quotient2": _js(q2)}
+
+
+# tree-f parameter -> the bag parameter f of tree_param_exact
+TREE_F = {"ttw": "tw", "tpw": "pw", "tbw": "bw", "ttd": "td",
+          "tree-maxdeg": "maxdeg", "tree-longest-path": "longest-path"}
+
+# parameter -> handler(graph, args) -> outputs; the input is one graph
+EXACT = {
+    "tw": lambda g, a: _exact(*X.treewidth_exact(g, a.max_n)),
+    "pw": lambda g, a: _exact(*X.pathwidth_exact(g, a.max_n)),
+    "bw": lambda g, a: _exact(*X.bandwidth_exact(g, a.max_n), list),
+    "td": lambda g, a: _exact(*X.treedepth_exact(g, a.max_n), list),
+    **{param: lambda g, a, f=f: _exact(*X.tree_param_exact(g, f, a.max_n))
+       for param, f in TREE_F.items()},
+    "twintw": lambda g, a: _exact(*X.twintw_exact(g, a.max_n),
+                                  lambda pair: [_js(t) for t in pair]),
+    "twtw": lambda g, a: _exact(*X.twtw_exact(g, a.c, a.max_n), _twtw_witness),
+}
+
+
+def cmd_exact(run, args):
+    g, = run.inputs(args, ("graph",))
+    run.outputs.update(param=args.kind, **EXACT[args.kind](g, args))
     return run.finish()
 
 
 # -- probe ----------------------------------------------------------------
 
-def cmd_probe(args):
-    run = Run(args)
-    if args.kind != "mixing":
-        raise InputError(f"unknown probe kind {args.kind!r}")
-    if args.seed is None:
-        raise InputError("probe mixing requires --seed")
-    g = C.random_regular(args.n, args.d, args.seed)
+def cmd_probe(run, args):
+    g = C.random_regular(args.n, args.d, _seed(args, "probe mixing"))
     rep = X.expander_mixing_check(g, args.d, args.samples, args.seed)
-    run.report["outputs"] = rep
-    return run.finish(0 if rep["failures"] == 0 else 1)
+    run.outputs.update(rep)
+    return run.finish(rep["failures"] == 0)
 
 
 # -- driver ---------------------------------------------------------------
@@ -486,90 +426,62 @@ def build_parser():
     ap = argparse.ArgumentParser(prog="prodstruct")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--max-n", dest="max_n", type=int, default=None)
-        p.add_argument("-o", "--out", default=None)
+    def command(name, fn, registry, inputs=True, out=True):
+        p = sub.add_parser(name)
+        p.add_argument("kind", choices=list(registry))
+        if inputs:
+            p.add_argument("inputs", nargs="*")
+        if out:
+            p.add_argument("-o", "--out", default=None)
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("gen")
-    p.add_argument("family")
+    p = command("gen", cmd_gen, FAMILIES, inputs=False)
     p.add_argument("--params", default="")
     p.add_argument("--diagonals", default=None)
-    common(p)
-    p.set_defaults(fn=cmd_gen)
+    p.add_argument("--seed", type=int, default=None)
 
-    p = sub.add_parser("product")
-    p.add_argument("op", choices=["cartesian", "direct", "strong", "dstrong"])
-    p.add_argument("a")
-    p.add_argument("b")
-    common(p)
-    p.set_defaults(fn=cmd_product)
+    command("product", cmd_product, PRODUCTS)
 
-    p = sub.add_parser("embed")
-    p.add_argument("kind", choices=["join-product", "move-apex", "apex-partition",
-                                    "partition-check", "degree-partition",
-                                    "apex-fan", "glue-directed"])
-    p.add_argument("inputs", nargs="+")
-    p.add_argument("--p", type=int, default=1)
-    p.add_argument("--q", type=int, default=1)
-    p.add_argument("--c", type=int, default=1)
-    p.add_argument("--v1", default="")
-    p.add_argument("--include-apex", action="store_true")
-    p.add_argument("--threshold", type=int, default=1)
-    p.add_argument("--ordering", default="")
-    p.add_argument("--path-len", dest="path_len", type=int, default=1)
-    p.add_argument("--a", dest="a", type=int, default=0)
+    p = command("embed", cmd_embed, EMBED)
+    for flag in ("--p", "--q", "--c", "--threshold", "--path-len"):
+        p.add_argument(flag, type=int, default=1)
+    p.add_argument("--a", type=int, default=0)
     p.add_argument("--h", type=int, default=None)
-    common(p)
-    p.set_defaults(fn=cmd_embed)
+    p.add_argument("--v1", default="")
+    p.add_argument("--ordering", default="")
+    p.add_argument("--include-apex", action="store_true")
 
-    p = sub.add_parser("decomp")
-    p.add_argument("kind", choices=["planar-lexbfs", "bfs-layering",
-                                    "layering-path", "witness-bandwidth",
-                                    "witness-partition", "bipartite-ortho",
-                                    "bipartite-star", "glue-tree-f",
-                                    "glue-ortho", "project-product"])
-    p.add_argument("inputs", nargs="+")
+    p = command("decomp", cmd_decomp, DECOMP)
     p.add_argument("--root", type=int, default=None)
     p.add_argument("--side", default="")
-    common(p)
-    p.set_defaults(fn=cmd_decomp)
 
-    p = sub.add_parser("check")
-    p.add_argument("kind", choices=["td", "pd", "ortho", "embedding",
-                                    "triangulation"])
-    p.add_argument("inputs", nargs="+")
-    common(p)
-    p.set_defaults(fn=cmd_check)
+    command("check", cmd_check, CHECK, out=False)
 
-    p = sub.add_parser("exact")
-    p.add_argument("param", choices=["tw", "pw", "bw", "td", "ttw", "tpw",
-                                     "tbw", "ttd", "tree-maxdeg",
-                                     "tree-longest-path", "twintw", "twtw"])
-    p.add_argument("graph")
+    p = command("exact", cmd_exact, EXACT, out=False)
     p.add_argument("--c", type=int, default=1)
-    common(p)
-    p.set_defaults(fn=cmd_exact)
+    p.add_argument("--max-n", dest="max_n", type=int, default=None)
 
-    p = sub.add_parser("probe")
-    p.add_argument("kind", choices=["mixing"])
+    p = command("probe", cmd_probe, ("mixing",), inputs=False, out=False)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--samples", type=int, default=1000)
-    common(p)
-    p.set_defaults(fn=cmd_probe)
+    p.add_argument("--seed", type=int, default=None)
     return ap
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except (InputError, GraphError, DecompositionError, EmbeddingError,
-            EmbeddingInvalid, X.InstanceTooLarge, json.JSONDecodeError,
-            TypeError, IndexError, KeyError) as ex:
-        print(json.dumps({"error": f"{type(ex).__name__}: {ex}"}))
-        return 2
+        return args.fn(Run(argv, args), args)
+    except BAD_INPUT as ex:
+        code, error = 2, f"{type(ex).__name__}: {ex}"
+    except Exception as ex:     # a bug, not bad input: keep its traceback on stderr
+        traceback.print_exc()
+        code, error = 3, f"internal {type(ex).__name__}: {ex}"
+    print(json.dumps({"error": error}))
+    return code
 
 
 if __name__ == "__main__":

@@ -42,8 +42,16 @@ def _tree_ok(nodes: int, edges) -> bool:
     return len(seen) == nodes
 
 
+def _int_bags(bags):
+    """Bags read from JSON, which must hold integers only: validate compares
+    them with the vertex range and indexes by them."""
+    if not all(type(v) is int for b in bags for v in b):
+        raise DecompositionError("bag members must be integers")
+    return bags
+
+
 class TreeDecomposition:
-    __slots__ = ("host_n", "bags", "tree_edges")
+    __slots__ = ("host_n", "bags", "tree_edges", "_adj")
 
     def __init__(self, host_n: int, bags, tree_edges):
         self.host_n = host_n
@@ -51,6 +59,7 @@ class TreeDecomposition:
         self.tree_edges = tuple(sorted((min(x, y), max(x, y)) for x, y in tree_edges))
         if not _tree_ok(len(self.bags), self.tree_edges):
             raise DecompositionError("indexing graph is not a tree")
+        self._adj = None        # tree adjacency lists, built by the first neighbors()
 
     @property
     def nodes(self) -> int:
@@ -64,8 +73,15 @@ class TreeDecomposition:
                    default=0)
 
     def neighbors(self, x: int) -> list:
-        return sorted([b for a, b in self.tree_edges if a == x]
-                      + [a for a, b in self.tree_edges if b == x])
+        if self._adj is None:
+            # tree_edges are sorted (min, max) pairs, so each list comes out
+            # ascending: first the smaller neighbours, then the larger ones
+            adj = [[] for _ in self.bags]
+            for a, b in self.tree_edges:
+                adj[a].append(b)
+                adj[b].append(a)
+            self._adj = adj
+        return list(self._adj[x])
 
     def to_json(self) -> str:
         return json.dumps({
@@ -78,7 +94,8 @@ class TreeDecomposition:
     @staticmethod
     def from_json(text: str) -> "TreeDecomposition":
         d = json.loads(text)
-        td = TreeDecomposition(d["host_n"], d["bags"], [tuple(e) for e in d["tree_edges"]])
+        td = TreeDecomposition(d["host_n"], _int_bags(d["bags"]),
+                               [tuple(e) for e in d["tree_edges"]])
         if td.nodes != d["nodes"]:
             raise DecompositionError("node count mismatch")
         return td
@@ -115,7 +132,7 @@ class PathDecomposition:
     @staticmethod
     def from_json(text: str) -> "PathDecomposition":
         d = json.loads(text)
-        return PathDecomposition(d["host_n"], d["bags"])
+        return PathDecomposition(d["host_n"], _int_bags(d["bags"]))
 
 
 @dataclass
@@ -275,8 +292,15 @@ class Layering:
     def to_json(self) -> str:
         return json.dumps({"layers": [sorted(l) for l in self.layers]})
 
+    @staticmethod
+    def from_json(text: str) -> "Layering":
+        layers = json.loads(text)["layers"]
+        return Layering(sum(len(l) for l in layers), layers)
+
 
 def check_layering(g: Graph, l: Layering) -> bool:
+    if l.host_n != g.n:
+        return False
     idx = l.layer_of()
     return all(abs(idx[u] - idx[v]) <= 1 for u, v in g.edges())
 
@@ -304,6 +328,8 @@ def make_layered_witness(g: Graph, l: Layering, td: TreeDecomposition) -> Layere
 
 
 def bfs_layering(g: Graph, r: int) -> Layering:
+    if not 0 <= r < g.n:
+        raise DecompositionError(f"root {r} out of range for n={g.n}")
     dist = {r: 0}
     frontier = [r]
     layers = [[r]]

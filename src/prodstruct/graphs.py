@@ -87,6 +87,8 @@ class Graph:
         Returns (graph, order) where order[new_id] = old_id.
         """
         order = sorted(vertices)
+        if order and not (0 <= order[0] and order[-1] < self.n):
+            raise GraphError(f"vertices {order[0]}..{order[-1]} out of range for n={self.n}")
         index = {v: i for i, v in enumerate(order)}
         edges = [(index[u], index[v]) for u in order for v in self.adj[u]
                  if v in index and u < v]

@@ -115,17 +115,23 @@ def validate_embedding(e: ProductEmbedding) -> list:
     width = 3 if e.c is not None else 2
     if len(e.map) != g.n:
         return [f"map covers {len(e.map)} vertices, guest has {g.n}"]
+    bad = set()         # vertices whose image cannot be looked up in the factors
     for v, t in enumerate(e.map):
         if len(t) != width:
             errors.append(f"vertex {v}: tuple arity {len(t)} != {width}")
+            bad.add(v)
             continue
         if not (0 <= t[0] < e.factors[0].n and 0 <= t[1] < e.factors[1].n):
             errors.append(f"vertex {v}: coordinate out of range")
+            bad.add(v)
         if e.c is not None and not (0 <= t[2] < e.c):
             errors.append(f"vertex {v}: K_c coordinate out of range")
     if len(set(e.map)) != len(e.map):
         errors.append("map not injective")
-    for u, v in g.edges():
+    edges = g.edges()
+    if bad:
+        edges = [(u, v) for u, v in edges if u not in bad and v not in bad]
+    for u, v in edges:
         tu, tv = e.map[u], e.map[v]
         if tu == tv:
             errors.append(f"edge ({u},{v}): identical images")

@@ -1,7 +1,15 @@
 import json
+import sys
 
+import pytest
+
+import prodstruct.cli as cli
+import prodstruct.decomposition
+import prodstruct.exact
 from prodstruct.cli import main
-from prodstruct.graphs import Graph
+from prodstruct.constructions import stacked_triangulation
+from prodstruct.decomposition import Layering, PathDecomposition, TreeDecomposition
+from prodstruct.graphs import Digraph, Graph
 
 
 def run(capsys, *argv):
@@ -91,3 +99,117 @@ def test_decomp_planar(tmp_path, capsys):
     run(capsys, "gen", "v8", "-o", str(g))
     code, rep = run(capsys, "check", "td", str(g), str(td))
     assert code == 1  # host mismatch: valid inputs, failing check
+
+
+# -- report, options and exit codes ------------------------------------------
+
+def test_report_records_the_argv_given_to_main(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["x", "--whatever"])
+    code, rep = run(capsys, "gen", "path", "--params", "3")
+    assert code == 0 and rep["command"] == ["gen", "path", "--params", "3"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "path", "--params", "x"],
+    ["gen", "hex", "--params", "3", "--diagonals", "1,x"],
+    ["embed", "apex-partition", "GRAPH", "--v1", "0,x"],
+    ["embed", "apex-fan", "GRAPH", "--ordering", "0,1.5"],
+    ["decomp", "bipartite-star", "GRAPH", "--side", "x"],
+])
+def test_non_integer_csv_option_is_bad_input(argv, tmp_path, capsys):
+    g = tmp_path / "g.json"
+    g.write_text(Graph(3, [(0, 1), (1, 2)]).to_json())
+    code, rep = run(capsys, *[str(g) if a == "GRAPH" else a for a in argv])
+    assert code == 2 and rep["error"].startswith("InputError: ")
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """One parseable file of each input kind; a payload is the empty object."""
+    d = tmp_path_factory.mktemp("kinds")
+    texts = {
+        "graph": Graph(3, [(0, 1), (1, 2)]).to_json(),
+        "digraph": Digraph(3, [(0, 1)]).to_json(),
+        "td": TreeDecomposition(3, [{0, 1}, {1, 2}], [(0, 1)]).to_json(),
+        "pd": PathDecomposition(3, [{0, 1}, {1, 2}]).to_json(),
+        "triangulation": stacked_triangulation(5, 0).to_json(),
+        "layering": Layering(3, [[0], [1], [2]]).to_json(),
+        "json": "{}",
+        "malformed": "{not json",
+        "wrong shape": "[]",
+    }
+    for kind, text in texts.items():
+        (d / kind).write_text(text)
+    return {kind: str(d / kind) for kind in texts}
+
+
+def registry_cases():
+    for op, (kind, _) in cli.PRODUCTS.items():
+        yield "product", op, (kind, kind)
+    for cmd, registry in (("embed", cli.EMBED), ("decomp", cli.DECOMP), ("check", cli.CHECK)):
+        for kind, (kinds, _) in registry.items():
+            yield cmd, kind, kinds
+    for param in cli.EXACT:
+        yield "exact", param, ("graph",)
+
+
+@pytest.mark.parametrize("cmd,kind,kinds", list(registry_cases()))
+def test_malformed_input_is_bad_input(cmd, kind, kinds, valid_files, capsys):
+    files = [valid_files[k] for k in kinds]
+    attempts = [files[:-1], files + files[:1]]
+    for i in range(len(files)):
+        attempts += [files[:i] + [valid_files[bad]] + files[i + 1:]
+                     for bad in ("malformed", "wrong shape")]
+    if "json" in kinds:
+        attempts.append(files)          # every payload is {}, of no valid shape
+    for inputs in attempts:
+        code, rep = run(capsys, cmd, kind, *inputs)
+        assert code == 2 and rep["error"].startswith("InputError: "), (inputs, rep)
+
+
+@pytest.mark.parametrize("family", [f for f, (names, _) in cli.FAMILIES.items()
+                                    if names is not None])
+def test_wrong_params_count_is_bad_input(family, capsys):
+    names = cli.FAMILIES[family][0]
+    params = ",".join(["1"] * (len(names) + 1))
+    code, rep = run(capsys, "gen", family, "--params", params, "--seed", "1")
+    assert code == 2 and rep["error"].startswith("InputError: ")
+
+
+def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
+    def broken(g, max_n=None):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(prodstruct.exact, "treewidth_exact", broken)
+    g = tmp_path / "g.json"
+    g.write_text(Graph(3, [(0, 1)]).to_json())
+    code, rep = run(capsys, "exact", "tw", str(g))
+    assert code == 3 and rep == {"error": "internal RuntimeError: boom"}
+
+
+def test_handlers_look_library_functions_up_when_called(tmp_path, capsys, monkeypatch):
+    """A replaced module or class attribute must see the CLI's calls."""
+    calls = []
+
+    def recording(owner, name):
+        real = getattr(owner, name)
+
+        def stub(*a, **k):
+            calls.append(name)
+            return real(*a, **k)
+        monkeypatch.setattr(owner, name, staticmethod(stub) if owner is Graph else stub)
+
+    recording(prodstruct.exact, "treewidth_exact")
+    recording(prodstruct.decomposition, "glue_orthogonal")
+    recording(Graph, "from_json")
+    g = tmp_path / "g.json"
+    g.write_text(Graph(3, [(0, 1), (1, 2), (0, 2)]).to_json())
+    td = tmp_path / "td.json"
+    td.write_text(TreeDecomposition(3, [{0, 1, 2}], []).to_json())
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text(json.dumps([[json.loads(td.read_text()),
+                                  json.loads(PathDecomposition(3, [{0, 1, 2}]).to_json())]]))
+    code, rep = run(capsys, "exact", "tw", str(g))
+    assert code == 0 and rep["outputs"]["value"] == 2
+    code, rep = run(capsys, "decomp", "glue-ortho", str(g), str(td), str(pairs))
+    assert code == 0 and rep["outputs"]["orthogonality"] == 3
+    assert calls == ["from_json", "treewidth_exact", "from_json", "glue_orthogonal"]

@@ -2,9 +2,9 @@
 
 Each oracle below is the plain definition the fast code replaced: the face
 walk that restarts at the smallest unused directed edge, the any-bag edge
-check, and the leaf scan over every live node.  The fast code must give the
-same faces, errors and orders, and the planar pipeline and torso gluing must
-stay near-linear.
+check, the leaf scan over every live node and the neighbour scan over every
+tree edge.  The fast code must give the same faces, errors, orders and
+neighbours, and the planar pipeline and torso gluing must stay near-linear.
 """
 
 import random
@@ -48,6 +48,12 @@ def walk_faces(pt) -> list:
     if pt.graph.n - pt.graph.m + len(out) != 2:
         raise EmbeddingInvalid("Euler formula violated")
     return sorted(out)
+
+
+def scan_neighbors(td, x) -> list:
+    """Tree neighbours of node x by a scan over every tree edge."""
+    return sorted([b for a, b in td.tree_edges if a == x]
+                  + [a for a, b in td.tree_edges if b == x])
 
 
 def scan_leaf_order(td):
@@ -121,6 +127,7 @@ def test_leaf_removal_order_matches_the_scan():
         edges = [(ids[i], ids[rng.randrange(i)]) for i in range(1, n)]
         td = TreeDecomposition(n, [{x} for x in range(n)], edges)
         assert _leaf_removal_order(td) == scan_leaf_order(td)
+        assert all(td.neighbors(x) == scan_neighbors(td, x) for x in range(n))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 20, 200, 1000])
