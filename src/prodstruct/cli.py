@@ -14,6 +14,7 @@ and hold none, so that a tracer or test that replaces one sees every call.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -45,7 +46,7 @@ def _parse(what, parse, *args):
 
 
 # input file kind -> the class whose from_json parses it; a "json" file is a
-# payload that its handler parses, and unlike the others it is not hashed
+# payload that its handler parses
 LOADERS = {"graph": Graph, "digraph": Digraph, "td": D.TreeDecomposition,
            "pd": D.PathDecomposition, "triangulation": PL.PlaneTriangulation,
            "layering": D.Layering}
@@ -69,7 +70,8 @@ def _js(obj):
 
 
 class Run:
-    """One command's RunReport: argv, input sha256s, outputs, files written."""
+    """One command's RunReport: argv, the sha256 of every input file, outputs,
+    files written."""
 
     def __init__(self, argv, args):
         self.outputs = {}
@@ -84,11 +86,8 @@ class Run:
                 text = f.read()
         except OSError as ex:
             raise InputError(f"cannot read {path}: {ex}")
-        if kind == "json":
-            return _parse(path, json.loads, text)
-        value = _parse(path, LOADERS[kind].from_json, text)
         self.report["inputs"][path] = hashlib.sha256(text.encode()).hexdigest()
-        return value
+        return _parse(path, json.loads if kind == "json" else LOADERS[kind].from_json, text)
 
     def inputs(self, args, kinds):
         """The positional input files, one of each declared kind, loaded."""
@@ -422,7 +421,10 @@ def cmd_probe(run, args):
 
 # -- driver ---------------------------------------------------------------
 
+@functools.cache
 def build_parser():
+    """The argparse parser, built once: it holds the cmd_* functions, and the
+    handlers they dispatch to still look library functions up when called."""
     ap = argparse.ArgumentParser(prog="prodstruct")
     sub = ap.add_subparsers(dest="cmd", required=True)
 

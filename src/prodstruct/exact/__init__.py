@@ -5,7 +5,10 @@ with per-call overrides; exceeding a cap raises InstanceTooLarge, never
 silently truncates.  tw, pw and tree-f share one elimination-ordering subset
 DP (see _kernels) and differ only in the cost of an elimination step; bw/td
 use branch-and-bound/memoized recursion, TwIntTw enumerates chordal
-completions, and twtw enumerates ordered pairs of set partitions.
+completions, and twtw enumerates ordered pairs of set partitions.  Where an
+oracle nests many small computations (elimination bags in TwIntTw, quotient
+treewidths in twtw) it memoizes them in a dict local to the call, so nothing
+is cached from one call to the next.
 """
 
 from __future__ import annotations
@@ -27,16 +30,24 @@ TD_MAX_N = 12
 TREEF_MAX_N = 9
 TWINTW_MAX_N = 7
 TWTW_MAX_N = 8
+# the largest subset-DP table a max_n override may allocate
+TABLE_BUDGET_BYTES = 1 << 30
 
 
 class InstanceTooLarge(ValueError):
     pass
 
 
-def _cap(g: Graph, cap: int, max_n, what: str):
+def _cap(g: Graph, cap: int, max_n, what: str, state_bytes: int = 0):
+    """Refuse g above the size cap, or when its DP table of state_bytes per
+    vertex subset would outgrow TABLE_BUDGET_BYTES."""
     limit = cap if max_n is None else max_n
     if g.n > limit:
         raise InstanceTooLarge(f"{what}: n={g.n} exceeds cap {limit}")
+    table = state_bytes << g.n
+    if table > TABLE_BUDGET_BYTES:
+        raise InstanceTooLarge(f"{what}: n={g.n} needs a {table}-byte DP table, "
+                               f"over the budget of {TABLE_BUDGET_BYTES} bytes")
 
 
 # -- treewidth -----------------------------------------------------------
@@ -67,18 +78,24 @@ def _elimination_td(g: Graph, order) -> TreeDecomposition:
 
 def treewidth_exact(g: Graph, max_n=None):
     """Exact treewidth with a witness decomposition."""
-    _cap(g, TW_MAX_N, max_n, "treewidth_exact")
+    _cap(g, TW_MAX_N, max_n, "treewidth_exact", 1)
     if g.n == 0:
         return -1, TreeDecomposition(0, [frozenset()], [])
     dp, cost = treewidth_dp(g.adjacency_masks())
     return dp[-1], _elimination_td(g, recover_order(dp, cost))
 
 
+def _treewidth_value(g: Graph) -> int:
+    """Exact treewidth without a witness, for callers that need the value only."""
+    _cap(g, TW_MAX_N, None, "treewidth", 1)
+    return treewidth_dp(g.adjacency_masks())[0][-1] if g.n else -1
+
+
 # -- pathwidth -----------------------------------------------------------
 
 def pathwidth_exact(g: Graph, max_n=None):
     """Exact pathwidth via the vertex-separation DP, with a witness."""
-    _cap(g, PW_MAX_N, max_n, "pathwidth_exact")
+    _cap(g, PW_MAX_N, max_n, "pathwidth_exact", 9)   # dp table plus 8-byte N(S) table
     if g.n == 0:
         return -1, PathDecomposition(0, [frozenset()])
     masks = g.adjacency_masks()
@@ -227,7 +244,7 @@ def longest_path_order(g: Graph) -> int:
 
 
 PARAMS = {
-    "tw": lambda sub: treewidth_exact(sub)[0],
+    "tw": _treewidth_value,
     "pw": lambda sub: pathwidth_exact(sub)[0],
     "bw": lambda sub: bandwidth_exact(sub)[0],
     "td": lambda sub: treedepth_exact(sub)[0],
@@ -249,7 +266,7 @@ def tree_param_exact(g: Graph, f: str, max_n=None):
     """
     if f not in PARAMS:
         raise GraphError(f"unknown or non-hereditary parameter {f!r}")
-    _cap(g, TREEF_MAX_N, max_n, "tree_param_exact")
+    _cap(g, TREEF_MAX_N, max_n, "tree_param_exact", 1)
     if g.n == 0:
         return 0, TreeDecomposition(0, [frozenset()], [])
     masks = g.adjacency_masks()
@@ -306,14 +323,30 @@ def max_clique_order(g: Graph) -> int:
 def _completions(g: Graph):
     """Distinct chordal completions, keyed by maximal elimination bags.
 
-    Returns a list of (maximal_bag_masks, representative_order).
+    Returns a list of (maximal_bag_masks, representative_order).  A bag
+    {v} u Q(prefix, v) depends on the prefix set only, so each is computed
+    once per call: at most n 2^(n-1) bags for the n! orderings.  A bag can
+    lie only inside an earlier one, since later bags miss its vertex v and
+    earlier ones hold their own vertex, which is in the prefix.
     """
+    n = g.n
     masks = g.adjacency_masks()
+    bag_of = {}         # prefix * n + v -> {v} u Q(prefix, v)
     seen = {}
-    for order in itertools.permutations(range(g.n)):
-        bags = _elimination_bags(masks, order)
-        maximal = tuple(sorted(b for b in bags
-                               if not any(b != o and (b & o) == b for o in bags)))
+    for order in itertools.permutations(range(n)):
+        bags = []
+        maximal = []
+        prefix = 0
+        for v in order:
+            key = prefix * n + v
+            bag = bag_of.get(key)
+            if bag is None:
+                bag = bag_of[key] = 1 << v | q_set(masks, prefix, v)
+            if not any(bag | o == o for o in bags):
+                maximal.append(bag)
+            bags.append(bag)
+            prefix |= 1 << v
+        maximal = tuple(sorted(maximal))
         if maximal not in seen:
             seen[maximal] = order
     return [(list(k), v) for k, v in sorted(seen.items())]
@@ -410,19 +443,31 @@ def twintw_raw(g: Graph, max_n=None) -> int:
 
 # -- twtw ----------------------------------------------------------------
 
-def _set_partitions(n: int):
-    """All set partitions of range(n) via restricted growth strings."""
-    def rec(prefix, k):
-        i = len(prefix)
-        if i == n:
-            parts = [[] for _ in range(k)]
-            for v, p in enumerate(prefix):
-                parts[p].append(v)
-            yield parts
+def _growth_labels(n: int):
+    """All set partitions of range(n) as restricted growth strings.
+
+    Yields (labels, k) in lexicographic order of labels: vertex v lies in
+    part labels[v], and the k parts are labelled 0..k-1 in order of their
+    least vertex.
+    """
+    labels = [0] * n
+
+    def rec(v, k):
+        if v == n:
+            yield tuple(labels), k
             return
         for p in range(k + 1):
-            yield from rec(prefix + [p], max(k, p + 1))
-    yield from rec([], 0)
+            labels[v] = p
+            yield from rec(v + 1, max(k, p + 1))
+    yield from rec(0, 0)
+
+
+def _partition(n: int, labels, k: int) -> VertexPartition:
+    """The partition of range(n) into the k parts of a growth string."""
+    parts = [[] for _ in range(k)]
+    for v, p in enumerate(labels):
+        parts[p].append(v)
+    return VertexPartition(n, parts)
 
 
 def twtw_exact(g: Graph, c: int = 1, max_n=None):
@@ -432,28 +477,48 @@ def twtw_exact(g: Graph, c: int = 1, max_n=None):
     vertex partitions with part intersections <= c; the factors may be taken
     as the quotients themselves (supergraph factors only raise treewidth).
     Cross-checked against explicit host enumeration for n <= 4 (twtw_raw).
+
+    Partitions are walked as label strings, and a quotient's treewidth is
+    computed once per distinct quotient (as adjacency masks) within the call.
+    Only the returned pair is built as partitions and quotient graphs.
     """
     if c < 1:
         raise GraphError("need c >= 1")
     _cap(g, TWTW_MAX_N, max_n, "twtw_exact")
     if g.n == 0:
         return 0, None
+    edges = g.edges()
+    tw_of = {}          # quotient adjacency masks -> treewidth
     cands = []
-    for parts in _set_partitions(g.n):
-        vp = VertexPartition(g.n, parts)
-        q = quotient(g, vp)
-        tw, _ = treewidth_exact(q)
-        cands.append((tw, vp))
+    for labels, nparts in _growth_labels(g.n):
+        masks = [0] * nparts
+        for u, v in edges:
+            a, b = labels[u], labels[v]
+            if a != b:
+                masks[a] |= 1 << b
+                masks[b] |= 1 << a
+        key = tuple(masks)
+        tw = tw_of.get(key)
+        if tw is None:
+            tw = tw_of[key] = treewidth_dp(masks)[0][-1]
+        cands.append((tw, labels, nparts))
     cands.sort(key=lambda t: t[0])
 
-    def compatible(a: VertexPartition, b: VertexPartition) -> bool:
-        return all(len(x & y) <= c for x in a.parts for y in b.parts)
+    def compatible(a, b) -> bool:
+        # |x & y| for parts x of a and y of b is the number of vertices labelled (x, y)
+        meet = {}
+        for pair in zip(a, b):
+            m = meet[pair] = meet.get(pair, 0) + 1
+            if m > c:
+                return False
+        return True
 
-    for k in range(0, max(t for t, _ in cands) + 1):
-        pool = [vp for tw, vp in cands if tw <= k]
-        for i, p1 in enumerate(pool):
-            for p2 in pool[i:]:
-                if compatible(p1, p2):
+    for k in range(cands[-1][0] + 1):
+        pool = [t for t in cands if t[0] <= k]
+        for i, a in enumerate(pool):
+            for b in pool[i:]:
+                if compatible(a[1], b[1]):
+                    p1, p2 = (_partition(g.n, *x[1:]) for x in (a, b))
                     return k, (p1, p2, quotient(g, p1), quotient(g, p2))
     raise AssertionError("unreachable: singleton/whole pair is always compatible")
 
@@ -469,7 +534,7 @@ def twtw_raw(g: Graph, max_n=None) -> int:
     _cap(g, 4, max_n, "twtw_raw")
     from ..products import strong
     hosts = [h for n1 in range(1, g.n + 1) for h in _graphs_on(n1)]
-    host_tw = [(h, treewidth_exact(h)[0]) for h in hosts]
+    host_tw = [(h, _treewidth_value(h)) for h in hosts]
     for k in itertools.count(0):
         pool = [h for h, tw in host_tw if tw <= k]
         for h1 in pool:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 
@@ -213,3 +214,17 @@ def test_handlers_look_library_functions_up_when_called(tmp_path, capsys, monkey
     code, rep = run(capsys, "decomp", "glue-ortho", str(g), str(td), str(pairs))
     assert code == 0 and rep["outputs"]["orthogonality"] == 3
     assert calls == ["from_json", "treewidth_exact", "from_json", "glue_orthogonal"]
+
+
+def test_report_hashes_json_payload_inputs(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    g.write_text(Graph(3, [(0, 1), (1, 2), (0, 2)]).to_json())
+    td = tmp_path / "td.json"
+    td.write_text(TreeDecomposition(3, [{0, 1, 2}], []).to_json())
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text(json.dumps([[json.loads(td.read_text()),
+                                  json.loads(PathDecomposition(3, [{0, 1, 2}]).to_json())]]))
+    code, rep = run(capsys, "decomp", "glue-ortho", str(g), str(td), str(pairs))
+    assert code == 0
+    assert sorted(rep["inputs"]) == sorted(map(str, (g, td, pairs)))
+    assert rep["inputs"][str(pairs)] == hashlib.sha256(pairs.read_bytes()).hexdigest()

@@ -254,3 +254,15 @@ def test_mixing_report_shape():
     assert rep2["vacuous"]
     with pytest.raises(Exception):
         expander_mixing_check(path(4), 3, 10, 0)
+
+
+def test_table_budget_refuses_before_allocating():
+    # 9 * 2^30 and 2^40 bytes are over TABLE_BUDGET_BYTES: refused at once
+    from prodstruct.exact import TABLE_BUDGET_BYTES
+    assert TABLE_BUDGET_BYTES == 1 << 30
+    with pytest.raises(InstanceTooLarge, match="DP table"):
+        pathwidth_exact(path(30), max_n=30)
+    with pytest.raises(InstanceTooLarge, match="DP table"):
+        treewidth_exact(path(40), max_n=40)
+    with pytest.raises(InstanceTooLarge, match="DP table"):
+        tree_param_exact(path(31), "maxdeg", max_n=31)

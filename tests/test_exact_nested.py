@@ -1,0 +1,167 @@
+"""The nested oracles twtw and TwIntTw against copies of their plain loops.
+
+twtw_exact memoizes quotient treewidths and _completions memoizes elimination
+bags, each within one call.  The reference oracles below are the loops without
+either memo, building every partition, quotient and decomposition; both must
+give the same values and the same witnesses, and the memoized ones must do
+bounded work.
+"""
+
+import itertools
+
+import pytest
+
+import prodstruct.exact as X
+from conftest import random_graph
+from prodstruct.constructions import (complete_multipartite, cycle, grid2, path,
+                                      stacked_triangulation)
+from prodstruct.exact import (_completions, _elimination_td, max_clique_order,
+                              treewidth_exact, twintw_exact, twtw_exact)
+from prodstruct.exact._kernels import q_set
+from prodstruct.graphs import VertexPartition, quotient
+from prodstruct.rng import SplitMix64
+
+
+# -- reference oracles: every partition, quotient and ordering, no memo ---
+
+def plain_set_partitions(n):
+    def rec(prefix, k):
+        i = len(prefix)
+        if i == n:
+            parts = [[] for _ in range(k)]
+            for v, p in enumerate(prefix):
+                parts[p].append(v)
+            yield parts
+            return
+        for p in range(k + 1):
+            yield from rec(prefix + [p], max(k, p + 1))
+    yield from rec([], 0)
+
+
+def plain_twtw(g, c):
+    cands = []
+    for parts in plain_set_partitions(g.n):
+        vp = VertexPartition(g.n, parts)
+        cands.append((treewidth_exact(quotient(g, vp))[0], vp))
+    cands.sort(key=lambda t: t[0])
+
+    def compatible(a, b):
+        return all(len(x & y) <= c for x in a.parts for y in b.parts)
+
+    for k in range(0, max(t for t, _ in cands) + 1):
+        pool = [vp for tw, vp in cands if tw <= k]
+        for i, p1 in enumerate(pool):
+            for p2 in pool[i:]:
+                if compatible(p1, p2):
+                    return k, (p1, p2, quotient(g, p1), quotient(g, p2))
+
+
+def plain_completions(g):
+    masks = g.adjacency_masks()
+    seen = {}
+    for order in itertools.permutations(range(g.n)):
+        bags = []
+        prefix = 0
+        for v in order:
+            bags.append(1 << v | q_set(masks, prefix, v))
+            prefix |= 1 << v
+        maximal = tuple(sorted(b for b in bags
+                               if not any(b != o and (b & o) == b for o in bags)))
+        if maximal not in seen:
+            seen[maximal] = order
+    return [(list(k), v) for k, v in sorted(seen.items())]
+
+
+def plain_twintw_orders(g):
+    comps = plain_completions(g)
+    lb = max_clique_order(g)
+    best = pair = None
+    for i, (bags1, o1) in enumerate(comps):
+        for bags2, o2 in comps[i:]:
+            val = max(bin(b1 & b2).count("1") for b1 in bags1 for b2 in bags2)
+            if best is None or val < best:
+                best, pair = val, (o1, o2)
+                if best == lb:
+                    break
+        if best == lb:
+            break
+    return best, pair
+
+
+# -- instances ------------------------------------------------------------
+
+def random_instances(sizes, count):
+    rng = SplitMix64(20240521)
+    return [random_graph(rng, n) for n in sizes for _ in range(count)]
+
+
+TWTW_GRAPHS = ([grid2(2, 4), path(7), complete_multipartite([2, 2, 2]), cycle(6)]
+               + random_instances((4, 5, 6, 7), 2))
+TWINTW_GRAPHS = ([complete_multipartite([2, 2, 2]), cycle(7),
+                  stacked_triangulation(7, 3).graph]
+                 + random_instances((4, 5, 6, 7), 2))
+
+
+def snapshot(w):
+    p1, p2, q1, q2 = w
+    return ([sorted(map(sorted, p.parts)) for p in (p1, p2)],
+            [p.parts for p in (p1, p2)], [(q.n, q.edges()) for q in (q1, q2)])
+
+
+# -- identity -------------------------------------------------------------
+
+@pytest.mark.parametrize("c", [1, 2])
+@pytest.mark.parametrize("i", range(len(TWTW_GRAPHS)))
+def test_twtw_matches_the_plain_loop(i, c):
+    g = TWTW_GRAPHS[i]
+    value, witness = twtw_exact(g, c)
+    ref_value, ref_witness = plain_twtw(g, c)
+    assert value == ref_value
+    assert snapshot(witness) == snapshot(ref_witness)
+
+
+@pytest.mark.parametrize("i", range(len(TWINTW_GRAPHS)))
+def test_completions_and_twintw_match_the_plain_loop(i):
+    g = TWINTW_GRAPHS[i]
+    assert _completions(g) == plain_completions(g)
+    value, (td1, td2) = twintw_exact(g)
+    ref_value, (o1, o2) = plain_twintw_orders(g)
+    assert value == ref_value
+    for td, order in ((td1, o1), (td2, o2)):
+        ref = _elimination_td(g, list(order))
+        assert (td.bags, td.tree_edges) == (ref.bags, ref.tree_edges)
+
+
+# -- work bounds ----------------------------------------------------------
+
+def counting(monkeypatch, name):
+    calls = []
+    real = getattr(X, name)
+
+    def counted(*a, **k):
+        calls.append(1)
+        return real(*a, **k)
+    monkeypatch.setattr(X, name, counted)
+    return calls
+
+
+def test_twtw_runs_one_dp_per_distinct_quotient(monkeypatch):
+    # grid2(2, 4) has Bell(8) = 4140 partitions but 455 distinct quotients
+    calls = counting(monkeypatch, "treewidth_dp")
+    assert twtw_exact(grid2(2, 4))[0] == 1
+    assert 0 < len(calls) <= 455
+
+
+def test_completions_compute_each_bag_once(monkeypatch):
+    # 7! orderings of 7 elimination steps, but only n 2^(n-1) = 448 (prefix, v) bags
+    calls = counting(monkeypatch, "q_set")
+    _completions(cycle(7))
+    assert 0 < len(calls) <= 7 * 2 ** 6
+
+
+def test_memo_does_not_outlive_the_call(monkeypatch):
+    calls = counting(monkeypatch, "treewidth_dp")
+    twtw_exact(path(5))
+    first = len(calls)
+    twtw_exact(path(5))
+    assert len(calls) == 2 * first
