@@ -11,7 +11,9 @@ from __future__ import annotations
 import functools
 import heapq
 import json
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 from .graphs import Graph, GraphError
@@ -156,41 +158,32 @@ def validate(g: Graph, td) -> ValidationReport:
         errors.append(f"host mismatch: decomposition host_n={td.host_n}, graph n={g.n}")
         return ValidationReport(False, errors, -1, -1, False)
 
-    nodes_of = [[] for _ in range(g.n)]
+    n = g.n
+    nodes_of = [[] for _ in range(n)]
     for x, bag in enumerate(td.bags):
         for v in bag:
-            if not (0 <= v < g.n):
-                errors.append(f"bag {x} mentions out-of-range vertex {v}")
-            else:
+            if 0 <= v < n:
                 nodes_of[v].append(x)
+            else:
+                errors.append(f"bag {x} mentions out-of-range vertex {v}")
 
-    for v in range(g.n):
-        if not nodes_of[v]:
-            errors.append(f"vertex {v} in no bag")
+    errors += [f"vertex {v} in no bag" for v in range(n) if not nodes_of[v]]
 
-    for u, v in g.edges():
-        s, t = (u, v) if len(nodes_of[u]) <= len(nodes_of[v]) else (v, u)
-        if not any(t in td.bags[x] for x in nodes_of[s]):
-            errors.append(f"edge ({u},{v}) in no bag")
+    # edge uv is in a bag iff the node sets of u and v meet; only the
+    # uncovered edges are sorted, into g.edges() order.  One node set is
+    # held as a frozenset at a time, to keep the memory of a large check flat
+    uncovered = []
+    for u, xs in enumerate(nodes_of):
+        nu = frozenset(xs)
+        uncovered += [(u, v) for v in g.adj[u] if u < v and nu.isdisjoint(nodes_of[v])]
+    errors += [f"edge ({u},{v}) in no bag" for u, v in sorted(uncovered)]
 
-    adj = [[] for _ in range(td.nodes)]
-    for x, y in td.tree_edges:
-        adj[x].append(y)
-        adj[y].append(x)
-    for v in range(g.n):
-        xs = set(nodes_of[v])
-        if not xs:
-            continue
-        start = min(xs)
-        seen = {start}
-        stack = [start]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w in xs and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if seen != xs:
-            errors.append(f"vertex {v} has a disconnected node set")
+    # the tree-nodes of v induce a forest in the tree, and a forest is
+    # connected iff it has one node more than it has edges; out-of-range
+    # members never reach the check below
+    shared = Counter(chain.from_iterable(td.bags[x] & td.bags[y] for x, y in td.tree_edges))
+    errors += [f"vertex {v} has a disconnected node set" for v, xs in enumerate(nodes_of)
+               if xs and len(xs) - shared[v] != 1]
 
     width = td.width()
     adhesion = td.adhesion()
@@ -252,17 +245,21 @@ def project_product_decomposition(e, td_h1: TreeDecomposition, td_h2: TreeDecomp
         rep = validate(h, td)
         if not rep.ok:
             raise DecompositionError(f"invalid factor decomposition: {rep.errors[:3]}")
-    pull1 = [frozenset(v for v in range(e.guest.n) if e.map[v][0] in bag)
-             for bag in td_h1.bags]
-    pull2 = [frozenset(v for v in range(e.guest.n) if e.map[v][1] in bag)
-             for bag in td_h2.bags]
-    out1 = TreeDecomposition(e.guest.n, pull1, td_h1.tree_edges)
-    out2 = TreeDecomposition(e.guest.n, pull2, td_h2.tree_edges)
+    out1, out2 = (TreeDecomposition(e.guest.n, _pull_back(e, i, td), td.tree_edges)
+                  for i, td in enumerate((td_h1, td_h2)))
     for out in (out1, out2):
         rep = validate(e.guest, out)
         if not rep.ok:
             raise DecompositionError(f"pullback invalid: {rep.errors[:3]}")
     return out1, out2
+
+
+def _pull_back(e, i: int, td: TreeDecomposition) -> list:
+    """The bags {v : e(v)[i] in A_x}, through one guest list per factor vertex."""
+    guests_at = [[] for _ in range(e.factors[i].n)]
+    for v, t in enumerate(e.map):
+        guests_at[t[i]].append(v)
+    return [frozenset(chain.from_iterable(guests_at[a] for a in bag)) for bag in td.bags]
 
 
 # -- layerings -----------------------------------------------------------
@@ -528,44 +525,64 @@ def glue_orthogonal(g: Graph, td: TreeDecomposition, pairs: dict):
 
     removal, root = _leaf_removal_order(td)
     # put the stripped leaves back in reverse removal order, each onto the
-    # decomposition of everything put back before it
-    tree_bags, tree_edges, path_bags = globalize(root)
-    tree_edges = list(tree_edges)
+    # decomposition of everything put back before it.  tree_at[v] lists the
+    # glued tree bags holding v, ascending.  Each step leaves a valid path
+    # decomposition of what is glued so far, so the path bags holding v are
+    # the positions span[v][0]..span[v][1], and list index = position - origin.
+    tree_bags, tree_edges, path_bags = [], [], []
+    tree_at, span, origin = {}, {}, 0
+
+    def add_tree(bags, edges):
+        n_r = len(tree_bags)
+        for t, bag in enumerate(bags, n_r):
+            for v in bag:
+                tree_at.setdefault(v, []).append(t)
+        tree_bags.extend(bags)
+        tree_edges.extend((n_r + a, n_r + b) for a, b in edges)
+
+    def add_path(bags, shift):
+        """Overlay bags[j] onto path index j + shift, growing the path as needed."""
+        nonlocal origin
+        if shift < 0:
+            path_bags[:0] = [set() for _ in range(-shift)]
+            origin += shift
+            shift = 0
+        path_bags.extend(set() for _ in range(shift + len(bags) - len(path_bags)))
+        for j, bag in enumerate(bags):
+            path_bags[j + shift] |= bag
+            pos = j + shift + origin
+            for v in bag:
+                lo, hi = span.get(v, (pos, pos))
+                span[v] = (min(lo, pos), max(hi, pos))
+
+    def lowest(bags, adh, x):
+        for i, b in enumerate(bags):
+            if adh <= b:
+                return i
+        raise DecompositionError(
+            f"adhesion clique at node {x} not inside one bag of a member")
+
+    rg, r_edges, pg = globalize(root)
+    add_tree(rg, r_edges)
+    add_path(pg, 0)
     for x, y in reversed(removal):
         tx, tx_edges, px = globalize(x)
         adh = td.bags[x] & td.bags[y]
+        p_star = lowest(tx, adh, x)
+        j_star = lowest(px, adh, x)
+        if adh:
+            # the glued pieces passed validate, so the clique adh lies in
+            # one glued tree bag and the path spans of its vertices meet
+            shortest = min((tree_at[v] for v in adh), key=len)
+            a_star = next(t for t in shortest if adh <= tree_bags[t])
+            i_star = max(span[v][0] for v in adh) - origin
+        else:
+            a_star = i_star = 0
 
-        def lowest(bags):
-            for i, b in enumerate(bags):
-                if adh <= b:
-                    return i
-            raise DecompositionError(
-                f"adhesion clique at node {x} not inside one bag of a member")
-
-        a_star = lowest(tree_bags)
-        p_star = lowest(tx)
-        i_star = lowest(path_bags)
-        j_star = lowest(px)
-
-        n_r = len(tree_bags)
-        tree_edges += [(n_r + a, n_r + b) for a, b in tx_edges]
-        tree_edges.append((a_star, n_r + p_star))
-        tree_bags += tx
-
-        # overlay paths: global index i holds path_bags[i] union px[i - i* + j*]
-        shift = i_star - j_star  # px index j sits at global index j + shift
-        lo = min(0, shift)
-        hi = max(len(path_bags) - 1, shift + len(px) - 1)
-        merged = []
-        for i in range(lo, hi + 1):
-            bag = frozenset()
-            if 0 <= i < len(path_bags):
-                bag |= path_bags[i]
-            j = i - shift
-            if 0 <= j < len(px):
-                bag |= px[j]
-            merged.append(bag)
-        path_bags = merged
+        tree_edges.append((a_star, len(tree_bags) + p_star))
+        add_tree(tx, tx_edges)
+        # path index i holds path_bags[i] u px[i - i* + j*]
+        add_path(px, i_star - j_star)
 
     tree_out = TreeDecomposition(g.n, tree_bags, tree_edges)
     path_out = PathDecomposition(g.n, path_bags)

@@ -38,7 +38,7 @@ class Graph:
     # -- accessors -------------------------------------------------------
 
     def edges(self) -> list:
-        return sorted((u, v) for u in range(self.n) for v in self.adj[u] if u < v)
+        return [(u, v) for u, s in enumerate(self.adj) for v in sorted(s) if u < v]
 
     @property
     def m(self) -> int:
@@ -178,7 +178,7 @@ class Digraph:
         return (u, v) in self.arcs
 
     def to_json(self) -> str:
-        return json.dumps({"n": self.n, "arcs": sorted(map(list, self.arcs))})
+        return json.dumps({"n": self.n, "arcs": sorted(self.arcs)})
 
     @staticmethod
     def from_json(text: str) -> "Digraph":

@@ -10,8 +10,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import (Graph, Digraph, GraphError, VertexPartition,
-                     complete_join, apex, quotient, bidirect, underlying)
+from .graphs import Graph, Digraph, GraphError, VertexPartition, apex, quotient
 from .decomposition import (TreeDecomposition, PathDecomposition,
                             DecompositionError, validate)
 
@@ -24,45 +23,49 @@ def pair_id(i: int, j: int, nb: int) -> int:
     return i * nb + j
 
 
+def _product_edges(a: Graph, b: Graph, rows: bool, pairs) -> list:
+    """Edges (i,j)(i,l) for jl in E(b) when rows is set, and (i,j)(k,l) for
+    ik in E(a) and (j,l) in pairs: each edge once, in time linear in the output."""
+    nb, b_edges = b.n, b.edges()
+    edges = [(i * nb + j, i * nb + l) for i in range(a.n) for j, l in b_edges] if rows else []
+    edges += [(i * nb + j, k * nb + l) for i, k in a.edges() for j, l in pairs]
+    return edges
+
+
+def _both_ways(g: Graph) -> list:
+    edges = g.edges()
+    return edges + [(v, u) for u, v in edges]
+
+
+def _strong_edges(a: Graph, b: Graph) -> list:
+    """Closed neighbourhoods: (i,j)(k,l) is an edge iff i = k or ik in E(a),
+    and j = l or jl in E(b)."""
+    return _product_edges(a, b, True, [(j, j) for j in range(b.n)] + _both_ways(b))
+
+
 def cartesian(a: Graph, b: Graph) -> Graph:
-    edges = []
-    for i in range(a.n):
-        for u, v in b.edges():
-            edges.append((pair_id(i, u, b.n), pair_id(i, v, b.n)))
-    for u, v in a.edges():
-        for j in range(b.n):
-            edges.append((pair_id(u, j, b.n), pair_id(v, j, b.n)))
-    return Graph(a.n * b.n, edges)
+    return Graph(a.n * b.n, _product_edges(a, b, True, [(j, j) for j in range(b.n)]))
 
 
 def direct(a: Graph, b: Graph) -> Graph:
-    edges = []
-    for u, v in a.edges():
-        for x, y in b.edges():
-            edges.append((pair_id(u, x, b.n), pair_id(v, y, b.n)))
-            edges.append((pair_id(u, y, b.n), pair_id(v, x, b.n)))
-    return Graph(a.n * b.n, edges)
+    return Graph(a.n * b.n, _product_edges(a, b, False, _both_ways(b)))
 
 
 def strong(a: Graph, b: Graph) -> Graph:
-    return Graph(a.n * b.n, cartesian(a, b).edges() + direct(a, b).edges())
+    return Graph(a.n * b.n, _strong_edges(a, b))
 
 
 def directed_strong(d1: Digraph, d2: Digraph) -> Digraph:
-    """Arc (x,y)->(x',y') iff each coordinate stays or follows an arc."""
-    arcs = []
-    for x in range(d1.n):
-        for xp in range(d1.n):
-            if x != xp and not d1.has_arc(x, xp):
-                continue
-            for y in range(d2.n):
-                for yp in range(d2.n):
-                    if y != yp and not d2.has_arc(y, yp):
-                        continue
-                    if (x, y) == (xp, yp):
-                        continue
-                    arcs.append((pair_id(x, y, d2.n), pair_id(xp, yp, d2.n)))
-    return Digraph(d1.n * d2.n, arcs)
+    """Arc (x,y)->(x',y') iff each coordinate stays or follows an arc.
+
+    Built from the identity-plus-arc lists of both factors, so in time
+    O((|V1| + |A1|)(|V2| + |A2|)).
+    """
+    n2, arcs2 = d2.n, list(d2.arcs)
+    arcs = [(x * n2 + y, x * n2 + yp) for x in range(d1.n) for y, yp in arcs2]
+    stay_or_arc = [(y, y) for y in range(n2)] + arcs2
+    arcs += [(x * n2 + y, xp * n2 + yp) for x, xp in d1.arcs for y, yp in stay_or_arc]
+    return Digraph(d1.n * n2, arcs)
 
 
 # -- embeddings ----------------------------------------------------------
@@ -101,10 +104,6 @@ class DirectedProductEmbedding:
         })
 
 
-def _coord_ok(a, b, factor: Graph) -> bool:
-    return a == b or factor.has_edge(a, b)
-
-
 def validate_embedding(e: ProductEmbedding) -> list:
     """Invariant checker, independent of the embedding constructors.
 
@@ -131,14 +130,15 @@ def validate_embedding(e: ProductEmbedding) -> list:
     edges = g.edges()
     if bad:
         edges = [(u, v) for u, v in edges if u not in bad and v not in bad]
+    adj1, adj2 = e.factors[0].adj, e.factors[1].adj
     for u, v in edges:
         tu, tv = e.map[u], e.map[v]
         if tu == tv:
             errors.append(f"edge ({u},{v}): identical images")
             continue
-        if not _coord_ok(tu[0], tv[0], e.factors[0]):
+        if tu[0] != tv[0] and tv[0] not in adj1[tu[0]]:
             errors.append(f"edge ({u},{v}): first coordinates {tu[0]},{tv[0]} not equal-or-adjacent")
-        if not _coord_ok(tu[1], tv[1], e.factors[1]):
+        if tu[1] != tv[1] and tv[1] not in adj2[tu[1]]:
             errors.append(f"edge ({u},{v}): second coordinates {tu[1]},{tv[1]} not equal-or-adjacent")
         # K_c is complete: distinct third coordinates are always adjacent
     return errors
@@ -181,6 +181,26 @@ def _checked(e):
 
 # -- join lemmas ---------------------------------------------------------
 
+def _clique_edges(k: int) -> list:
+    return [(i, j) for i in range(k) for j in range(i + 1, k)]
+
+
+def _joined(parts) -> Graph:
+    """The join of graphs given as (n, edges), in one Graph build: ids run
+    through the parts in order, and vertices of different parts are adjacent."""
+    n, edges = 0, []
+    for m, part in parts:
+        edges += [(u + n, v + n) for u, v in part]
+        edges += [(u, n + v) for u in range(n) for v in range(m)]
+        n += m
+    return Graph(n, edges)
+
+
+def _plus_clique(g: Graph, k: int) -> Graph:
+    """g + K_k, the clique's vertices after g's."""
+    return _joined([(g.n, g.edges()), (k, _clique_edges(k))])
+
+
 def embed_join_product(a: Graph, b: Graph, p: int, q: int) -> ProductEmbedding:
     """A+B+K_pq inside (A+K_p) boxtimes (B+K_q).
 
@@ -190,17 +210,8 @@ def embed_join_product(a: Graph, b: Graph, p: int, q: int) -> ProductEmbedding:
     """
     if p < 1 or q < 1:
         raise GraphError("need p, q >= 1")
-    guest = complete_join(complete_join(a, b), Graph(p * q))
-    # make K_pq an actual clique in the guest
-    base = a.n + b.n
-    extra = [(base + i, base + j) for i in range(p * q) for j in range(i + 1, p * q)]
-    guest = Graph(guest.n, guest.edges() + extra)
-    f1 = complete_join(a, Graph(p))
-    f1 = Graph(f1.n, f1.edges() + [(a.n + i, a.n + j)
-                                   for i in range(p) for j in range(i + 1, p)])
-    f2 = complete_join(b, Graph(q))
-    f2 = Graph(f2.n, f2.edges() + [(b.n + i, b.n + j)
-                                   for i in range(q) for j in range(i + 1, q)])
+    guest = _joined([(a.n, a.edges()), (b.n, b.edges()), (p * q, _clique_edges(p * q))])
+    f1, f2 = _plus_clique(a, p), _plus_clique(b, q)
     mapping = [(x, b.n) for x in range(a.n)]
     mapping += [(a.n, y) for y in range(b.n)]
     for i in range(p):
@@ -213,16 +224,8 @@ def embed_move_apex(a: Graph, b: Graph, p: int, q: int) -> ProductEmbedding:
     """(A boxtimes B)+K_pq inside (A+K_p) boxtimes (B+K_q), identity on AxB."""
     if p < 1 or q < 1:
         raise GraphError("need p, q >= 1")
-    guest = complete_join(strong(a, b), Graph(p * q))
-    base = a.n * b.n
-    extra = [(base + i, base + j) for i in range(p * q) for j in range(i + 1, p * q)]
-    guest = Graph(guest.n, guest.edges() + extra)
-    f1 = complete_join(a, Graph(p))
-    f1 = Graph(f1.n, f1.edges() + [(a.n + i, a.n + j)
-                                   for i in range(p) for j in range(i + 1, p)])
-    f2 = complete_join(b, Graph(q))
-    f2 = Graph(f2.n, f2.edges() + [(b.n + i, b.n + j)
-                                   for i in range(q) for j in range(i + 1, q)])
+    guest = _joined([(a.n * b.n, _strong_edges(a, b)), (p * q, _clique_edges(p * q))])
+    f1, f2 = _plus_clique(a, p), _plus_clique(b, q)
     mapping = [(v // b.n, v % b.n) for v in range(a.n * b.n)]
     for i in range(p):
         for j in range(q):
@@ -349,10 +352,7 @@ def orient_apex_fan(h: Graph, ordering, path_len: int, a: int):
     f_graph = Digraph(path_len + 1, f_arcs)
 
     p = Graph(path_len, [(j, j + 1) for j in range(path_len - 1)])
-    guest = complete_join(strong(h, p), Graph(a))
-    base = h.n * path_len
-    guest = Graph(guest.n, guest.edges() + [(base + i, base + j)
-                                            for i in range(a) for j in range(i + 1, a)])
+    guest = _joined([(h.n * path_len, _strong_edges(h, p)), (a, _clique_edges(a))])
     mapping = [(v // path_len, v % path_len) for v in range(h.n * path_len)]
     mapping += [(h.n + i, hub) for i in range(a)]
     emb = _checked(DirectedProductEmbedding(guest, (j_graph, f_graph), tuple(mapping)))

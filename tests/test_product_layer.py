@@ -1,0 +1,349 @@
+"""The product, projection, validation and gluing layer against oracles.
+
+The oracles are networkx's products and in-test copies of the plain loops
+that the output-linear code replaced: the four-loop directed strong product,
+the per-vertex BFS and any-bag edge check of `validate`, the pull-back that
+scans every guest vertex per bag, and the gluing loop that rescans every
+glued bag for the adhesion clique and re-unions every path bag on each step.
+The fast code must give the same arcs, messages, bags and edges.
+"""
+
+import json
+import random
+import time
+
+import networkx as nx
+import pytest
+
+from conftest import random_graph
+from prodstruct import products as P
+from prodstruct.cli import main
+from prodstruct.constructions import cycle, grid2, path, stacked_triangulation
+from prodstruct.decomposition import (DecompositionError, PathDecomposition,
+                                      TreeDecomposition, _leaf_removal_order,
+                                      glue_orthogonal,
+                                      project_product_decomposition, validate)
+from prodstruct.graphs import Digraph, Graph, bidirect
+from prodstruct.planar import planar_bandwidth3_decomposition
+from prodstruct.rng import SplitMix64
+
+from test_glue_deep import stacked_3tree
+
+
+# -- products against networkx -------------------------------------------
+
+def to_nx(g: Graph) -> nx.Graph:
+    h = nx.Graph(g.edges())
+    h.add_nodes_from(range(g.n))
+    return h
+
+
+def product_pairs():
+    rng = SplitMix64(41)
+    pairs = [(grid2(3, 4), cycle(5)), (cycle(6), grid2(2, 3)), (path(1), cycle(4)),
+             (Graph(3), path(4))]
+    for _ in range(12):
+        pairs.append((random_graph(rng, 1 + rng.randrange(7)),
+                      random_graph(rng, 1 + rng.randrange(7))))
+    return pairs
+
+
+@pytest.mark.parametrize("ours, theirs", [(P.cartesian, nx.cartesian_product),
+                                          (P.direct, nx.tensor_product),
+                                          (P.strong, nx.strong_product)])
+def test_products_match_networkx(ours, theirs):
+    for a, b in product_pairs():
+        got = ours(a, b)
+        want = nx.relabel_nodes(theirs(to_nx(a), to_nx(b)),
+                                {(i, j): P.pair_id(i, j, b.n)
+                                 for i in range(a.n) for j in range(b.n)})
+        assert got.n == want.number_of_nodes() == a.n * b.n
+        assert set(got.edges()) == {(min(e), max(e)) for e in want.edges()}
+
+
+# -- directed strong product against the four-loop ------------------------
+
+def four_loop_directed_strong(d1: Digraph, d2: Digraph) -> set:
+    arcs = set()
+    for x in range(d1.n):
+        for xp in range(d1.n):
+            if x != xp and not d1.has_arc(x, xp):
+                continue
+            for y in range(d2.n):
+                for yp in range(d2.n):
+                    if y != yp and not d2.has_arc(y, yp):
+                        continue
+                    if (x, y) == (xp, yp):
+                        continue
+                    arcs.add((P.pair_id(x, y, d2.n), P.pair_id(xp, yp, d2.n)))
+    return arcs
+
+
+def random_digraph(rng: random.Random, n: int) -> Digraph:
+    return Digraph(n, [(u, v) for u in range(n) for v in range(n)
+                       if u != v and rng.random() < 0.35])
+
+
+def test_directed_strong_matches_the_four_loop():
+    rng = random.Random(11)
+    cases = [(random_digraph(rng, rng.randrange(1, 8)), random_digraph(rng, rng.randrange(1, 8)))
+             for _ in range(30)]
+    cases.append((bidirect(grid2(3, 3)), bidirect(cycle(5))))
+    for d1, d2 in cases:
+        got = P.directed_strong(d1, d2)
+        want = four_loop_directed_strong(d1, d2)
+        assert got.arcs == want
+        old_json = json.dumps({"n": d1.n * d2.n, "arcs": sorted(map(list, want))})
+        assert got.to_json() == old_json
+
+
+# -- validate against the BFS / any-bag copy ------------------------------
+
+def bfs_validate(g: Graph, td):
+    """validate as it was: any-bag edge check and one BFS per vertex."""
+    if isinstance(td, PathDecomposition):
+        td = td.as_tree()
+    errors = []
+    if td.host_n != g.n:
+        errors.append(f"host mismatch: decomposition host_n={td.host_n}, graph n={g.n}")
+        return errors, -1, -1, False
+    nodes_of = [[] for _ in range(g.n)]
+    for x, bag in enumerate(td.bags):
+        for v in bag:
+            if not (0 <= v < g.n):
+                errors.append(f"bag {x} mentions out-of-range vertex {v}")
+            else:
+                nodes_of[v].append(x)
+    for v in range(g.n):
+        if not nodes_of[v]:
+            errors.append(f"vertex {v} in no bag")
+    for u, v in g.edges():
+        if not any(u in b and v in b for b in td.bags):
+            errors.append(f"edge ({u},{v}) in no bag")
+    adj = [[] for _ in range(td.nodes)]
+    for x, y in td.tree_edges:
+        adj[x].append(y)
+        adj[y].append(x)
+    for v in range(g.n):
+        xs = set(nodes_of[v])
+        if not xs:
+            continue
+        seen = {min(xs)}
+        stack = [min(xs)]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w in xs and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if seen != xs:
+            errors.append(f"vertex {v} has a disconnected node set")
+    adhesion = max((len(td.bags[x] & td.bags[y]) for x, y in td.tree_edges), default=0)
+    taut = all(g.is_clique(td.bags[x] & td.bags[y]) for x, y in td.tree_edges)
+    return errors, max(len(b) for b in td.bags) - 1, adhesion, taut
+
+
+def assert_same_report(g, td):
+    rep = validate(g, td)
+    errors, width, adhesion, taut = bfs_validate(g, td)
+    assert rep.errors == errors
+    assert rep.ok == (not errors)
+    assert (rep.width, rep.adhesion, rep.taut) == (width, adhesion, taut)
+    return rep
+
+
+def window_td(a: Graph, cols: int) -> TreeDecomposition:
+    """a + K_1 for a row-major grid with `cols` columns: every window of
+    cols + 1 consecutive ids, plus the apex a.n."""
+    windows = [set(range(i, i + cols + 1)) | {a.n} for i in range(a.n - cols)]
+    return TreeDecomposition(a.n + 1, windows, [(i, i + 1) for i in range(len(windows) - 1)])
+
+
+def fan_td(k: int) -> TreeDecomposition:
+    """cycle(k) + K_1: the fan bags {0, i, i + 1, apex}."""
+    fan = [{0, i, i + 1, k} for i in range(1, k - 1)]
+    return TreeDecomposition(k + 1, fan, [(i, i + 1) for i in range(len(fan) - 1)])
+
+
+def move_apex_case():
+    a, b = grid2(4, 5), cycle(6)
+    e = P.embed_move_apex(a, b, 1, 1)
+    return e, window_td(a, 5), fan_td(6)
+
+
+def validation_cases():
+    cases = []
+    for n in (12, 60):
+        cases.append(stacked_3tree(n, n))
+        pt = stacked_triangulation(n, n)
+        cases.append((pt.graph, planar_bandwidth3_decomposition(pt)[0]))
+    e, t1, t2 = move_apex_case()
+    cases += [(e.guest, t) for t in project_product_decomposition(e, t1, t2)]
+    return cases
+
+
+def test_validate_matches_the_bfs_copy():
+    rng = random.Random(7)
+    seen = set()
+    for g, td in validation_cases():
+        assert assert_same_report(g, td).ok
+        bags, edges = list(td.bags), td.tree_edges
+        mutants = []
+        # bags emptied
+        emptied = list(bags)
+        for x in rng.sample(range(len(bags)), len(bags) // 3):
+            emptied[x] = frozenset()
+        mutants.append(emptied)
+        # one vertex dropped from a middle bag of its node set
+        for _ in range(4):
+            v = rng.randrange(g.n)
+            xs = [x for x, b in enumerate(bags) if v in b]
+            inner = [x for x in xs if sum(1 for e in edges if x in e and set(e) <= set(xs)) >= 2]
+            if inner:
+                dropped = list(bags)
+                x = rng.choice(inner)
+                dropped[x] = bags[x] - {v}
+                mutants.append(dropped)
+        # out-of-range members, also in adhesion sets
+        wild = list(bags)
+        for x in rng.sample(range(len(bags)), min(3, len(bags))):
+            wild[x] = bags[x] | {g.n, g.n + 5}
+        wild[0] = wild[0] | {-1}
+        mutants.append(wild)
+        for bad in mutants:
+            rep = assert_same_report(g, TreeDecomposition(td.host_n, bad, edges))
+            seen.update(map(error_kind, rep.errors))
+        rep = assert_same_report(g, TreeDecomposition(td.host_n + 1, bags, edges))
+        seen.update(map(error_kind, rep.errors))
+    assert seen == {"host mismatch", "out-of-range", "in no bag", "edge", "disconnected"}
+
+
+def error_kind(error: str) -> str:
+    for kind in ("host mismatch", "out-of-range", "edge", "disconnected"):
+        if kind in error:
+            return kind
+    return "in no bag"
+
+
+# -- pull-back against the per-bag scan -----------------------------------
+
+def test_pull_back_matches_the_scan():
+    e, t1, t2 = move_apex_case()
+    out1, out2 = project_product_decomposition(e, t1, t2)
+    for i, (out, td) in enumerate(((out1, t1), (out2, t2))):
+        want = tuple(frozenset(v for v in range(e.guest.n) if e.map[v][i] in bag)
+                     for bag in td.bags)
+        assert out.bags == want
+        assert out.tree_edges == td.tree_edges
+
+
+# -- one validation per embed call ----------------------------------------
+
+def test_embed_move_apex_validates_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    original = P.validate_embedding
+
+    def counted(e):
+        calls.append(e)
+        return original(e)
+
+    monkeypatch.setattr(P, "validate_embedding", counted)
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(grid2(3, 4).to_json())
+    b.write_text(cycle(5).to_json())
+    code = main(["embed", "move-apex", str(a), str(b), "--p", "1", "--q", "2"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert len(calls) == 1
+    assert report["outputs"]["valid"] is True and report["outputs"]["errors"] == []
+
+
+# -- gluing against the rescanning loop ------------------------------------
+
+def rescanning_glue(g, td, pairs):
+    """glue_orthogonal's loop as it was: returns (tree bags, tree edges,
+    path bags) before they become decompositions."""
+    def globalize(x):
+        order = sorted(td.bags[x])
+        r, p = pairs[x]
+        return ([frozenset(order[v] for v in b) for b in r.bags], r.tree_edges,
+                [frozenset(order[v] for v in b) for b in p.bags])
+
+    removal, root = _leaf_removal_order(td)
+    tree_bags, tree_edges, path_bags = globalize(root)
+    tree_edges = list(tree_edges)
+    for x, y in reversed(removal):
+        tx, tx_edges, px = globalize(x)
+        adh = td.bags[x] & td.bags[y]
+
+        def lowest(bags):
+            for i, b in enumerate(bags):
+                if adh <= b:
+                    return i
+            raise DecompositionError("adhesion clique not inside one bag")
+
+        a_star, p_star, i_star, j_star = lowest(tree_bags), lowest(tx), lowest(path_bags), lowest(px)
+        n_r = len(tree_bags)
+        tree_edges += [(n_r + a, n_r + b) for a, b in tx_edges]
+        tree_edges.append((a_star, n_r + p_star))
+        tree_bags += tx
+        shift = i_star - j_star
+        merged = []
+        for i in range(min(0, shift), max(len(path_bags) - 1, shift + len(px) - 1) + 1):
+            bag = frozenset()
+            if 0 <= i < len(path_bags):
+                bag |= path_bags[i]
+            if 0 <= i - shift < len(px):
+                bag |= px[i - shift]
+            merged.append(bag)
+        path_bags = merged
+    return tree_bags, tree_edges, path_bags
+
+
+def random_pair(rng: random.Random, k: int):
+    """A tree- and a path-decomposition of K_k with extra proper sub-bags.
+
+    The tree hangs shrinking subsets below the full bag; the path puts the
+    full bag at a random index, with subsets shrinking away from it on both
+    sides, so every vertex's bags stay consecutive.
+    """
+    full = frozenset(range(k))
+    bags, edges = [full], []
+    for _ in range(rng.randrange(4)):
+        parent = rng.randrange(len(bags))
+        bags.append(frozenset(rng.sample(sorted(bags[parent]), rng.randrange(len(bags[parent]) + 1))))
+        edges.append((parent, len(bags) - 1))
+    sides = []
+    for _ in range(2):
+        side, cur = [], full
+        for _ in range(rng.randrange(3)):
+            cur = frozenset(rng.sample(sorted(cur), rng.randrange(len(cur) + 1)))
+            side.append(cur)
+        sides.append(side)
+    path_bags = sides[0][::-1] + [full] + sides[1]
+    return TreeDecomposition(k, bags, edges), PathDecomposition(k, path_bags)
+
+
+@pytest.mark.parametrize("nodes", [48, 300])
+def test_glue_orthogonal_matches_the_rescanning_loop(nodes):
+    for seed in range(3):
+        g, td = stacked_3tree(nodes + 2, nodes + seed)
+        rng = random.Random(seed)
+        pairs = {x: random_pair(rng, len(b)) for x, b in enumerate(td.bags)}
+        t, p = glue_orthogonal(g, td, pairs)
+        tree_bags, tree_edges, path_bags = rescanning_glue(g, td, pairs)
+        assert t.bags == tuple(tree_bags)
+        assert t.tree_edges == tuple(sorted(tree_edges))
+        assert p.bags == tuple(path_bags)
+        assert len(path_bags) > 1
+
+
+def test_glue_orthogonal_at_ten_thousand_nodes():
+    g, td = stacked_3tree(10_002, 10_000)
+    pairs = {x: (TreeDecomposition(len(b), [range(len(b))], []),
+                 PathDecomposition(len(b), [range(len(b))]))
+             for x, b in enumerate(td.bags)}
+    start = time.perf_counter()
+    t, p = glue_orthogonal(g, td, pairs)
+    assert time.perf_counter() - start < 3
+    assert t.nodes == 10_000 and p.nodes == 1
+    assert validate(g, t).ok and validate(g, p).ok
