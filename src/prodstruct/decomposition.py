@@ -14,9 +14,8 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Optional
 
-from .graphs import Graph, GraphError
+from .graphs import Graph
 
 
 class DecompositionError(ValueError):
@@ -44,12 +43,14 @@ def _tree_ok(nodes: int, edges) -> bool:
     return len(seen) == nodes
 
 
-def _int_bags(bags):
-    """Bags read from JSON, which must hold integers only: validate compares
-    them with the vertex range and indexes by them."""
-    if not all(type(v) is int for b in bags for v in b):
+def _host_and_bags(d: dict):
+    """host_n and bags read from JSON, which must be integers: validate
+    compares them with the graph's n and vertex range and indexes by them."""
+    if type(d["host_n"]) is not int:
+        raise DecompositionError("host_n must be an integer")
+    if not all(type(v) is int for b in d["bags"] for v in b):
         raise DecompositionError("bag members must be integers")
-    return bags
+    return d["host_n"], d["bags"]
 
 
 class TreeDecomposition:
@@ -96,8 +97,7 @@ class TreeDecomposition:
     @staticmethod
     def from_json(text: str) -> "TreeDecomposition":
         d = json.loads(text)
-        td = TreeDecomposition(d["host_n"], _int_bags(d["bags"]),
-                               [tuple(e) for e in d["tree_edges"]])
+        td = TreeDecomposition(*_host_and_bags(d), [tuple(e) for e in d["tree_edges"]])
         if td.nodes != d["nodes"]:
             raise DecompositionError("node count mismatch")
         return td
@@ -134,7 +134,7 @@ class PathDecomposition:
     @staticmethod
     def from_json(text: str) -> "PathDecomposition":
         d = json.loads(text)
-        return PathDecomposition(d["host_n"], _int_bags(d["bags"]))
+        return PathDecomposition(*_host_and_bags(d))
 
 
 @dataclass
@@ -191,9 +191,17 @@ def validate(g: Graph, td) -> ValidationReport:
     return ValidationReport(not errors, errors, width, adhesion, taut)
 
 
+def _require(g: Graph, td, what: str) -> ValidationReport:
+    """validate(g, td), raising with `what` and the first errors unless ok."""
+    rep = validate(g, td)
+    if not rep.ok:
+        raise DecompositionError(f"{what}: {rep.errors[:3]}")
+    return rep
+
+
 def torso(g: Graph, td: TreeDecomposition, x: int) -> Graph:
     """g[B_x] plus a clique on each adhesion set at x, relabeled by sorted bag."""
-    _require_valid(g, td)
+    _valid(g, td)
     bag = sorted(td.bags[x])
     index = {v: i for i, v in enumerate(bag)}
     edges = set()
@@ -210,16 +218,14 @@ def torso(g: Graph, td: TreeDecomposition, x: int) -> Graph:
 
 
 @functools.lru_cache(maxsize=1)
-def _require_valid(g: Graph, td: TreeDecomposition) -> None:
-    """Raise unless td is a valid decomposition of g.
+def _valid(g: Graph, td: TreeDecomposition) -> ValidationReport:
+    """The report of td on g; raises unless td is a valid decomposition of g.
 
     Both are immutable, so the last valid pair is remembered: glue_tree_f
     asks for the torso at every node of one decomposition, and validating
     all of it each time would make gluing quadratic in the node count.
     """
-    rep = validate(g, td)
-    if not rep.ok:
-        raise DecompositionError(f"invalid decomposition: {rep.errors[:3]}")
+    return _require(g, td, "invalid decomposition")
 
 
 def orthogonality(td1, td2) -> int:
@@ -242,15 +248,11 @@ def project_product_decomposition(e, td_h1: TreeDecomposition, td_h2: TreeDecomp
     if errs:
         raise DecompositionError(f"invalid embedding: {errs[:3]}")
     for h, td in ((h1, td_h1), (h2, td_h2)):
-        rep = validate(h, td)
-        if not rep.ok:
-            raise DecompositionError(f"invalid factor decomposition: {rep.errors[:3]}")
+        _require(h, td, "invalid factor decomposition")
     out1, out2 = (TreeDecomposition(e.guest.n, _pull_back(e, i, td), td.tree_edges)
                   for i, td in enumerate((td_h1, td_h2)))
     for out in (out1, out2):
-        rep = validate(e.guest, out)
-        if not rep.ok:
-            raise DecompositionError(f"pullback invalid: {rep.errors[:3]}")
+        _require(e.guest, out, "pullback invalid")
     return out1, out2
 
 
@@ -316,9 +318,7 @@ class LayeredWitness:
 def make_layered_witness(g: Graph, l: Layering, td: TreeDecomposition) -> LayeredWitness:
     if not check_layering(g, l):
         raise DecompositionError("not a layering of g")
-    rep = validate(g, td)
-    if not rep.ok:
-        raise DecompositionError(f"invalid decomposition: {rep.errors[:3]}")
+    _require(g, td, "invalid decomposition")
     w = LayeredWitness(l, td, 0)
     w.k = w.measure_k()
     return w
@@ -363,9 +363,7 @@ def witness_to_bandwidth_decomposition(g: Graph, w: LayeredWitness):
         raise DecompositionError("witness k does not match measurement")
     if not check_layering(g, w.layering):
         raise DecompositionError("invalid layering")
-    rep = validate(g, w.decomposition)
-    if not rep.ok:
-        raise DecompositionError(f"invalid decomposition: {rep.errors[:3]}")
+    _require(g, w.decomposition, "invalid decomposition")
     idx = w.layering.layer_of()
     orderings = []
     max_span = 0
@@ -454,47 +452,75 @@ def _leaf_removal_order(td: TreeDecomposition):
     return order, leaves[0]
 
 
+def _glue_steps(g: Graph, td: TreeDecomposition):
+    """The checked start of every gluing lemma: td's report and the steps.
+
+    td must be valid and taut.  The steps are (root, ∅), then (x, B_x ∩ B_y)
+    for each leaf x stripped from its neighbour y, in reverse removal order:
+    each node comes after y, and B_x meets the bags of the nodes before it
+    exactly in that adhesion set.
+    """
+    rep = _valid(g, td)
+    if not rep.taut:
+        x, y = next((x, y) for x, y in td.tree_edges
+                    if not g.is_clique(td.bags[x] & td.bags[y]))
+        raise DecompositionError(f"decomposition not taut at tree edge ({x},{y})")
+    removal, root = _leaf_removal_order(td)
+    return rep, [(root, frozenset())] + [(x, td.bags[x] & td.bags[y])
+                                         for x, y in reversed(removal)]
+
+
+def _relabel(td: TreeDecomposition, x: int, bags) -> list:
+    """Bags over the sorted bag B_x, in g's vertex ids."""
+    order = sorted(td.bags[x])
+    return [frozenset(order[v] for v in b) for b in bags]
+
+
+class _TreeAttach:
+    """The tree bags glued so far; each new piece hangs from them.
+
+    at[v] lists the glued bags holding v, ascending.  The piece's lowest bag
+    holding the adhesion set is linked to the lowest glued bag holding it.
+    Neither search can fail: every clique lies in one bag of any
+    tree-decomposition, and each piece is a validated decomposition of a
+    graph in which the adhesion set is a clique (the torso, or g[B_x] since
+    td is taut), so both the piece and the glued piece of y hold it.
+    """
+
+    def __init__(self):
+        self.bags, self.edges, self.at = [], [], {}
+
+    def add(self, bags, edges, adh):
+        n_r = len(self.bags)
+        if n_r:
+            shortest = min((self.at[v] for v in adh), key=len, default=[0])
+            a_star = next(t for t in shortest if adh <= self.bags[t])
+            self.edges.append((a_star, n_r + next(i for i, b in enumerate(bags) if adh <= b)))
+        for t, bag in enumerate(bags, n_r):
+            for v in bag:
+                self.at.setdefault(v, []).append(t)
+        self.bags += bags
+        self.edges += [(n_r + a, n_r + b) for a, b in edges]
+
+
 def glue_tree_f(g: Graph, td: TreeDecomposition, torso_decomps: dict) -> TreeDecomposition:
     """Glue per-torso decompositions into one decomposition of g.
 
     torso_decomps[x] must be a valid decomposition of torso(g, td, x), whose
-    vertex ids refer to the sorted bag B_x (the torso's labeling).  Each piece
-    is attached at the lowest-id bag containing the adhesion clique.
+    vertex ids refer to the sorted bag B_x (the torso's labeling).  The
+    pieces are glued in the order of _glue_steps, and their bags listed in
+    that order; each piece's lowest bag holding the adhesion clique is linked
+    to the lowest glued bag holding it.
     """
-    rep = validate(g, td)
-    if not rep.ok or not rep.taut:
-        raise DecompositionError("input decomposition must be valid and taut")
-
-    globalized = {}
-    offsets = {}
-    all_bags = []
-    all_edges = []
-    for x in range(td.nodes):
+    _, steps = _glue_steps(g, td)
+    tree = _TreeAttach()
+    for x, adh in steps:
         piece = torso_decomps[x]
-        tx = torso(g, td, x)
-        prep = validate(tx, piece)
-        if not prep.ok:
-            raise DecompositionError(f"torso decomposition at node {x} invalid: {prep.errors[:3]}")
-        bag_order = sorted(td.bags[x])
-        offsets[x] = len(all_bags)
-        globalized[x] = [frozenset(bag_order[v] for v in b) for b in piece.bags]
-        all_bags.extend(globalized[x])
-        all_edges.extend((offsets[x] + a, offsets[x] + b) for a, b in piece.tree_edges)
+        _require(torso(g, td, x), piece, f"torso decomposition at node {x} invalid")
+        tree.add(_relabel(td, x, piece.bags), piece.tree_edges, adh)
 
-    for x, y in td.tree_edges:
-        adh = td.bags[x] & td.bags[y]
-        try:
-            ax = min(i for i, b in enumerate(globalized[x]) if adh <= b)
-            ay = min(i for i, b in enumerate(globalized[y]) if adh <= b)
-        except ValueError:
-            raise DecompositionError(
-                f"adhesion clique of tree edge ({x},{y}) not inside one torso bag")
-        all_edges.append((offsets[x] + ax, offsets[y] + ay))
-
-    glued = TreeDecomposition(g.n, all_bags, all_edges)
-    grep = validate(g, glued)
-    if not grep.ok:
-        raise DecompositionError(f"glued decomposition invalid: {grep.errors[:3]}")
+    glued = TreeDecomposition(g.n, tree.bags, tree.edges)
+    _require(g, glued, "glued decomposition invalid")
     return glued
 
 
@@ -502,92 +528,41 @@ def glue_orthogonal(g: Graph, td: TreeDecomposition, pairs: dict):
     """Glue per-bag (tree, path) orthogonal pairs along a taut decomposition.
 
     pairs[x] = (TreeDecomposition, PathDecomposition) of g[B_x] in the sorted
-    bag labeling.  The induction removes leaves in ascending node id; tree
+    bag labeling.  The pieces are glued in the order of _glue_steps; tree
     parts are joined at the lowest-id bags containing the shared clique, and
     path parts are overlaid with the index shift aligning those bags
     (A'_i = A_i u E_{i-i*+j*}).
     """
-    rep = validate(g, td)
-    if not rep.ok or not rep.taut:
-        raise DecompositionError("input decomposition must be valid and taut")
-
-    def globalize(x):
-        bag_order = sorted(td.bags[x])
+    _, steps = _glue_steps(g, td)
+    tree = _TreeAttach()
+    # path_bags[i] is path position i + origin.  Each step leaves a valid path
+    # decomposition of what is glued so far, so the positions holding v are
+    # an interval, and low[v] is its left end
+    path_bags, low, origin = [], {}, 0
+    for x, adh in steps:
         r, p = pairs[x]
         sub, _ = g.subgraph(td.bags[x])
         for member in (r, p):
-            mrep = validate(sub, member)
-            if not mrep.ok:
-                raise DecompositionError(f"pair at node {x} invalid: {mrep.errors[:3]}")
-        rg = [frozenset(bag_order[v] for v in b) for b in r.bags]
-        pg = [frozenset(bag_order[v] for v in b) for b in p.bags]
-        return rg, r.tree_edges, pg
+            _require(sub, member, f"pair at node {x} invalid")
+        tree.add(_relabel(td, x, r.bags), r.tree_edges, adh)
 
-    removal, root = _leaf_removal_order(td)
-    # put the stripped leaves back in reverse removal order, each onto the
-    # decomposition of everything put back before it.  tree_at[v] lists the
-    # glued tree bags holding v, ascending.  Each step leaves a valid path
-    # decomposition of what is glued so far, so the path bags holding v are
-    # the positions span[v][0]..span[v][1], and list index = position - origin.
-    tree_bags, tree_edges, path_bags = [], [], []
-    tree_at, span, origin = {}, {}, 0
-
-    def add_tree(bags, edges):
-        n_r = len(tree_bags)
-        for t, bag in enumerate(bags, n_r):
-            for v in bag:
-                tree_at.setdefault(v, []).append(t)
-        tree_bags.extend(bags)
-        tree_edges.extend((n_r + a, n_r + b) for a, b in edges)
-
-    def add_path(bags, shift):
-        """Overlay bags[j] onto path index j + shift, growing the path as needed."""
-        nonlocal origin
+        # path index i holds path_bags[i] u px[i - i* + j*]: j* is px's lowest
+        # bag holding the clique adh, and the intervals of adh all hold i*
+        px = _relabel(td, x, p.bags)
+        j_star = next(j for j, b in enumerate(px) if adh <= b)
+        shift = max((low[v] for v in adh), default=origin) - origin - j_star
         if shift < 0:
             path_bags[:0] = [set() for _ in range(-shift)]
             origin += shift
             shift = 0
-        path_bags.extend(set() for _ in range(shift + len(bags) - len(path_bags)))
-        for j, bag in enumerate(bags):
-            path_bags[j + shift] |= bag
-            pos = j + shift + origin
+        path_bags += [set() for _ in range(shift + len(px) - len(path_bags))]
+        for i, bag in enumerate(px, shift):
+            path_bags[i] |= bag
             for v in bag:
-                lo, hi = span.get(v, (pos, pos))
-                span[v] = (min(lo, pos), max(hi, pos))
+                low[v] = min(low.get(v, i + origin), i + origin)
 
-    def lowest(bags, adh, x):
-        for i, b in enumerate(bags):
-            if adh <= b:
-                return i
-        raise DecompositionError(
-            f"adhesion clique at node {x} not inside one bag of a member")
-
-    rg, r_edges, pg = globalize(root)
-    add_tree(rg, r_edges)
-    add_path(pg, 0)
-    for x, y in reversed(removal):
-        tx, tx_edges, px = globalize(x)
-        adh = td.bags[x] & td.bags[y]
-        p_star = lowest(tx, adh, x)
-        j_star = lowest(px, adh, x)
-        if adh:
-            # the glued pieces passed validate, so the clique adh lies in
-            # one glued tree bag and the path spans of its vertices meet
-            shortest = min((tree_at[v] for v in adh), key=len)
-            a_star = next(t for t in shortest if adh <= tree_bags[t])
-            i_star = max(span[v][0] for v in adh) - origin
-        else:
-            a_star = i_star = 0
-
-        tree_edges.append((a_star, len(tree_bags) + p_star))
-        add_tree(tx, tx_edges)
-        # path index i holds path_bags[i] u px[i - i* + j*]
-        add_path(px, i_star - j_star)
-
-    tree_out = TreeDecomposition(g.n, tree_bags, tree_edges)
+    tree_out = TreeDecomposition(g.n, tree.bags, tree.edges)
     path_out = PathDecomposition(g.n, path_bags)
     for member in (tree_out, path_out):
-        mrep = validate(g, member)
-        if not mrep.ok:
-            raise DecompositionError(f"glued output invalid: {mrep.errors[:3]}")
+        _require(g, member, "glued output invalid")
     return tree_out, path_out

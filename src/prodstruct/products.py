@@ -11,8 +11,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .graphs import Graph, Digraph, GraphError, VertexPartition, apex, quotient
-from .decomposition import (TreeDecomposition, PathDecomposition,
-                            DecompositionError, validate)
+from .decomposition import TreeDecomposition, DecompositionError, _glue_steps
 
 
 class EmbeddingError(ValueError):
@@ -371,40 +370,22 @@ def glue_directed_products(g: Graph, td: TreeDecomposition, bag_embeddings: dict
     vertex of the new factor.  Output indegree and underlying-treewidth bounds
     (d_i + h, c_i + h) are validated by the caller's oracle at desk scale.
     """
-    rep = validate(g, td)
-    if not rep.ok:
-        raise DecompositionError(f"invalid decomposition: {rep.errors[:3]}")
-    if not rep.taut:
-        bad = min(f"({x},{y})" for x, y in td.tree_edges
-                  if not g.is_clique(td.bags[x] & td.bags[y]))
-        raise DecompositionError(f"decomposition not taut at tree edge {bad}")
+    rep, steps = _glue_steps(g, td)
     if h is not None and rep.adhesion > h:
         raise DecompositionError(f"adhesion {rep.adhesion} exceeds declared {h}")
 
-    def globalize(x):
+    # each step's factors are added disjointly to the factors glued before it
+    n1 = n2 = 0
+    arcs1, arcs2, image = [], [], {}
+    for x, adh in steps:
         e = bag_embeddings[x]
-        bag_order = sorted(td.bags[x])
-        sub, _ = g.subgraph(td.bags[x])
+        sub, bag_order = g.subgraph(td.bags[x])
         if e.guest != sub:
             raise EmbeddingError(f"bag embedding at node {x} is not over g[B_{x}]")
         errs = validate_directed_embedding(e)
         if errs:
             raise EmbeddingError(f"bag embedding at node {x} invalid: {errs[:3]}")
-        return e, bag_order
-
-    from .decomposition import _leaf_removal_order
-    removal, root = _leaf_removal_order(td)
-
-    # put the stripped leaves back in reverse removal order; each one's factors
-    # are added disjointly to the factors of everything put back before it
-    e, bag_order = globalize(root)
-    n1, n2 = e.factors[0].n, e.factors[1].n
-    arcs1, arcs2 = list(e.factors[0].arcs), list(e.factors[1].arcs)
-    image = {bag_order[v]: e.map[v] for v in range(len(bag_order))}
-    for x, y in reversed(removal):
-        e, bag_order = globalize(x)
         j1, j2 = e.factors
-        adh = sorted(td.bags[x] & td.bags[y])
         k1 = {image[v][0] for v in adh}
         k2 = {image[v][1] for v in adh}
         arcs1 += [(u + n1, v + n1) for u, v in j1.arcs]

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -67,6 +69,43 @@ def test_check_failure_exit_code(tmp_path, capsys):
                               "bags": [[0, 1], [1, 2]]}))
     code, rep = run(capsys, "check", "td", str(g), str(td))
     assert code == 1 and not rep["outputs"]["ok"]
+
+
+@pytest.mark.parametrize("kind", ["td", "pd", "ortho"])
+def test_non_integer_host_n_is_bad_input(kind, tmp_path, capsys):
+    g = tmp_path / "g.json"
+    g.write_text(Graph(3, [(0, 1), (1, 2)]).to_json())
+    td = TreeDecomposition(3, [{0, 1}, {1, 2}], [(0, 1)])
+    d = json.loads((PathDecomposition(3, td.bags) if kind == "pd" else td).to_json())
+    d["host_n"] = "3"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    good = tmp_path / "td.json"
+    good.write_text(td.to_json())
+    inputs = [g, good, bad] if kind == "ortho" else [g, bad]
+    code, rep = run(capsys, "check", kind, *map(str, inputs))
+    assert code == 2
+    assert rep["error"].startswith("InputError: ") and "host_n must be an integer" in rep["error"]
+
+
+def test_runs_without_numpy():
+    """numpy is a test and benchmark dependency only: every prodstruct module
+    imports, and the CLI runs, with numpy blocked."""
+    script = (
+        "import importlib, pkgutil, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import prodstruct\n"
+        "for m in pkgutil.walk_packages(prodstruct.__path__, 'prodstruct.'):\n"
+        "    importlib.import_module(m.name)\n"
+        "from prodstruct.cli import main\n"
+        "sys.exit(main(['gen', 'cycle', '--params', '5']))\n")
+    src = os.path.dirname(os.path.dirname(prodstruct.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["outputs"]["n"] == 5
 
 
 def test_probe_mixing(capsys):
