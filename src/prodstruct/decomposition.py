@@ -8,7 +8,6 @@ Z are realized with explicit finite offset arithmetic.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import json
 from collections import Counter
@@ -22,15 +21,14 @@ class DecompositionError(ValueError):
     pass
 
 
-def _tree_ok(nodes: int, edges) -> bool:
-    if nodes == 0:
-        return False
-    if len(edges) != nodes - 1:
-        return False
+def _tree_ok(nodes: int, edges):
+    """The adjacency lists of the tree on 0..nodes-1 with these edges, or None."""
+    if nodes == 0 or len(edges) != nodes - 1:
+        return None
     adj = [[] for _ in range(nodes)]
     for x, y in edges:
         if not (0 <= x < nodes and 0 <= y < nodes) or x == y:
-            return False
+            return None
         adj[x].append(y)
         adj[y].append(x)
     seen = {0}
@@ -40,7 +38,7 @@ def _tree_ok(nodes: int, edges) -> bool:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    return len(seen) == nodes
+    return adj if len(seen) == nodes else None
 
 
 def _host_and_bags(d: dict):
@@ -60,9 +58,11 @@ class TreeDecomposition:
         self.host_n = host_n
         self.bags = tuple(frozenset(b) for b in bags)
         self.tree_edges = tuple(sorted((min(x, y), max(x, y)) for x, y in tree_edges))
-        if not _tree_ok(len(self.bags), self.tree_edges):
+        # tree_edges are sorted (min, max) pairs, so each adjacency list comes
+        # out ascending: first the smaller neighbours, then the larger ones
+        self._adj = _tree_ok(len(self.bags), self.tree_edges)
+        if self._adj is None:
             raise DecompositionError("indexing graph is not a tree")
-        self._adj = None        # tree adjacency lists, built by the first neighbors()
 
     @property
     def nodes(self) -> int:
@@ -76,14 +76,6 @@ class TreeDecomposition:
                    default=0)
 
     def neighbors(self, x: int) -> list:
-        if self._adj is None:
-            # tree_edges are sorted (min, max) pairs, so each list comes out
-            # ascending: first the smaller neighbours, then the larger ones
-            adj = [[] for _ in self.bags]
-            for a, b in self.tree_edges:
-                adj[a].append(b)
-                adj[b].append(a)
-            self._adj = adj
         return list(self._adj[x])
 
     def to_json(self) -> str:
@@ -178,17 +170,18 @@ def validate(g: Graph, td) -> ValidationReport:
         uncovered += [(u, v) for v in g.adj[u] if u < v and nu.isdisjoint(nodes_of[v])]
     errors += [f"edge ({u},{v}) in no bag" for u, v in sorted(uncovered)]
 
-    # the tree-nodes of v induce a forest in the tree, and a forest is
-    # connected iff it has one node more than it has edges; out-of-range
-    # members never reach the check below
-    shared = Counter(chain.from_iterable(td.bags[x] & td.bags[y] for x, y in td.tree_edges))
+    # one pass over the adhesion sets, holding one at a time.  The tree-nodes
+    # of v induce a forest in the tree, and a forest is connected iff it has
+    # one node more than it has edges; out-of-range members never reach it
+    shared, adhesion, taut = Counter(), 0, True
+    for x, y in td.tree_edges:
+        adh = td.bags[x] & td.bags[y]
+        shared.update(adh)
+        adhesion = max(adhesion, len(adh))
+        taut = taut and g.is_clique(adh)
     errors += [f"vertex {v} has a disconnected node set" for v, xs in enumerate(nodes_of)
                if xs and len(xs) - shared[v] != 1]
-
-    width = td.width()
-    adhesion = td.adhesion()
-    taut = all(g.is_clique(td.bags[x] & td.bags[y]) for x, y in td.tree_edges)
-    return ValidationReport(not errors, errors, width, adhesion, taut)
+    return ValidationReport(not errors, errors, td.width(), adhesion, taut)
 
 
 def _require(g: Graph, td, what: str) -> ValidationReport:
@@ -200,9 +193,17 @@ def _require(g: Graph, td, what: str) -> ValidationReport:
 
 
 def torso(g: Graph, td: TreeDecomposition, x: int) -> Graph:
-    """g[B_x] plus a clique on each adhesion set at x, relabeled by sorted bag."""
-    _valid(g, td)
+    """g[B_x] plus a clique on each adhesion set at x, relabeled by sorted bag.
+
+    It checks only what it reads: td.host_n == g.n and B_x within g's
+    vertices, raising DecompositionError otherwise.  The rest of td is not
+    validated; glue_tree_f validates td once, before it asks for any torso.
+    """
+    if td.host_n != g.n:
+        raise DecompositionError(f"host mismatch: decomposition host_n={td.host_n}, graph n={g.n}")
     bag = sorted(td.bags[x])
+    if bag and not (0 <= bag[0] and bag[-1] < g.n):
+        raise DecompositionError(f"bag {x} has a vertex out of range for n={g.n}")
     index = {v: i for i, v in enumerate(bag)}
     edges = set()
     for u in bag:
@@ -215,17 +216,6 @@ def torso(g: Graph, td: TreeDecomposition, x: int) -> Graph:
             for j in range(i + 1, len(adh)):
                 edges.add((index[adh[i]], index[adh[j]]))
     return Graph(len(bag), edges)
-
-
-@functools.lru_cache(maxsize=1)
-def _valid(g: Graph, td: TreeDecomposition) -> ValidationReport:
-    """The report of td on g; raises unless td is a valid decomposition of g.
-
-    Both are immutable, so the last valid pair is remembered: glue_tree_f
-    asks for the torso at every node of one decomposition, and validating
-    all of it each time would make gluing quadratic in the node count.
-    """
-    return _require(g, td, "invalid decomposition")
 
 
 def orthogonality(td1, td2) -> int:
@@ -434,10 +424,7 @@ def _leaf_removal_order(td: TreeDecomposition):
 
     Leaves are processed in ascending node id among the current leaves.
     """
-    adj = [set() for _ in range(td.nodes)]
-    for x, y in td.tree_edges:
-        adj[x].add(y)
-        adj[y].add(x)
+    adj = [set(a) for a in td._adj]
     # adj holds live neighbours only, so a leaf's set is its one neighbour;
     # every node enters the heap once, when it becomes a leaf
     leaves = [x for x in range(td.nodes) if len(adj[x]) <= 1]
@@ -460,7 +447,7 @@ def _glue_steps(g: Graph, td: TreeDecomposition):
     each node comes after y, and B_x meets the bags of the nodes before it
     exactly in that adhesion set.
     """
-    rep = _valid(g, td)
+    rep = _require(g, td, "invalid decomposition")
     if not rep.taut:
         x, y = next((x, y) for x, y in td.tree_edges
                     if not g.is_clique(td.bags[x] & td.bags[y]))

@@ -153,11 +153,10 @@ def bandwidth_exact(g: Graph, max_n=None):
             return placed
         return None
 
-    for k in range(lb, n):
+    for k in range(lb, n):          # k = n - 1 is always feasible
         order = feasible(k)
         if order is not None:
             return k, order
-    return n - 1, list(range(n))
 
 
 # -- treedepth -----------------------------------------------------------
@@ -284,7 +283,7 @@ def tree_param_exact(g: Graph, f: str, max_n=None):
     return dp[-1], _elimination_td(g, recover_order(dp, cost))
 
 
-def neighborhood_lower_bound(g: Graph, f: str, max_n=None) -> int:
+def neighborhood_lower_bound(g: Graph, f: str) -> int:
     """min over v of f(g[N[v]]): a lower bound on tree-f(g)."""
     if f not in PARAMS:
         raise GraphError(f"unknown parameter {f!r}")
@@ -580,6 +579,8 @@ def expander_mixing_check(g: Graph, d: int, samples: int, seed: int) -> dict:
     Draws disjoint uniform (S, T) pairs and counts pairs with no crossing
     edge (expected 0 for a random regular graph).
     """
+    if samples < 1:
+        raise GraphError(f"samples must be at least 1, got {samples}")
     if any(g.degree(v) != d for v in range(g.n)):
         raise GraphError("graph is not d-regular")
     size = ceil(2 * g.n / sqrt(d))

@@ -125,10 +125,14 @@ class Graph:
     def from_json(text: str) -> "Graph":
         data = json.loads(text)
         n = data["n"]
+        if type(n) is not int:
+            raise GraphError("n must be an integer")
         edges = data["edges"]
         seen = set()
         for e in edges:
             u, v = e
+            if type(u) is not int or type(v) is not int:
+                raise GraphError(f"edge {e} has a non-integer endpoint")
             if u >= v:
                 raise GraphError(f"edge {e} not in u<v form")
             if (u, v) in seen:
@@ -183,7 +187,11 @@ class Digraph:
     @staticmethod
     def from_json(text: str) -> "Digraph":
         data = json.loads(text)
+        if type(data["n"]) is not int:
+            raise GraphError("n must be an integer")
         arcs = [tuple(a) for a in data["arcs"]]
+        if not all(type(x) is int for a in arcs for x in a):
+            raise GraphError("arc endpoints must be integers")
         if len(arcs) != len(set(arcs)):
             raise GraphError("duplicate arcs")
         return Digraph(data["n"], arcs)

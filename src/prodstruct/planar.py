@@ -151,7 +151,9 @@ def lex_bfs(pt: PlaneTriangulation, r: int) -> LexBfsTree:
 def cotree(pt: PlaneTriangulation, t: LexBfsTree):
     """Spanning tree of the dual using exactly the non-tree primal edges.
 
-    Returns (face list, dual edge list as face-index pairs).
+    Returns (face list, dual edge list as face-index pairs).  faces() checks
+    Euler's formula and lex_bfs connectivity, so the embedding is spherical
+    and tree-cotree duality makes the dual edges a tree.
     """
     fs = pt.faces
     face_of = {}
@@ -166,23 +168,6 @@ def cotree(pt: PlaneTriangulation, t: LexBfsTree):
         if (u, v) in tree_edges:
             continue
         dual.append((face_of[(u, v)], face_of[(v, u)]))
-    # tree-cotree: must be a spanning tree of the dual
-    m = len(fs)
-    if len(dual) != m - 1:
-        raise EmbeddingInvalid("cotree edge count is not |F|-1")
-    adj = [[] for _ in range(m)]
-    for x, y in dual:
-        adj[x].append(y)
-        adj[y].append(x)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != m:
-        raise EmbeddingInvalid("cotree not connected")
     return fs, dual
 
 
@@ -202,8 +187,7 @@ def planar_bandwidth3_decomposition(pt: PlaneTriangulation, r=None):
         for x in f:
             bag.update(t.root_path(x))
         bags.append(bag)
-    td = TreeDecomposition(pt.graph.n, bags, dual) if len(fs) > 1 else \
-        TreeDecomposition(pt.graph.n, bags, [])
+    td = TreeDecomposition(pt.graph.n, bags, dual)
     rep = validate(pt.graph, td)
     if not rep.ok:
         raise DecompositionError(f"face decomposition invalid: {rep.errors[:3]}")

@@ -88,6 +88,20 @@ def test_non_integer_host_n_is_bad_input(kind, tmp_path, capsys):
     assert rep["error"].startswith("InputError: ") and "host_n must be an integer" in rep["error"]
 
 
+@pytest.mark.parametrize("cmd, text, message", [
+    (["exact", "tw"], '{"n": true, "edges": []}', "n must be an integer"),
+    (["exact", "tw"], '{"n": 2, "edges": [[false, true]]}', "non-integer endpoint"),
+    (["product", "dstrong"], '{"n": 2, "arcs": [[0, 1.0]]}', "arc endpoints must be integers"),
+], ids=["boolean n", "boolean endpoints", "float arc endpoint"])
+def test_non_integer_graph_ids_are_bad_input(cmd, text, message, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    files = [str(bad)] * (2 if cmd[0] == "product" else 1)
+    code, rep = run(capsys, *cmd, *files)
+    assert code == 2
+    assert rep["error"].startswith("InputError: ") and message in rep["error"]
+
+
 def test_runs_without_numpy():
     """numpy is a test and benchmark dependency only: every prodstruct module
     imports, and the CLI runs, with numpy blocked."""
@@ -112,6 +126,13 @@ def test_probe_mixing(capsys):
     code, rep = run(capsys, "probe", "mixing", "--n", "20", "--d", "16",
                     "--samples", "50", "--seed", "4")
     assert code == 0 and rep["outputs"]["failures"] == 0
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_probe_mixing_needs_a_sample(samples, capsys):
+    code, rep = run(capsys, "probe", "mixing", "--n", "40", "--d", "16",
+                    "--samples", samples, "--seed", "7")
+    assert code == 2 and rep["error"].startswith("GraphError: samples must be at least 1")
 
 
 def test_gen_requires_seed_for_random(capsys):

@@ -79,6 +79,22 @@ def test_torso_examples():
     assert torso(g, single, 0) == g
 
 
+def test_torso_checks_only_what_it_reads():
+    """td is invalid away from nodes 0 and 1: vertex 1's nodes are apart and
+    node 2 holds vertex 5.  The torsos there are still g[B_x] plus the
+    adhesion clique {0, 2}."""
+    c4 = cycle(4)
+    td = TreeDecomposition(4, [{0, 1, 2}, {0, 2, 3}, {1, 5}], [(0, 1), (1, 2)])
+    assert not validate(c4, td).ok
+    assert torso(c4, td, 0) == torso(c4, td, 1) == complete(3)
+    for bad in ({1, 5}, {-1, 1}):
+        wild = TreeDecomposition(4, td.bags[:2] + (bad,), td.tree_edges)
+        with pytest.raises(DecompositionError, match=r"^bag 2 has a vertex out of range for n=4$"):
+            torso(c4, wild, 2)
+    with pytest.raises(DecompositionError, match=r"^host mismatch: decomposition host_n=5, graph n=4$"):
+        torso(c4, TreeDecomposition(5, td.bags, td.tree_edges), 0)
+
+
 def test_orthogonality_values():
     g = grid2(4, 4)
     rows = PathDecomposition(16, [

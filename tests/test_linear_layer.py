@@ -17,6 +17,7 @@ import pytest
 from prodstruct.constructions import stacked_triangulation
 from prodstruct.decomposition import (TreeDecomposition, _leaf_removal_order,
                                       glue_tree_f, validate)
+from prodstruct.graphs import Graph
 from prodstruct.planar import (EmbeddingInvalid, faces,
                                planar_bandwidth3_decomposition)
 
@@ -165,3 +166,18 @@ def test_glue_tree_f_at_1600_nodes():
     glued = glue_tree_f(g, td, pieces)
     assert time.perf_counter() - start < 10
     assert glued.nodes == 1600 and validate(g, glued).ok
+
+
+def test_glue_tree_f_at_ten_thousand_nodes_hashes_no_graph(monkeypatch):
+    """torso checks only what it reads, so nothing is looked up by graph."""
+    g, td = stacked_3tree(10_002, 10_000)
+    pieces = {x: TreeDecomposition(len(b), [range(len(b))], [])
+              for x, b in enumerate(td.bags)}
+    hashes = []
+    real = Graph.__hash__
+    monkeypatch.setattr(Graph, "__hash__", lambda self: hashes.append(1) or real(self))
+    start = time.perf_counter()
+    glued = glue_tree_f(g, td, pieces)
+    assert time.perf_counter() - start < 3
+    assert len(hashes) == 0
+    assert glued.nodes == 10_000 and validate(g, glued).ok

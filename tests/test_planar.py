@@ -1,3 +1,4 @@
+import networkx as nx
 import pytest
 
 from prodstruct.constructions import stacked_triangulation
@@ -51,10 +52,15 @@ def test_lex_bfs_root_must_be_outer():
 
 
 def test_cotree_is_spanning():
-    pt = k4_triangulation()
-    t = lex_bfs(pt, 0)
-    fs, dual = cotree(pt, t)
-    assert len(dual) == len(fs) - 1
+    """cotree does not check its output: duality must make the dual edges a tree."""
+    pts = [k4_triangulation()] + [stacked_triangulation(n, seed)
+                                  for n in (3, 5, 57, 250) for seed in (0, 1)]
+    for pt in pts:
+        fs, dual = cotree(pt, lex_bfs(pt, min(pt.outer_face)))
+        assert len(dual) == len(fs) - 1
+        d = nx.MultiGraph(dual)
+        d.add_nodes_from(range(len(fs)))
+        assert nx.is_tree(d)
 
 
 def test_bandwidth3_on_k4():
