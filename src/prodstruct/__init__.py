@@ -4,7 +4,7 @@ from .graphs import (Graph, Digraph, GraphError, VertexPartition,
                      complete_join, apex, quotient, clique_paste,
                      bidirect, underlying, subgraph_contained)
 from .decomposition import (TreeDecomposition, PathDecomposition, Layering,
-                            LayeredWitness, DecompositionError, validate,
+                            LayeredWitness, DecompositionError, validate, bag_span,
                             torso, orthogonality, project_product_decomposition,
                             bfs_layering, layering_to_path_decomposition,
                             witness_to_bandwidth_decomposition,

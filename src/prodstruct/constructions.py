@@ -9,7 +9,8 @@ from __future__ import annotations
 import itertools
 
 from .graphs import Graph, GraphError, apex
-from .decomposition import PathDecomposition, TreeDecomposition, validate, DecompositionError
+from .decomposition import (PathDecomposition, TreeDecomposition, DecompositionError,
+                            bag_span, validate)
 from .planar import PlaneTriangulation, v8_fixture
 from .products import ProductEmbedding, EmbeddingError, cartesian, strong, _checked
 from .rng import SplitMix64
@@ -94,75 +95,41 @@ def hex_graph(n: int, diagonals=None):
             else:
                 edges.append((r * n + c + 1, (r + 1) * n + c))
     g = Graph(n * n, edges)
-    bags = [frozenset(r * n + c for r in range(n) for c in (j, j + 1))
-            for j in range(n - 1)]
-    pd = PathDecomposition(g.n, bags)
-    orderings = []
-    spans = []
-    for j in range(n - 1):
-        order = [r * n + c for r in range(n) for c in (j, j + 1)]
-        pos = {v: i for i, v in enumerate(order)}
-        span = max((abs(pos[u] - pos[v]) for u in order for v in g.adj[u]
-                    if v in pos), default=0)
-        orderings.append(order)
-        spans.append(span)
-    return g, pd, orderings, spans
+    orderings = [[r * n + c for r in range(n) for c in (j, j + 1)] for j in range(n - 1)]
+    pd = PathDecomposition(g.n, orderings)
+    return g, pd, orderings, [bag_span(g, order) for order in orderings]
 
 
-def triangulated_grid2(g1: Graph, g2: Graph, rule=None) -> Graph:
-    """G1 box G2 plus one diagonal per edge pair.
-
-    rule(e1, e2) -> bool; True (the default) adds (x,y)-(x',y'), False adds
-    (x,y')-(x',y), for e1 = (x,x') and e2 = (y,y').
-    """
-    if rule is None:
-        rule = lambda e1, e2: True
+def triangulated_grid2(g1: Graph, g2: Graph) -> Graph:
+    """G1 box G2 plus one diagonal per edge pair: the diagonal (x,y)-(x',y')
+    for the edges x < x' of G1 and y < y' of G2."""
     g = cartesian(g1, g2)
     edges = list(g.edges())
-    for e1 in g1.edges():
-        for e2 in g2.edges():
-            x, xp = e1
-            y, yp = e2
-            if rule(e1, e2):
-                edges.append((x * g2.n + y, xp * g2.n + yp))
-            else:
-                edges.append((x * g2.n + yp, xp * g2.n + y))
+    for x, xp in g1.edges():
+        for y, yp in g2.edges():
+            edges.append((x * g2.n + y, xp * g2.n + yp))
     return Graph(g.n, edges)
 
 
-def triangulated_grid3(a: int, b: int, c: int, rule=None) -> Graph:
+def triangulated_grid3(a: int, b: int, c: int) -> Graph:
     """P_a box P_b box P_c with every axis-aligned unit square triangulated.
 
-    Each unit square lies in exactly one axis slice; rule(axis_pair, base)
-    -> bool selects its diagonal (True, the default, joins base to the
-    opposite corner).  The default is one arbitrary representative of the
-    many triangulations the construction admits.
+    Each unit square lies in exactly one axis slice, and its diagonal joins
+    its least corner p to the opposite corner p + e_u + e_v.  This is one
+    arbitrary representative of the many triangulations the construction
+    admits.
     """
-    if rule is None:
-        rule = lambda axes, base: True
     g = grid3(a, b, c)
     dims = (a, b, c)
     step = (b * c, c, 1)
-
-    def vid(p):
-        return p[0] * step[0] + p[1] * step[1] + p[2] * step[2]
-
     edges = list(g.edges())
     for u_ax in range(3):
         for v_ax in range(u_ax + 1, 3):
             for p in itertools.product(*(range(d) for d in dims)):
                 if p[u_ax] + 1 >= dims[u_ax] or p[v_ax] + 1 >= dims[v_ax]:
                     continue
-                pu = list(p)
-                pu[u_ax] += 1
-                pv = list(p)
-                pv[v_ax] += 1
-                puv = list(pu)
-                puv[v_ax] += 1
-                if rule((u_ax, v_ax), p):
-                    edges.append((vid(p), vid(puv)))
-                else:
-                    edges.append((vid(pu), vid(pv)))
+                base = p[0] * step[0] + p[1] * step[1] + p[2] * step[2]
+                edges.append((base, base + step[u_ax] + step[v_ax]))
     return Graph(g.n, edges)
 
 

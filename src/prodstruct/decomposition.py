@@ -95,27 +95,18 @@ class TreeDecomposition:
         return td
 
 
-class PathDecomposition:
-    __slots__ = ("host_n", "bags")
+class PathDecomposition(TreeDecomposition):
+    """A tree-decomposition whose tree is the path 0 - 1 - ... - (nodes-1).
+
+    Its JSON form has no tree_edges: the bag order gives them.
+    """
+    __slots__ = ()
 
     def __init__(self, host_n: int, bags):
-        bags = tuple(frozenset(b) for b in bags)
+        bags = tuple(bags)
         if not bags:
             raise DecompositionError("empty path-decomposition")
-        self.host_n = host_n
-        self.bags = bags
-
-    @property
-    def nodes(self) -> int:
-        return len(self.bags)
-
-    def width(self) -> int:
-        return max(len(b) for b in self.bags) - 1
-
-    def as_tree(self) -> TreeDecomposition:
-        return TreeDecomposition(
-            self.host_n, self.bags,
-            [(i, i + 1) for i in range(len(self.bags) - 1)])
+        super().__init__(host_n, bags, [(i, i + 1) for i in range(len(bags) - 1)])
 
     def to_json(self) -> str:
         return json.dumps({
@@ -141,10 +132,8 @@ class ValidationReport:
 def validate(g: Graph, td) -> ValidationReport:
     """Check the three decomposition axioms; report width/adhesion/tautness.
 
-    Accepts TreeDecomposition or PathDecomposition.
+    An adhesion set with a member outside g is not taut.
     """
-    if isinstance(td, PathDecomposition):
-        td = td.as_tree()
     errors = []
     if td.host_n != g.n:
         errors.append(f"host mismatch: decomposition host_n={td.host_n}, graph n={g.n}")
@@ -152,11 +141,13 @@ def validate(g: Graph, td) -> ValidationReport:
 
     n = g.n
     nodes_of = [[] for _ in range(n)]
+    outside = set()
     for x, bag in enumerate(td.bags):
         for v in bag:
             if 0 <= v < n:
                 nodes_of[v].append(x)
             else:
+                outside.add(v)
                 errors.append(f"bag {x} mentions out-of-range vertex {v}")
 
     errors += [f"vertex {v} in no bag" for v in range(n) if not nodes_of[v]]
@@ -178,7 +169,7 @@ def validate(g: Graph, td) -> ValidationReport:
         adh = td.bags[x] & td.bags[y]
         shared.update(adh)
         adhesion = max(adhesion, len(adh))
-        taut = taut and g.is_clique(adh)
+        taut = taut and adh.isdisjoint(outside) and g.is_clique(adh)
     errors += [f"vertex {v} has a disconnected node set" for v, xs in enumerate(nodes_of)
                if xs and len(xs) - shared[v] != 1]
     return ValidationReport(not errors, errors, td.width(), adhesion, taut)
@@ -294,24 +285,25 @@ def check_layering(g: Graph, l: Layering) -> bool:
     return all(abs(idx[u] - idx[v]) <= 1 for u, v in g.edges())
 
 
-@dataclass
+@dataclass(frozen=True)
 class LayeredWitness:
+    """A layering and a tree-decomposition of one graph.  k, the most
+    vertices any bag shares with any layer, is read off them (0 for the
+    empty graph)."""
     layering: Layering
     decomposition: TreeDecomposition
-    k: int
 
-    def measure_k(self) -> int:
-        return max(len(l & b) for l in self.layering.layers if l
-                   for b in self.decomposition.bags)
+    @property
+    def k(self) -> int:
+        return max((len(l & b) for l in self.layering.layers
+                    for b in self.decomposition.bags), default=0)
 
 
 def make_layered_witness(g: Graph, l: Layering, td: TreeDecomposition) -> LayeredWitness:
     if not check_layering(g, l):
         raise DecompositionError("not a layering of g")
     _require(g, td, "invalid decomposition")
-    w = LayeredWitness(l, td, 0)
-    w.k = w.measure_k()
-    return w
+    return LayeredWitness(l, td)
 
 
 def bfs_layering(g: Graph, r: int) -> Layering:
@@ -344,30 +336,29 @@ def layering_to_path_decomposition(l: Layering) -> PathDecomposition:
     return PathDecomposition(l.host_n, bags)
 
 
+def bag_span(g: Graph, order) -> int:
+    """The largest |i - j| over edges of g between order[i] and order[j], or 0:
+    the bandwidth of the subgraph that order induces, under that order."""
+    pos = {v: i for i, v in enumerate(order)}
+    bag = frozenset(pos)
+    return max((abs(i - pos[w]) for v, i in pos.items() for w in g.adj[v] & bag), default=0)
+
+
 def witness_to_bandwidth_decomposition(g: Graph, w: LayeredWitness):
     """Per-bag orderings by (layer, id); span per bag is at most 2k-1.
 
     Returns (decomposition, orderings, max_span).
     """
-    if w.measure_k() != w.k:
-        raise DecompositionError("witness k does not match measurement")
     if not check_layering(g, w.layering):
         raise DecompositionError("invalid layering")
     _require(g, w.decomposition, "invalid decomposition")
     idx = w.layering.layer_of()
-    orderings = []
-    max_span = 0
-    for bag in w.decomposition.bags:
-        order = sorted(bag, key=lambda v: (idx[v], v))
-        pos = {v: i for i, v in enumerate(order)}
-        for u in order:
-            for v in g.adj[u]:
-                if v in pos:
-                    max_span = max(max_span, abs(pos[u] - pos[v]))
-        orderings.append(order)
-    if max_span > 2 * w.k - 1 and w.k > 0:
+    orderings = [sorted(bag, key=lambda v: (idx[v], v)) for bag in w.decomposition.bags]
+    max_span = max(bag_span(g, order) for order in orderings)
+    k = w.k
+    if max_span > 2 * k - 1 and k > 0:
         raise DecompositionError(
-            f"span {max_span} exceeds 2k-1={2 * w.k - 1}; witness malformed")
+            f"span {max_span} exceeds 2k-1={2 * k - 1}; witness malformed")
     return w.decomposition, orderings, max_span
 
 

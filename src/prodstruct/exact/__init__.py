@@ -432,9 +432,9 @@ def _valid_bag_families(g: Graph):
     return sorted(set(families), key=lambda f: sorted(map(sorted, f)))
 
 
-def twintw_raw(g: Graph, max_n=None) -> int:
+def twintw_raw(g: Graph) -> int:
     """TwIntTw by raw bag-family enumeration (n <= 4 cross-check)."""
-    _cap(g, 4, max_n, "twintw_raw")
+    _cap(g, 4, None, "twintw_raw")
     fams = _valid_bag_families(g)
     return min(max(len(a & b) for a in f1 for b in f2)
                for f1 in fams for f2 in fams)
@@ -528,9 +528,9 @@ def _graphs_on(n: int):
         yield Graph(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
 
 
-def twtw_raw(g: Graph, max_n=None) -> int:
+def twtw_raw(g: Graph) -> int:
     """twtw (c = 1) by explicit host-pair enumeration (n <= 4 cross-check)."""
-    _cap(g, 4, max_n, "twtw_raw")
+    _cap(g, 4, None, "twtw_raw")
     from ..products import strong
     hosts = [h for n1 in range(1, g.n + 1) for h in _graphs_on(n1)]
     host_tw = [(h, _treewidth_value(h)) for h in hosts]
@@ -546,25 +546,25 @@ def twtw_raw(g: Graph, max_n=None) -> int:
 
 # -- hex bag/path checks -------------------------------------------------
 
-def hex_bag_path_check(g: Graph, n: int, max_n=None) -> bool:
+def hex_bag_path_check(g: Graph, n: int) -> bool:
     """True iff every chordal completion has a maximal clique whose induced
     subgraph contains a path on n vertices.
 
     Equivalent to tree-longest-path(g) >= n.  Sufficient for the bag-path
     claim over all tree-decompositions: any decomposition's bag-completion is
     a chordal completion whose maximal cliques sit inside original bags, and
-    a path in an induced subgraph survives in the superset bag.
+    a path in an induced subgraph survives in the superset bag.  The size
+    cap is tree_param_exact's.
     """
     if n < 1:
         raise GraphError("need n >= 1")
-    _cap(g, TREEF_MAX_N, max_n, "hex_bag_path_check")
-    value, _ = tree_param_exact(g, "longest-path", max_n=max_n)
+    value, _ = tree_param_exact(g, "longest-path")
     return value >= n
 
 
-def raw_bag_path_check(g: Graph, n: int, max_n=None) -> bool:
+def raw_bag_path_check(g: Graph, n: int) -> bool:
     """Raw-enumeration verdict over all (inclusion-free) tree-decompositions."""
-    _cap(g, 4, max_n, "raw_bag_path_check")
+    _cap(g, 4, None, "raw_bag_path_check")
     for fam in _valid_bag_families(g):
         if not any(longest_path_order(g.subgraph(b)[0]) >= n for b in fam):
             return False

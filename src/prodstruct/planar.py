@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Graph, GraphError
-from .decomposition import TreeDecomposition, DecompositionError, validate
+from .decomposition import TreeDecomposition, DecompositionError, bag_span, validate
 
 
 class EmbeddingInvalid(ValueError):
@@ -192,18 +192,8 @@ def planar_bandwidth3_decomposition(pt: PlaneTriangulation, r=None):
     if not rep.ok:
         raise DecompositionError(f"face decomposition invalid: {rep.errors[:3]}")
     pos = {v: i for i, v in enumerate(t.order)}
-    per_bag = []
-    max_span = 0
-    for bag in td.bags:
-        order = sorted(bag, key=lambda v: pos[v])
-        bpos = {v: i for i, v in enumerate(order)}
-        span = 0
-        for u in order:
-            for v in pt.graph.adj[u] & bag:
-                span = max(span, abs(bpos[u] - bpos[v]))
-        per_bag.append(span)
-        max_span = max(max_span, span)
-    return td, t.order, {"max_span": max_span, "per_bag": per_bag}
+    per_bag = [bag_span(pt.graph, sorted(bag, key=pos.__getitem__)) for bag in td.bags]
+    return td, t.order, {"max_span": max(per_bag), "per_bag": per_bag}
 
 
 def v8_fixture():

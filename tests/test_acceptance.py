@@ -322,12 +322,12 @@ def test_criterion_12_orthogonal_gluing():
             sub, _ = g.subgraph(td.bags[x])
             local_side = {order.index(v) for v in sides[x]}
             p1, p2 = bipartite_orthogonal_paths(sub, local_side)
-            pairs[x] = (p1.as_tree(), p2)
+            pairs[x] = (p1, p2)
         t, p = glue_orthogonal(g, td, pairs)
         if not (validate(g, t).ok and validate(g, p).ok):
             bad.append((trial, "invalid"))
-        elif orthogonality(t, p.as_tree()) > 2:
-            bad.append((trial, orthogonality(t, p.as_tree())))
+        elif orthogonality(t, p) > 2:
+            bad.append((trial, orthogonality(t, p)))
     report(12, not bad,
            f"30 orthogonal gluings valid and 2-orthogonal ({len(bad)} bad)")
 

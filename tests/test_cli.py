@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -10,9 +11,12 @@ import prodstruct.cli as cli
 import prodstruct.decomposition
 import prodstruct.exact
 from prodstruct.cli import main
-from prodstruct.constructions import stacked_triangulation
-from prodstruct.decomposition import Layering, PathDecomposition, TreeDecomposition
-from prodstruct.graphs import Digraph, Graph
+from prodstruct.constructions import complete, cycle, path, stacked_triangulation
+from prodstruct.decomposition import (Layering, PathDecomposition, TreeDecomposition,
+                                      bfs_layering, check_layering, validate)
+from prodstruct.graphs import Digraph, Graph, apex
+from prodstruct.products import (DirectedProductEmbedding, ProductEmbedding, strong,
+                                 validate_directed_embedding, validate_embedding)
 
 
 def run(capsys, *argv):
@@ -58,6 +62,18 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
     code = main(["exact", "tw", str(tmp_path / "missing.json")])
     capsys.readouterr()
     assert code == 2
+
+
+def test_check_td_out_of_range_adhesion_fails(tmp_path, capsys):
+    """An adhesion set {5, 6} outside the graph is a failed check, not a crash."""
+    g = tmp_path / "g.json"
+    g.write_text(path(3).to_json())
+    td = tmp_path / "td.json"
+    td.write_text(TreeDecomposition(3, [{0, 1, 5, 6}, {2, 5, 6}], [(0, 1)]).to_json())
+    code, rep = run(capsys, "check", "td", str(g), str(td))
+    out = rep["outputs"]
+    assert code == 1 and not out["ok"] and not out["taut"]
+    assert "bag 0 mentions out-of-range vertex 5" in out["errors"]
 
 
 def test_check_failure_exit_code(tmp_path, capsys):
@@ -235,6 +251,153 @@ def test_wrong_params_count_is_bad_input(family, capsys):
     params = ",".join(["1"] * (len(names) + 1))
     code, rep = run(capsys, "gen", family, "--params", params, "--seed", "1")
     assert code == 2 and rep["error"].startswith("InputError: ")
+
+
+# -- every kind runs to success on tiny inputs -------------------------------
+
+@pytest.fixture(scope="module")
+def tiny(tmp_path_factory):
+    """Tiny inputs, name -> (object, path of its JSON file).  An object with
+    no to_json is a payload, written with json.dumps."""
+    d = tmp_path_factory.mktemp("tiny")
+    p2 = path(2)
+    k3_td, k3_pd = TreeDecomposition(3, [range(3)], []), PathDecomposition(3, [range(3)])
+    tournament = {"n": 3, "arcs": [[0, 1], [0, 2], [1, 2]]}
+    objects = {
+        "p2": p2, "p3": path(3), "c4": cycle(4), "dp2": Digraph(2, [(0, 1)]),
+        "two_tri": Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]),
+        "two_tri_td": TreeDecomposition(4, [{0, 1, 2}, {1, 2, 3}], [(0, 1)]),
+        "triangulation": stacked_triangulation(5, 0),
+        "c4_layering": bfs_layering(cycle(4), 0),
+        "c4_td": TreeDecomposition(4, [{0, 1, 3}, {1, 2, 3}], [(0, 1)]),
+        "p3_td": TreeDecomposition(3, [{0, 1}, {1, 2}], [(0, 1)]),
+        "p3_pd": PathDecomposition(3, [{0, 1}, {1, 2}]),
+        "k2_td": TreeDecomposition(2, [{0, 1}], []),
+        "k4": strong(p2, p2),
+        "k4_embedding": ProductEmbedding(strong(p2, p2), (p2, p2), None,
+                                         ((0, 0), (0, 1), (1, 0), (1, 1))),
+        "torsos": [json.loads(k3_td.to_json())] * 2,
+        "pairs": [[json.loads(k3_td.to_json()), json.loads(k3_pd.to_json())]] * 2,
+        "bag_embeddings": [{"factors": [tournament, {"n": 1, "arcs": []}], "c": None,
+                            "map": [[0, 0], [1, 0], [2, 0]]}] * 2,
+        "empty": Graph(0), "empty_layering": Layering(0, []),
+        "empty_td": TreeDecomposition(0, [()], []),
+        "rows": {"parts": [[0, 1], [2, 3]]},
+        "cols": {"parts": [[0, 3], [1, 2]]},
+    }
+    made = {}
+    for name, obj in objects.items():
+        (d / name).write_text(obj.to_json() if hasattr(obj, "to_json") else json.dumps(obj))
+        made[name] = (obj, str(d / name))
+    return made
+
+
+def _read(path):
+    return pathlib.Path(path).read_text()
+
+
+def _embedding_file(path, guest, directed=False):
+    """The written embedding of guest, parsed without the CLI's parser."""
+    d = json.loads(_read(path))
+    kind = Digraph if directed else Graph
+    factors = tuple(kind.from_json(json.dumps(f)) for f in d["factors"])
+    images = tuple(map(tuple, d["map"]))
+    if directed:
+        return validate_directed_embedding(DirectedProductEmbedding(guest, factors, images))
+    return validate_embedding(ProductEmbedding(guest, factors, d["c"], images))
+
+
+def _valid(graph, *files):
+    """Re-check: each written (kind, -o suffix) file decomposes t[graph]."""
+    return lambda t, out, outputs: all(
+        validate(t[graph][0], kind.from_json(_read(out + suffix))).ok
+        for kind, suffix in files)
+
+
+def _embeds(guest, suffix="", directed=False):
+    """Re-check: the written embedding of guest(t) is valid."""
+    return lambda t, out, outputs: _embedding_file(out + suffix, guest(t), directed) == []
+
+
+def _n(n):
+    return lambda t, out, outputs: outputs["n"] == n
+
+
+TD, PD = TreeDecomposition, PathDecomposition
+
+# "cmd kind [label]" -> (arguments, tiny input names among them; exit code;
+#                        recheck(tiny, -o path, outputs) of what was written)
+RUNS = {
+    "product cartesian": (["p2", "p3"], 0, _n(6)),
+    "product direct": (["p2", "p3"], 0, _n(6)),
+    "product strong": (["p2", "p3"], 0, _n(6)),
+    "product dstrong": (["dp2", "dp2"], 0, _n(4)),
+    "embed join-product": (["p2", "p2"], 0, _embeds(lambda t: complete(5))),
+    "embed move-apex": (["p2", "p2"], 0, _embeds(lambda t: complete(5))),
+    "embed apex-partition": (["c4", "--v1", "0,2"], 0, _embeds(lambda t: t["c4"][0])),
+    "embed partition-check": (["c4", "rows", "cols"], 0, _embeds(lambda t: t["c4"][0])),
+    "embed partition-check violated": (
+        ["c4", "rows", "rows"], 1, lambda t, out, outputs: outputs["violating_pair"] == [0, 0]),
+    "embed degree-partition": (["c4", "--threshold", "2"], 0, lambda t, out, outputs:
+                               sorted(sum(outputs["parts"], [])) == [0, 1, 2, 3]),
+    "embed apex-fan": (["p3", "--ordering", "0,1,2", "--path-len", "2", "--a", "1"], 0,
+                       _embeds(lambda t: apex(strong(path(3), path(2))), directed=True)),
+    "embed glue-directed": (["two_tri", "two_tri_td", "bag_embeddings", "--h", "2"], 0,
+                            _embeds(lambda t: t["two_tri"][0], directed=True)),
+    "decomp planar-lexbfs": (["triangulation"], 0, lambda t, out, outputs: validate(
+        t["triangulation"][0].graph, TD.from_json(_read(out))).ok),
+    "decomp bfs-layering": (["c4"], 0, lambda t, out, outputs: check_layering(
+        t["c4"][0], Layering.from_json(_read(out)))),
+    "decomp layering-path": (["c4_layering"], 0, _valid("c4", (PD, ""))),
+    "decomp witness-bandwidth": (["c4", "c4_layering", "c4_td"], 0, _valid("c4", (TD, ""))),
+    "decomp witness-partition": (["c4", "c4_layering", "c4_td"], 0,
+                                 lambda t, out, outputs: outputs["k"] == 2),
+    "decomp witness-bandwidth empty": (["empty", "empty_layering", "empty_td"], 0,
+                                       lambda t, out, outputs: outputs["k"] == 0),
+    "decomp witness-partition empty": (["empty", "empty_layering", "empty_td"], 0,
+                                       lambda t, out, outputs: outputs["parts"] == []),
+    "decomp bipartite-ortho": (["c4", "--side", "0,2"], 0, _valid("c4", (PD, ".0"), (PD, ".1"))),
+    "decomp bipartite-star": (["c4", "--side", "0,2"], 0, _valid("c4", (PD, ""))),
+    "decomp glue-tree-f": (["two_tri", "two_tri_td", "torsos"], 0, _valid("two_tri", (TD, ""))),
+    "decomp glue-ortho": (["two_tri", "two_tri_td", "pairs"], 0, _valid(
+        "two_tri", (TD, ".0"), (PD, ".1"))),
+    "decomp project-product": (["k4", "k4_embedding", "k2_td", "k2_td"], 0,
+                               _valid("k4", (TD, ".0"), (TD, ".1"))),
+    "check td": (["p3", "p3_td"], 0, None),
+    "check pd": (["p3", "p3_pd"], 0, None),
+    "check ortho": (["p3", "p3_td", "p3_td"], 0, lambda t, out, outputs: outputs["value"] == 2),
+    "check embedding": (["k4", "k4_embedding"], 0, None),
+    "check triangulation": (["triangulation"], 0, None),
+    **{f"exact {param}": (["p3"], 0, lambda t, out, outputs: outputs["value"] >= 0)
+       for param in cli.EXACT},
+    "gen hex": (["--params", "3"], 0, lambda t, out, outputs: validate(
+        Graph.from_json(_read(out)), PD.from_json(_read(out + ".witness.json"))).ok),
+    "gen separating": (["--params", "1"], 0, lambda t, out, outputs: validate(
+        Graph.from_json(_read(out)), TD.from_json(_read(out + ".witness.json"))).ok),
+    "gen tightness": (["--params", "1,1,1"], 0, _embeds(lambda t: complete(3), ".witness.json")),
+}
+
+
+def test_every_registry_kind_has_a_success_run():
+    assert {f"{cmd} {kind}" for cmd, kind, _ in registry_cases()} <= set(RUNS)
+
+
+@pytest.mark.parametrize("case", list(RUNS))
+def test_success_run(case, tiny, tmp_path, capsys):
+    """Each kind runs to its exit code on tiny inputs; what it wrote re-checks
+    from the definitions."""
+    cmd, kind = case.split()[:2]
+    args, want, recheck = RUNS[case]
+    out = str(tmp_path / "out.json")
+    argv = [cmd, kind] + [tiny[a][1] if a in tiny else a for a in args]
+    if cmd not in ("check", "exact"):
+        argv += ["-o", out]
+    code, rep = run(capsys, *argv)
+    assert code == want, rep
+    if cmd == "check":
+        assert rep["outputs"]["ok"]
+    if recheck is not None:
+        assert recheck(tiny, out, rep["outputs"])
 
 
 def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):

@@ -1,10 +1,12 @@
+import itertools
+
 import pytest
 
 from prodstruct import constructions as C
 from prodstruct.decomposition import validate
 from prodstruct.exact import (treewidth_exact, pathwidth_exact,
                               treedepth_exact, tree_param_exact)
-from prodstruct.graphs import GraphError
+from prodstruct.graphs import Graph, GraphError
 from prodstruct.planar import faces
 from prodstruct.products import validate_embedding, EmbeddingError
 
@@ -53,6 +55,34 @@ def test_triangulated_grid3_slice_accounting():
     cells = 3 * 3 * 2 + 3 * 1 * 4 + 3 * 1 * 4
     grid_m = 3 * 4 * 2 * 2 + 4 * 4 * 1
     assert big.n == 32 and big.m == grid_m + cells
+
+
+def test_triangulated_grids_keep_the_default_diagonal():
+    """In-test copies of the loops as they were with the default rule."""
+    def grid2_loop(g1, g2):
+        edges = list(C.cartesian(g1, g2).edges())
+        for x, xp in g1.edges():
+            for y, yp in g2.edges():
+                edges.append((x * g2.n + y, xp * g2.n + yp))
+        return Graph(g1.n * g2.n, edges)
+
+    def grid3_loop(dims):
+        step = (dims[1] * dims[2], dims[2], 1)
+        vid = lambda p: sum(a * b for a, b in zip(p, step))
+        edges = list(C.grid3(*dims).edges())
+        for u_ax, v_ax in ((0, 1), (0, 2), (1, 2)):
+            for p in itertools.product(*(range(d) for d in dims)):
+                if p[u_ax] + 1 < dims[u_ax] and p[v_ax] + 1 < dims[v_ax]:
+                    puv = list(p)
+                    puv[u_ax] += 1
+                    puv[v_ax] += 1
+                    edges.append((vid(p), vid(puv)))
+        return Graph(dims[0] * dims[1] * dims[2], edges)
+
+    for g1, g2 in ((C.path(3), C.path(4)), (C.star(3), C.cycle(5))):
+        assert C.triangulated_grid2(g1, g2) == grid2_loop(g1, g2)
+    for dims in ((2, 2, 2), (3, 2, 4), (1, 3, 3)):
+        assert C.triangulated_grid3(*dims) == grid3_loop(dims)
 
 
 def test_pyramid():

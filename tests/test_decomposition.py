@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from conftest import random_graph, random_tree
@@ -5,6 +7,7 @@ from prodstruct.constructions import (path, cycle, complete,
                                       complete_multipartite, grid2, star)
 from prodstruct.decomposition import (TreeDecomposition, PathDecomposition,
                                       Layering, DecompositionError, validate,
+                                      bag_span,
                                       torso, orthogonality,
                                       project_product_decomposition,
                                       bfs_layering,
@@ -59,6 +62,19 @@ def test_validate_catches_uncovered_vertex():
     assert not rep.ok and any("vertex 2" in e for e in rep.errors)
 
 
+def test_validate_out_of_range_adhesion_is_not_taut():
+    """An adhesion set with members outside g is not taut, and tautness
+    never looks them up in g.adj: 5 is past its end, and -1 would be read as
+    the last vertex's row."""
+    rep = validate(path(3), TreeDecomposition(3, [{0, 1, 5, 6}, {2, 5, 6}], [(0, 1)]))
+    assert (rep.ok, rep.taut, rep.adhesion) == (False, False, 2)
+    assert rep.errors == [f"bag {x} mentions out-of-range vertex {v}"
+                          for x in (0, 1) for v in (5, 6)] + ["edge (1,2) in no bag"]
+    rep = validate(path(3), TreeDecomposition(3, [{-1, 0, 1}, {-1, 1, 2}], [(0, 1)]))
+    assert (rep.ok, rep.taut, rep.adhesion) == (False, False, 2)
+    assert rep.errors == [f"bag {x} mentions out-of-range vertex -1" for x in (0, 1)]
+
+
 def test_oracle_witnesses_validate():
     rng = SplitMix64(7)
     for _ in range(20):
@@ -102,7 +118,7 @@ def test_orthogonality_values():
     cols = PathDecomposition(16, [
         {r * 4 + c for c in (j, j + 1) for r in range(4)} for j in range(3)])
     assert validate(g, rows).ok and validate(g, cols).ok
-    assert orthogonality(rows.as_tree(), cols.as_tree()) == 4
+    assert orthogonality(rows, cols) == 4
     full = TreeDecomposition(16, [set(range(16))], [])
     assert orthogonality(full, full) == 16
 
@@ -114,7 +130,6 @@ def test_bag_restriction_is_decomposition():
         g = random_graph(rng, 6)
         _, td1 = treewidth_exact(g)
         _, td2 = pathwidth_exact(g)
-        td2 = td2.as_tree()
         for x in range(td1.nodes):
             bag = td1.bags[x]
             sub, order = g.subgraph(bag)
@@ -150,7 +165,7 @@ def test_witness_to_bandwidth():
     l = Layering(16, [{r * 4 + c for c in range(4)} for r in range(4)])
     cols = PathDecomposition(16, [
         {r * 4 + c for c in (j, j + 1) for r in range(4)} for j in range(3)])
-    w = make_layered_witness(g, l, cols.as_tree())
+    w = make_layered_witness(g, l, cols)
     assert w.k == 2
     td, orderings, span = witness_to_bandwidth_decomposition(g, w)
     assert span <= 3
@@ -170,7 +185,7 @@ def test_bipartite_constructions():
     g = complete_multipartite([3, 4])
     p1, p2 = bipartite_orthogonal_paths(g, {0, 1, 2})
     assert validate(g, p1).ok and validate(g, p2).ok
-    assert orthogonality(p1.as_tree(), p2.as_tree()) == 2
+    assert orthogonality(p1, p2) == 2
     sd = bipartite_star_decomposition(g, {0, 1, 2})
     assert validate(g, sd).ok
     for bag in sd.bags:
@@ -191,7 +206,7 @@ def test_glue_tree_f_two_triangles():
 def test_glue_tree_f_single_node_identity():
     g = path(3)
     td = TreeDecomposition(3, [{0, 1, 2}], [])
-    piece = pathwidth_exact(g)[1].as_tree()
+    piece = pathwidth_exact(g)[1]
     glued = glue_tree_f(g, td, {0: piece})
     assert validate(g, glued).ok
     assert set(glued.bags) == set(piece.bags)
@@ -227,10 +242,10 @@ def test_glue_orthogonal_chain():
     for x in range(3):
         sub, _ = g.subgraph(td.bags[x])
         p1, p2 = bipartite_orthogonal_paths(sub, _bipartition(sub))
-        pairs[x] = (p1.as_tree(), p2)
+        pairs[x] = (p1, p2)
     t, p = glue_orthogonal(g, td, pairs)
     assert validate(g, t).ok and validate(g, p).ok
-    assert orthogonality(t, p.as_tree()) <= 2
+    assert orthogonality(t, p) <= 2
 
 
 def test_project_product_decomposition():
@@ -257,3 +272,106 @@ def test_json_round_trips():
     assert TreeDecomposition.from_json(td.to_json()).bags == td.bags
     pd = PathDecomposition(3, [{0, 1}, {1, 2}])
     assert PathDecomposition.from_json(pd.to_json()).bags == pd.bags
+
+
+def test_path_decomposition_is_a_tree_decomposition():
+    pd = PathDecomposition(3, [{0, 1}, {1, 2}])
+    assert isinstance(pd, TreeDecomposition)
+    assert pd.tree_edges == ((0, 1),) and pd.nodes == 2 and pd.width() == 1
+    assert pd.neighbors(1) == [0]
+    assert "tree_edges" not in json.loads(pd.to_json())
+    assert type(PathDecomposition.from_json(pd.to_json())) is PathDecomposition
+    with pytest.raises(DecompositionError, match="^empty path-decomposition$"):
+        PathDecomposition(3, [])
+
+
+def _as_tree(pd):
+    """The same bags as a TreeDecomposition on the path edges."""
+    return TreeDecomposition(pd.host_n, pd.bags, [(i, i + 1) for i in range(pd.nodes - 1)])
+
+
+def _shape(td):
+    return td.host_n, td.bags, td.tree_edges
+
+
+def test_path_decomposition_where_a_tree_decomposition_goes():
+    """Each function that takes a tree-decomposition gives the same answer
+    for a path-decomposition as for its bags on the path edges."""
+    g = path(7)
+    pd = PathDecomposition(7, [{0, 1, 2}, {2, 3, 4}, {4, 5, 6}])
+    td = _as_tree(pd)
+    for x in range(pd.nodes):
+        assert torso(g, pd, x) == torso(g, td, x)
+
+    pieces = {x: pathwidth_exact(torso(g, pd, x))[1] for x in range(pd.nodes)}
+    assert all(type(p) is PathDecomposition for p in pieces.values())
+    tree_pieces = {x: _as_tree(p) for x, p in pieces.items()}
+    want = _shape(glue_tree_f(g, td, tree_pieces))
+    assert _shape(glue_tree_f(g, pd, tree_pieces)) == want
+    assert _shape(glue_tree_f(g, td, pieces)) == want
+
+    pairs = {}
+    for x in range(pd.nodes):
+        sub, _ = g.subgraph(pd.bags[x])
+        pairs[x] = bipartite_orthogonal_paths(sub, _bipartition(sub))
+    tree_pairs = {x: (_as_tree(p1), p2) for x, (p1, p2) in pairs.items()}
+    want = [_shape(d) for d in glue_orthogonal(g, td, tree_pairs)]
+    assert [_shape(d) for d in glue_orthogonal(g, pd, tree_pairs)] == want
+    assert [_shape(d) for d in glue_orthogonal(g, td, pairs)] == want
+
+    h = grid2(4, 4)
+    l = Layering(16, [{r * 4 + c for c in range(4)} for r in range(4)])
+    cols = PathDecomposition(16, [
+        {r * 4 + c for c in (j, j + 1) for r in range(4)} for j in range(3)])
+    w, wt = (make_layered_witness(h, l, d) for d in (cols, _as_tree(cols)))
+    assert w.k == wt.k == 2
+    got, want = (witness_to_bandwidth_decomposition(h, x) for x in (w, wt))
+    assert (_shape(got[0]), got[1:]) == (_shape(want[0]), want[1:])
+
+
+def test_layered_witness_k_is_read_off_its_bags():
+    g = grid2(3, 3)
+    w = make_layered_witness(g, bfs_layering(g, 0), TreeDecomposition(9, [range(9)], []))
+    assert w.k == 3       # the middle diagonal {2, 4, 6}
+    with pytest.raises(AttributeError):
+        w.k = 1
+
+
+# in-test copies of the three span loops that bag_span replaced
+
+def _hex_span(g, order):          # constructions.hex_graph
+    pos = {v: i for i, v in enumerate(order)}
+    return max((abs(pos[u] - pos[v]) for u in order for v in g.adj[u] if v in pos),
+               default=0)
+
+
+def _planar_span(g, order):       # planar.planar_bandwidth3_decomposition
+    bag = frozenset(order)
+    bpos = {v: i for i, v in enumerate(order)}
+    span = 0
+    for u in order:
+        for v in g.adj[u] & bag:
+            span = max(span, abs(bpos[u] - bpos[v]))
+    return span
+
+
+def _witness_span(g, order):      # decomposition.witness_to_bandwidth_decomposition
+    pos = {v: i for i, v in enumerate(order)}
+    span = 0
+    for u in order:
+        for v in g.adj[u]:
+            if v in pos:
+                span = max(span, abs(pos[u] - pos[v]))
+    return span
+
+
+def test_bag_span_matches_the_old_loops():
+    rng = SplitMix64(31)
+    for _ in range(200):
+        g = random_graph(rng, 1 + rng.randrange(9), 1 + rng.randrange(3), 4)
+        order = [v for v in range(g.n) if rng.randrange(3)]
+        rng.shuffle(order)
+        want = _hex_span(g, order)
+        assert bag_span(g, order) == want == _planar_span(g, order) == _witness_span(g, order)
+    assert bag_span(path(3), []) == 0 and bag_span(path(3), [1]) == 0
+    assert bag_span(path(4), [0, 2, 1, 3]) == 2

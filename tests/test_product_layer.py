@@ -101,8 +101,6 @@ def test_directed_strong_matches_the_four_loop():
 
 def bfs_validate(g: Graph, td):
     """validate as it was: any-bag edge check and one BFS per vertex."""
-    if isinstance(td, PathDecomposition):
-        td = td.as_tree()
     errors = []
     if td.host_n != g.n:
         errors.append(f"host mismatch: decomposition host_n={td.host_n}, graph n={g.n}")
