@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 
-from .graphs import Graph, GraphError, apex
+from .graphs import Graph, GraphError, _joined, apex
 from .decomposition import (PathDecomposition, TreeDecomposition, DecompositionError,
                             bag_span, validate)
 from .planar import PlaneTriangulation, v8_fixture
@@ -41,15 +41,7 @@ def complete_multipartite(sizes) -> Graph:
     sizes = list(sizes)
     if not sizes or any(s < 1 for s in sizes):
         raise GraphError("need nonempty positive part sizes")
-    starts = [sum(sizes[:i]) for i in range(len(sizes) + 1)]
-    n = starts[-1]
-    edges = []
-    for i in range(len(sizes)):
-        for j in range(i + 1, len(sizes)):
-            for u in range(starts[i], starts[i + 1]):
-                for v in range(starts[j], starts[j + 1]):
-                    edges.append((u, v))
-    return Graph(n, edges)
+    return _joined([(s, ()) for s in sizes])
 
 
 def star(n: int) -> Graph:

@@ -3,12 +3,14 @@
 All oracles are exact and return witnesses.  Size caps are module constants
 with per-call overrides; exceeding a cap raises InstanceTooLarge, never
 silently truncates.  tw, pw and tree-f share one elimination-ordering subset
-DP (see _kernels) and differ only in the cost of an elimination step; bw/td
-use branch-and-bound/memoized recursion, TwIntTw enumerates chordal
-completions, and twtw enumerates ordered pairs of set partitions.  Where an
-oracle nests many small computations (elimination bags in TwIntTw, quotient
-treewidths in twtw) it memoizes them in a dict local to the call, so nothing
-is cached from one call to the next.
+DP (see _kernels) and differ only in the cost of an elimination step; bw is
+one branch-and-bound over vertex bitmasks and td one memoized recursion over
+connected vertex bitmasks, TwIntTw enumerates chordal completions, and twtw
+enumerates ordered pairs of set partitions.  Where an oracle nests many small
+computations (elimination bags in TwIntTw, quotient treewidths in twtw) it
+memoizes them in a dict local to the call, so nothing is cached from one call
+to the next.  The brute-force references these oracles are cross-checked
+against live in tests/conftest.py, not in the package.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import itertools
 from functools import lru_cache
 from math import ceil, sqrt
 
-from ..graphs import Graph, GraphError, VertexPartition, quotient, subgraph_contained
+from ..graphs import Graph, GraphError, VertexPartition, quotient
 from ..decomposition import TreeDecomposition, PathDecomposition
 from ..rng import SplitMix64
 from ._kernels import (bits, component, elimination_dp, pathwidth_dp, q_set,
@@ -112,51 +114,36 @@ def pathwidth_exact(g: Graph, max_n=None):
 # -- bandwidth -----------------------------------------------------------
 
 def bandwidth_exact(g: Graph, max_n=None):
-    """Exact bandwidth with a witness ordering (branch-and-bound)."""
+    """Exact bandwidth with a witness ordering (branch-and-bound).
+
+    An ordering has bandwidth <= k iff each vertex has all its neighbours
+    placed within the next k positions.  So before position p is filled, the
+    vertex at p - k leaves the window and may miss at most the vertex placed
+    at p; that rule alone keeps every placed edge within k.
+    """
     _cap(g, BW_MAX_N, max_n, "bandwidth_exact")
-    n = g.n
-    if n <= 1:
-        return 0, list(range(n))
-    lb = max(ceil(g.degree(v) / 2) for v in range(n))
+    masks = g.adjacency_masks()
+    full = (1 << g.n) - 1
 
-    def feasible(k):
-        pos = {}
-        placed = []
-
-        def rec(p):
-            if p == n:
-                return True
-            for v in range(n):
-                if v in pos:
-                    continue
-                ok = True
-                for u in g.adj[v]:
-                    if u in pos and p - pos[u] > k:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                # any vertex k behind must have all neighbours placed
-                if k > 0 and p >= k:
-                    w = placed[p - k]
-                    if any(x not in pos and x != v for x in g.adj[w]):
-                        continue
-                pos[v] = p
-                placed.append(v)
-                if rec(p + 1):
-                    return True
-                del pos[v]
-                placed.pop()
+    def extend(order, done, k):
+        if done == full:
+            return True
+        p = len(order)
+        leaving = masks[order[p - k]] & ~done if 0 < k <= p else 0
+        if leaving & (leaving - 1):     # two unplaced neighbours, one position
             return False
+        for v in bits(leaving or full & ~done):
+            order.append(v)
+            if extend(order, done | 1 << v, k):
+                return True
+            order.pop()
+        return False
 
-        if rec(0):
-            return placed
-        return None
-
-    for k in range(lb, n):          # k = n - 1 is always feasible
-        order = feasible(k)
-        if order is not None:
-            return k, order
+    k = max(((m.bit_count() + 1) // 2 for m in masks), default=0)
+    order = []
+    while not extend(order, 0, k):      # k = n - 1 always succeeds
+        k += 1
+    return k, order
 
 
 # -- treedepth -----------------------------------------------------------
@@ -164,11 +151,8 @@ def bandwidth_exact(g: Graph, max_n=None):
 def treedepth_exact(g: Graph, max_n=None):
     """Exact treedepth with an elimination-forest witness (parent array)."""
     _cap(g, TD_MAX_N, max_n, "treedepth_exact")
-    if g.n == 0:
-        return 0, []
     masks = g.adjacency_masks()
 
-    @lru_cache(maxsize=None)
     def comps(mask):
         out = []
         rest = mask
@@ -179,48 +163,27 @@ def treedepth_exact(g: Graph, max_n=None):
         return out
 
     @lru_cache(maxsize=None)
+    def depth(mask):
+        """Treedepth of any vertex set: the deepest of its components."""
+        return max((solve(c)[0] for c in comps(mask)), default=0)
+
+    @lru_cache(maxsize=None)
     def solve(mask):
-        """Returns (value, chosen root or -1 when edgeless/split)."""
-        cs = comps(mask)
-        if len(cs) > 1:
-            return max(solve(c)[0] for c in cs), -1
-        if all(masks[v] & mask == 0 for v in bits(mask)):
-            return 1, -1
-        best, root = None, None
-        for v in bits(mask):
-            val = 1 + max(solve(c)[0] for c in comps(mask ^ (1 << v)))
-            if best is None or val < best:
-                best, root = val, v
-        return best, root
-
-    parent = [-1] * g.n
-
-    def witness(mask, par):
-        cs = comps(mask)
-        if len(cs) > 1:
-            for c in cs:
-                witness(c, par)
-            return
-        if all(masks[v] & mask == 0 for v in bits(mask)):
-            for v in bits(mask):
-                parent[v] = par
-            return
-        _, root = solve(mask)
-        parent[root] = par
-        for c in comps(mask ^ (1 << root)):
-            witness(c, root)
+        """(treedepth, least optimal root) of a connected vertex set."""
+        return min((1 + depth(mask ^ 1 << v), v) for v in bits(mask))
 
     full = (1 << g.n) - 1
-    value = solve(full)[0]
-    witness(full, -1)
-    return value, parent
+    parent = [-1] * g.n
+    stack = [(c, -1) for c in comps(full)]
+    while stack:
+        mask, par = stack.pop()
+        root = solve(mask)[1]
+        parent[root] = par
+        stack += [(c, root) for c in comps(mask ^ 1 << root)]
+    return depth(full), parent
 
 
 # -- hereditary bag parameters and tree-f --------------------------------
-
-def max_degree_param(g: Graph) -> int:
-    return g.max_degree()
-
 
 def longest_path_order(g: Graph) -> int:
     """Number of vertices of a longest path (DFS over simple paths)."""
@@ -247,7 +210,7 @@ PARAMS = {
     "pw": lambda sub: pathwidth_exact(sub)[0],
     "bw": lambda sub: bandwidth_exact(sub)[0],
     "td": lambda sub: treedepth_exact(sub)[0],
-    "maxdeg": max_degree_param,
+    "maxdeg": Graph.max_degree,
     "longest-path": longest_path_order,
 }
 # every entry is hereditary: its value never increases on induced subgraphs,
@@ -306,7 +269,7 @@ def max_clique_order(g: Graph) -> int:
 
     def rec(cand, size):
         nonlocal best
-        if size + bin(cand).count("1") <= best:
+        if size + cand.bit_count() <= best:
             return
         if cand == 0:
             best = max(best, size)
@@ -356,7 +319,7 @@ def twintw_exact(g: Graph, max_n=None):
 
     WLOG both decompositions are clique trees of chordal completions:
     refining bags to the bag-completion's maximal cliques never increases a
-    pairwise intersection (see also twintw_raw, cross-checked for n <= 4).
+    pairwise intersection.
     """
     _cap(g, TWINTW_MAX_N, max_n, "twintw_exact")
     if g.n == 0:
@@ -367,7 +330,7 @@ def twintw_exact(g: Graph, max_n=None):
     pair = None
     for i, (bags1, o1) in enumerate(comps):
         for bags2, o2 in comps[i:]:
-            val = max(bin(b1 & b2).count("1") for b1 in bags1 for b2 in bags2)
+            val = max((b1 & b2).bit_count() for b1 in bags1 for b2 in bags2)
             if best is None or val < best:
                 best, pair = val, (o1, o2)
                 if best == lb:
@@ -377,67 +340,6 @@ def twintw_exact(g: Graph, max_n=None):
     td1 = _elimination_td(g, list(pair[0]))
     td2 = _elimination_td(g, list(pair[1]))
     return best, (td1, td2)
-
-
-def _all_tree_shapes(m: int):
-    """All labeled trees on m nodes (via Pruefer sequences)."""
-    if m == 1:
-        return [[]]
-    if m == 2:
-        return [[(0, 1)]]
-    import heapq
-    shapes = []
-    for seq in itertools.product(range(m), repeat=m - 2):
-        deg = [1] * m
-        for x in seq:
-            deg[x] += 1
-        edges = []
-        leaves = [i for i in range(m) if deg[i] == 1]
-        heapq.heapify(leaves)
-        for x in seq:
-            leaf = heapq.heappop(leaves)
-            edges.append((leaf, x))
-            deg[x] -= 1
-            if deg[x] == 1:
-                heapq.heappush(leaves, x)
-        u = heapq.heappop(leaves)
-        v = heapq.heappop(leaves)
-        edges.append((u, v))
-        shapes.append(edges)
-    return shapes
-
-
-def _valid_bag_families(g: Graph):
-    """All valid tree-decompositions with <= n inclusion-free bags, as bag sets.
-
-    Raw enumeration for tiny hosts; used to cross-check the clique-tree
-    reductions.  Restricting to inclusion-free families is safe for
-    universally-quantified bag properties: merging a bag into a superset
-    neighbour only removes bags.
-    """
-    from ..decomposition import validate
-    n = g.n
-    subsets = [frozenset(c) for r in range(1, n + 1)
-               for c in itertools.combinations(range(n), r)]
-    families = []
-    for m in range(1, n + 1):
-        for combo in itertools.combinations(subsets, m):
-            if any(a < b for a in combo for b in combo):
-                continue
-            for shape in _all_tree_shapes(m):
-                td = TreeDecomposition(n, combo, shape)
-                if validate(g, td).ok:
-                    families.append(frozenset(combo))
-                    break
-    return sorted(set(families), key=lambda f: sorted(map(sorted, f)))
-
-
-def twintw_raw(g: Graph) -> int:
-    """TwIntTw by raw bag-family enumeration (n <= 4 cross-check)."""
-    _cap(g, 4, None, "twintw_raw")
-    fams = _valid_bag_families(g)
-    return min(max(len(a & b) for a in f1 for b in f2)
-               for f1 in fams for f2 in fams)
 
 
 # -- twtw ----------------------------------------------------------------
@@ -475,7 +377,6 @@ def twtw_exact(g: Graph, c: int = 1, max_n=None):
     By the partition characterization this is a minimum over ordered pairs of
     vertex partitions with part intersections <= c; the factors may be taken
     as the quotients themselves (supergraph factors only raise treewidth).
-    Cross-checked against explicit host enumeration for n <= 4 (twtw_raw).
 
     Partitions are walked as label strings, and a quotient's treewidth is
     computed once per distinct quotient (as adjacency masks) within the call.
@@ -522,28 +423,6 @@ def twtw_exact(g: Graph, c: int = 1, max_n=None):
     raise AssertionError("unreachable: singleton/whole pair is always compatible")
 
 
-def _graphs_on(n: int):
-    pairs = list(itertools.combinations(range(n), 2))
-    for bits in range(1 << len(pairs)):
-        yield Graph(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
-
-
-def twtw_raw(g: Graph) -> int:
-    """twtw (c = 1) by explicit host-pair enumeration (n <= 4 cross-check)."""
-    _cap(g, 4, None, "twtw_raw")
-    from ..products import strong
-    hosts = [h for n1 in range(1, g.n + 1) for h in _graphs_on(n1)]
-    host_tw = [(h, _treewidth_value(h)) for h in hosts]
-    for k in itertools.count(0):
-        pool = [h for h, tw in host_tw if tw <= k]
-        for h1 in pool:
-            for h2 in pool:
-                if h1.n * h2.n < g.n:
-                    continue
-                if subgraph_contained(g, strong(h1, h2)) is not None:
-                    return k
-
-
 # -- hex bag/path checks -------------------------------------------------
 
 def hex_bag_path_check(g: Graph, n: int) -> bool:
@@ -562,15 +441,6 @@ def hex_bag_path_check(g: Graph, n: int) -> bool:
     return value >= n
 
 
-def raw_bag_path_check(g: Graph, n: int) -> bool:
-    """Raw-enumeration verdict over all (inclusion-free) tree-decompositions."""
-    _cap(g, 4, None, "raw_bag_path_check")
-    for fam in _valid_bag_families(g):
-        if not any(longest_path_order(g.subgraph(b)[0]) >= n for b in fam):
-            return False
-    return True
-
-
 # -- expander mixing -----------------------------------------------------
 
 def expander_mixing_check(g: Graph, d: int, samples: int, seed: int) -> dict:
@@ -581,6 +451,8 @@ def expander_mixing_check(g: Graph, d: int, samples: int, seed: int) -> dict:
     """
     if samples < 1:
         raise GraphError(f"samples must be at least 1, got {samples}")
+    if d < 1:
+        raise GraphError(f"d must be at least 1, got {d}")
     if any(g.degree(v) != d for v in range(g.n)):
         raise GraphError("graph is not d-regular")
     size = ceil(2 * g.n / sqrt(d))

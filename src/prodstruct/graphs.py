@@ -128,17 +128,20 @@ class Graph:
         if type(n) is not int:
             raise GraphError("n must be an integer")
         edges = data["edges"]
-        seen = set()
         for e in edges:
             u, v = e
             if type(u) is not int or type(v) is not int:
                 raise GraphError(f"edge {e} has a non-integer endpoint")
             if u >= v:
                 raise GraphError(f"edge {e} not in u<v form")
-            if (u, v) in seen:
-                raise GraphError(f"duplicate edge {e}")
-            seen.add((u, v))
-        return Graph(n, [tuple(e) for e in edges])
+        g = Graph(n, edges)
+        if g.m != len(edges):       # with u < v checked, only a repeat loses an edge
+            seen = set()
+            for e in edges:
+                if tuple(e) in seen:
+                    raise GraphError(f"duplicate edge {e}")
+                seen.add(tuple(e))
+        return g
 
     def __eq__(self, other):
         return (isinstance(other, Graph)
@@ -189,12 +192,13 @@ class Digraph:
         data = json.loads(text)
         if type(data["n"]) is not int:
             raise GraphError("n must be an integer")
-        arcs = [tuple(a) for a in data["arcs"]]
+        arcs = data["arcs"]
         if not all(type(x) is int for a in arcs for x in a):
             raise GraphError("arc endpoints must be integers")
-        if len(arcs) != len(set(arcs)):
+        d = Digraph(data["n"], arcs)
+        if len(d.arcs) != len(arcs):
             raise GraphError("duplicate arcs")
-        return Digraph(data["n"], arcs)
+        return d
 
     def __eq__(self, other):
         return (isinstance(other, Digraph)
@@ -254,12 +258,20 @@ class VertexPartition:
 
 # -- operations ----------------------------------------------------------
 
+def _joined(parts) -> Graph:
+    """The join of graphs given as (n, edges), in one Graph build: ids run
+    through the parts in order, and vertices of different parts are adjacent."""
+    n, edges = 0, []
+    for m, part in parts:
+        edges += [(u + n, v + n) for u, v in part]
+        edges += [(u, n + v) for u in range(n) for v in range(m)]
+        n += m
+    return Graph(n, edges)
+
+
 def complete_join(a: Graph, b: Graph) -> Graph:
     """A + B: disjoint union plus all cross edges; a's ids first."""
-    edges = list(a.edges())
-    edges += [(u + a.n, v + a.n) for u, v in b.edges()]
-    edges += [(u, v + a.n) for u in range(a.n) for v in range(b.n)]
-    return Graph(a.n + b.n, edges)
+    return _joined([(a.n, a.edges()), (b.n, b.edges())])
 
 
 def apex(g: Graph) -> Graph:

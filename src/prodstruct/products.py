@@ -10,7 +10,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Graph, Digraph, GraphError, VertexPartition, apex, quotient
+from .graphs import Graph, Digraph, GraphError, VertexPartition, _joined, apex, quotient
 from .decomposition import TreeDecomposition, DecompositionError, _glue_steps
 
 
@@ -182,17 +182,6 @@ def _checked(e):
 
 def _clique_edges(k: int) -> list:
     return [(i, j) for i in range(k) for j in range(i + 1, k)]
-
-
-def _joined(parts) -> Graph:
-    """The join of graphs given as (n, edges), in one Graph build: ids run
-    through the parts in order, and vertices of different parts are adjacent."""
-    n, edges = 0, []
-    for m, part in parts:
-        edges += [(u + n, v + n) for u, v in part]
-        edges += [(u, n + v) for u in range(n) for v in range(m)]
-        n += m
-    return Graph(n, edges)
 
 
 def _plus_clique(g: Graph, k: int) -> Graph:

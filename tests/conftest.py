@@ -1,13 +1,21 @@
 """Shared helpers: seeded random instances and independent mini-oracles.
 
 The mini-oracles here are deliberately written differently from the package
-implementations (definition-first brute force) so the two can disagree.
+implementations (definition-first brute force) so the two can disagree.  The
+raw-enumeration references at the end (twintw_raw, twtw_raw,
+raw_bag_path_check) refuse hosts above RAW_MAX_N vertices.
 """
 
+import heapq
 import itertools
 
-from prodstruct.graphs import Graph
+from prodstruct.decomposition import TreeDecomposition, validate
+from prodstruct.exact import InstanceTooLarge, longest_path_order, treewidth_exact
+from prodstruct.graphs import Graph, subgraph_contained
+from prodstruct.products import strong
 from prodstruct.rng import SplitMix64
+
+RAW_MAX_N = 4
 
 
 def random_graph(rng: SplitMix64, n: int, p_num=1, p_den=2) -> Graph:
@@ -102,5 +110,101 @@ def check_elimination_forest(g: Graph, parent, depth: int) -> bool:
         return False
     for u, v in g.edges():
         if u not in ancestors(v) and v not in ancestors(u):
+            return False
+    return True
+
+
+# -- raw-enumeration references (for n <= RAW_MAX_N) ---------------------
+
+def _raw_cap(g: Graph, what: str):
+    if g.n > RAW_MAX_N:
+        raise InstanceTooLarge(f"{what}: n={g.n} exceeds cap {RAW_MAX_N}")
+
+
+def _all_tree_shapes(m: int):
+    """All labeled trees on m nodes (via Pruefer sequences)."""
+    if m == 1:
+        return [[]]
+    if m == 2:
+        return [[(0, 1)]]
+    shapes = []
+    for seq in itertools.product(range(m), repeat=m - 2):
+        deg = [1] * m
+        for x in seq:
+            deg[x] += 1
+        edges = []
+        leaves = [i for i in range(m) if deg[i] == 1]
+        heapq.heapify(leaves)
+        for x in seq:
+            leaf = heapq.heappop(leaves)
+            edges.append((leaf, x))
+            deg[x] -= 1
+            if deg[x] == 1:
+                heapq.heappush(leaves, x)
+        u = heapq.heappop(leaves)
+        v = heapq.heappop(leaves)
+        edges.append((u, v))
+        shapes.append(edges)
+    return shapes
+
+
+def _valid_bag_families(g: Graph):
+    """All valid tree-decompositions with <= n inclusion-free bags, as bag sets.
+
+    Raw enumeration for tiny hosts; used to cross-check the clique-tree
+    reductions.  Restricting to inclusion-free families is safe for
+    universally-quantified bag properties: merging a bag into a superset
+    neighbour only removes bags.
+    """
+    n = g.n
+    subsets = [frozenset(c) for r in range(1, n + 1)
+               for c in itertools.combinations(range(n), r)]
+    families = []
+    for m in range(1, n + 1):
+        for combo in itertools.combinations(subsets, m):
+            if any(a < b for a in combo for b in combo):
+                continue
+            for shape in _all_tree_shapes(m):
+                td = TreeDecomposition(n, combo, shape)
+                if validate(g, td).ok:
+                    families.append(frozenset(combo))
+                    break
+    return sorted(set(families), key=lambda f: sorted(map(sorted, f)))
+
+
+def twintw_raw(g: Graph) -> int:
+    """TwIntTw by raw bag-family enumeration (n <= RAW_MAX_N cross-check)."""
+    _raw_cap(g, "twintw_raw")
+    fams = _valid_bag_families(g)
+    return min(max(len(a & b) for a in f1 for b in f2)
+               for f1 in fams for f2 in fams)
+
+
+def _graphs_on(n: int):
+    pairs = list(itertools.combinations(range(n), 2))
+    for bits in range(1 << len(pairs)):
+        yield Graph(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
+
+
+def twtw_raw(g: Graph) -> int:
+    """twtw (c = 1) by explicit host-pair enumeration (n <= RAW_MAX_N cross-check)."""
+    _raw_cap(g, "twtw_raw")
+    hosts = [h for n1 in range(1, g.n + 1) for h in _graphs_on(n1)]
+    host_tw = [(h, treewidth_exact(h)[0]) for h in hosts]
+    for k in itertools.count(0):
+        pool = [h for h, tw in host_tw if tw <= k]
+        for h1 in pool:
+            for h2 in pool:
+                if h1.n * h2.n < g.n:
+                    continue
+                if subgraph_contained(g, strong(h1, h2)) is not None:
+                    return k
+
+
+def raw_bag_path_check(g: Graph, n: int) -> bool:
+    """Raw-enumeration verdict over all (inclusion-free) tree-decompositions."""
+    _raw_cap(g, "raw_bag_path_check")
+    for fam in _valid_bag_families(g):
+        if not any(longest_path_order(g.subgraph(b)[0]) >= n for b in fam):
             return False
     return True

@@ -10,7 +10,8 @@ fixture's explicitly stated ones.
 import itertools
 import math
 
-from conftest import connected_atlas, random_graph, random_graph_max_degree, random_tree
+from conftest import (connected_atlas, random_graph, random_graph_max_degree,
+                      random_tree, raw_bag_path_check)
 from prodstruct import constructions as C
 from prodstruct.decomposition import (TreeDecomposition, validate,
                                       orthogonality,
@@ -20,8 +21,7 @@ from prodstruct.decomposition import (TreeDecomposition, validate,
 from prodstruct.exact import (treewidth_exact, pathwidth_exact,
                               bandwidth_exact, treedepth_exact,
                               tree_param_exact, twintw_exact, twtw_exact,
-                              hex_bag_path_check, raw_bag_path_check,
-                              expander_mixing_check)
+                              hex_bag_path_check, expander_mixing_check)
 from prodstruct.graphs import (Graph, Digraph, underlying,
                                subgraph_contained)
 from prodstruct.planar import planar_bandwidth3_decomposition, v8_fixture

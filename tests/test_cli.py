@@ -151,6 +151,13 @@ def test_probe_mixing_needs_a_sample(samples, capsys):
     assert code == 2 and rep["error"].startswith("GraphError: samples must be at least 1")
 
 
+@pytest.mark.parametrize("n", ["1", "6"])
+def test_probe_mixing_needs_a_degree(n, capsys):
+    code, rep = run(capsys, "probe", "mixing", "--n", n, "--d", "0",
+                    "--samples", "5", "--seed", "7")
+    assert code == 2 and rep["error"].startswith("GraphError: d must be at least 1")
+
+
 def test_gen_requires_seed_for_random(capsys):
     code = main(["gen", "random-regular", "--params", "8,3"])
     capsys.readouterr()

@@ -21,6 +21,18 @@ def test_basic_families():
     assert C.grid3(2, 2, 2).m == 12  # the cube
 
 
+@pytest.mark.parametrize("sizes", [[1], [3], [1, 4], [2, 2, 2], [1, 3, 4], [2, 1, 3, 1]])
+def test_complete_multipartite_is_the_join(sizes):
+    # the blockwise loop it replaced, same ids and same edge order
+    starts = [sum(sizes[:i]) for i in range(len(sizes) + 1)]
+    edges = [(u, v) for i in range(len(sizes)) for j in range(i + 1, len(sizes))
+             for u in range(starts[i], starts[i + 1])
+             for v in range(starts[j], starts[j + 1])]
+    g = C.complete_multipartite(sizes)
+    assert g == Graph(starts[-1], edges)
+    assert [list(s) for s in g.adj] == [list(s) for s in Graph(starts[-1], edges).adj]
+
+
 def test_hex_counts_and_witness():
     g2, pd2, _, _ = C.hex_graph(2, [1])
     assert g2.n == 4 and g2.m == 5

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (random_graph, brute_bandwidth, brute_treedepth,
-                      brute_vertex_separation, check_elimination_forest)
+                      brute_vertex_separation, check_elimination_forest,
+                      twintw_raw, twtw_raw, raw_bag_path_check)
 from prodstruct.constructions import (path, cycle, complete, star,
                                       complete_multipartite, grid2, hex_graph,
                                       windmill, flower)
@@ -13,8 +14,7 @@ from prodstruct.exact import (InstanceTooLarge, treewidth_exact,
                               pathwidth_exact, bandwidth_exact,
                               treedepth_exact, tree_param_exact,
                               neighborhood_lower_bound, max_clique_order,
-                              twintw_exact, twintw_raw, twtw_exact, twtw_raw,
-                              hex_bag_path_check, raw_bag_path_check,
+                              twintw_exact, twtw_exact, hex_bag_path_check,
                               expander_mixing_check, longest_path_order)
 from prodstruct.graphs import Graph, subgraph_contained
 from prodstruct.products import strong

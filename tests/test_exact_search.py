@@ -1,0 +1,147 @@
+"""The bandwidth and treedepth searches against copies of their earlier loops.
+
+bandwidth_exact places vertices over adjacency bitmasks with one window rule,
+and treedepth_exact memoizes one recursion over connected vertex sets.  The
+reference oracles below are the earlier forms: a branch-and-bound over
+adjacency sets and a position dict that also checks every placed neighbour,
+and a recursion that splits components itself and rebuilds the witness in a
+second recursion.  Both pairs must give the same values and the same
+witnesses.
+"""
+
+from functools import lru_cache
+from math import ceil
+
+import pytest
+
+import prodstruct.constructions as C
+from conftest import random_graph
+from prodstruct.exact import bandwidth_exact, treedepth_exact
+from prodstruct.exact._kernels import bits, component
+from prodstruct.graphs import Graph
+from prodstruct.rng import SplitMix64
+
+
+# -- reference oracles: the earlier loops ---------------------------------
+
+def plain_bandwidth(g):
+    n = g.n
+    if n <= 1:
+        return 0, list(range(n))
+    lb = max(ceil(g.degree(v) / 2) for v in range(n))
+
+    def feasible(k):
+        pos = {}
+        placed = []
+
+        def rec(p):
+            if p == n:
+                return True
+            for v in range(n):
+                if v in pos:
+                    continue
+                if any(u in pos and p - pos[u] > k for u in g.adj[v]):
+                    continue
+                if k > 0 and p >= k:
+                    w = placed[p - k]
+                    if any(x not in pos and x != v for x in g.adj[w]):
+                        continue
+                pos[v] = p
+                placed.append(v)
+                if rec(p + 1):
+                    return True
+                del pos[v]
+                placed.pop()
+            return False
+
+        return placed if rec(0) else None
+
+    for k in range(lb, n):
+        order = feasible(k)
+        if order is not None:
+            return k, order
+
+
+def plain_treedepth(g):
+    if g.n == 0:
+        return 0, []
+    masks = g.adjacency_masks()
+
+    def comps(mask):
+        out = []
+        rest = mask
+        while rest:
+            comp = component(masks, mask, (rest & -rest).bit_length() - 1)
+            out.append(comp)
+            rest &= ~comp
+        return out
+
+    @lru_cache(maxsize=None)
+    def solve(mask):
+        cs = comps(mask)
+        if len(cs) > 1:
+            return max(solve(c)[0] for c in cs), -1
+        if all(masks[v] & mask == 0 for v in bits(mask)):
+            return 1, -1
+        best, root = None, None
+        for v in bits(mask):
+            val = 1 + max(solve(c)[0] for c in comps(mask ^ (1 << v)))
+            if best is None or val < best:
+                best, root = val, v
+        return best, root
+
+    parent = [-1] * g.n
+
+    def witness(mask, par):
+        cs = comps(mask)
+        if len(cs) > 1:
+            for c in cs:
+                witness(c, par)
+            return
+        if all(masks[v] & mask == 0 for v in bits(mask)):
+            for v in bits(mask):
+                parent[v] = par
+            return
+        _, root = solve(mask)
+        parent[root] = par
+        for c in comps(mask ^ (1 << root)):
+            witness(c, root)
+
+    full = (1 << g.n) - 1
+    value = solve(full)[0]
+    witness(full, -1)
+    return value, parent
+
+
+# -- instances -------------------------------------------------------------
+
+def exact_small_graphs():
+    """The graphs the exact-small benchmark workload runs bw and td on."""
+    return [C.path(10), C.cycle(10), C.complete(6), C.star(8), C.grid3(2, 2, 2),
+            C.hex_graph(3)[0], C.pyramid(3), C.windmill(4), C.flower(3), C.v8(),
+            C.complete_multipartite([2, 2, 2]), C.complete_multipartite([2, 3, 3]),
+            C.separating_graph(1)[0], C.random_regular(10, 3, 5),
+            C.stacked_triangulation(10, 3).graph, C.random_regular(8, 3, 5),
+            C.stacked_triangulation(7, 3).graph, C.cycle(7), C.path(7), C.cycle(6),
+            C.grid2(2, 4)]
+
+
+def seeded_graphs():
+    rng = SplitMix64(41)
+    out = [Graph(0), Graph(1), Graph(5)]
+    for i in range(40):
+        out.append(random_graph(rng, 1 + i % 10, 1 + rng.randrange(2), 4))
+    return out
+
+
+INSTANCES = exact_small_graphs() + seeded_graphs()
+
+
+@pytest.mark.parametrize("g", INSTANCES, ids=lambda g: f"n{g.n}m{g.m}")
+def test_bandwidth_matches_plain_loop(g):
+    assert bandwidth_exact(g) == plain_bandwidth(g)
+
+
+@pytest.mark.parametrize("g", INSTANCES, ids=lambda g: f"n{g.n}m{g.m}")
+def test_treedepth_matches_plain_loop(g):
+    assert treedepth_exact(g) == plain_treedepth(g)

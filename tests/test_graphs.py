@@ -47,6 +47,24 @@ def test_json_round_trip():
         Graph.from_json(json.dumps({"n": 3, "edges": [[0, 1], [0, 1]]}))
 
 
+@pytest.mark.parametrize("edges,message", [
+    ([[0, 1], [1, 2], [0, 2], [1, 2]], "duplicate edge [1, 2]"),
+    ([[0, 1], [0, 2], [0, 1], [0, 2]], "duplicate edge [0, 1]"),
+    ([[0, 1], [0, 1.0]], "edge [0, 1.0] has a non-integer endpoint"),
+    ([[0, 1], [2, 1]], "edge [2, 1] not in u<v form"),
+    ([[0, 1], [1, 3]], "edge (1,3) out of range for n=3"),
+])
+def test_json_errors_name_the_fault(edges, message):
+    with pytest.raises(GraphError) as ex:
+        Graph.from_json(json.dumps({"n": 3, "edges": edges}))
+    assert str(ex.value) == message
+
+
+def test_digraph_json_rejects_duplicate_arcs():
+    with pytest.raises(GraphError, match="duplicate arcs"):
+        Digraph.from_json(json.dumps({"n": 3, "arcs": [[0, 1], [1, 0], [0, 1]]}))
+
+
 def test_subgraph_relabels_ascending():
     g = Graph(5, [(0, 3), (3, 4), (1, 4)])
     sub, order = g.subgraph({1, 3, 4})
