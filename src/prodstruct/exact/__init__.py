@@ -2,15 +2,18 @@
 
 All oracles are exact and return witnesses.  Size caps are module constants
 with per-call overrides; exceeding a cap raises InstanceTooLarge, never
-silently truncates.  tw, pw and tree-f share one elimination-ordering subset
-DP (see _kernels) and differ only in the cost of an elimination step; bw is
-one branch-and-bound over vertex bitmasks and td one memoized recursion over
-connected vertex bitmasks, TwIntTw enumerates chordal completions, and twtw
-enumerates ordered pairs of set partitions.  Where an oracle nests many small
-computations (elimination bags in TwIntTw, quotient treewidths in twtw) it
-memoizes them in a dict local to the call, so nothing is cached from one call
-to the next.  The brute-force references these oracles are cross-checked
-against live in tests/conftest.py, not in the package.
+silently truncates.  tw, pw and tree-f are elimination-ordering subset DPs
+(see _kernels): tw and tree-f share elimination_dp and differ only in the
+cost of an elimination step, and pw fills the same table with its own loop,
+one cost per state, since its step cost does not depend on the vertex
+eliminated.  bw is one branch-and-bound over vertex bitmasks on an explicit
+stack and td one memoized recursion over connected vertex bitmasks, TwIntTw
+enumerates chordal completions, and twtw enumerates ordered pairs of set
+partitions.  Where an oracle nests many small computations (elimination bags
+in TwIntTw, quotient treewidths in twtw) it memoizes them in a dict local to
+the call, so nothing is cached from one call to the next.  The brute-force
+references these oracles are cross-checked against live in tests/conftest.py,
+not in the package.
 """
 
 from __future__ import annotations
@@ -125,23 +128,32 @@ def bandwidth_exact(g: Graph, max_n=None):
     masks = g.adjacency_masks()
     full = (1 << g.n) - 1
 
-    def extend(order, done, k):
-        if done == full:
-            return True
-        p = len(order)
-        leaving = masks[order[p - k]] & ~done if 0 < k <= p else 0
-        if leaving & (leaving - 1):     # two unplaced neighbours, one position
-            return False
-        for v in bits(leaving or full & ~done):
-            order.append(v)
-            if extend(order, done | 1 << v, k):
-                return True
-            order.pop()
-        return False
+    def place(k):
+        """The first ordering in the search of bandwidth <= k, or None."""
+        order = []
+        done = 0
+        todo = []           # todo[p]: the untried vertices for position p
+        while done != full:
+            p = len(order)
+            if len(todo) == p:
+                leaving = masks[order[p - k]] & ~done if 0 < k <= p else 0
+                # two unplaced neighbours of the leaving vertex, one position
+                todo.append(0 if leaving & (leaving - 1) else leaving or full & ~done)
+            cand = todo[p]
+            if cand:
+                b = cand & -cand
+                todo[p] = cand ^ b
+                order.append(b.bit_length() - 1)
+                done |= b
+            elif p:
+                todo.pop()
+                done ^= 1 << order.pop()
+            else:
+                return None
+        return order
 
     k = max(((m.bit_count() + 1) // 2 for m in masks), default=0)
-    order = []
-    while not extend(order, 0, k):      # k = n - 1 always succeeds
+    while (order := place(k)) is None:      # k = n - 1 always succeeds
         k += 1
     return k, order
 
@@ -187,21 +199,13 @@ def treedepth_exact(g: Graph, max_n=None):
 
 def longest_path_order(g: Graph) -> int:
     """Number of vertices of a longest path (DFS over simple paths)."""
-    if g.n == 0:
-        return 0
     masks = g.adjacency_masks()
-    best = 1
-
-    def rec(v, visited, length):
-        nonlocal best
-        if length > best:
-            best = length
-        rest = masks[v] & ~visited
-        for w in bits(rest):
-            rec(w, visited | (1 << w), length + 1)
-
-    for v in range(g.n):
-        rec(v, 1 << v, 1)
+    best = 0
+    stack = [(v, 1 << v) for v in range(g.n)]      # (end, vertices) of a path
+    while stack:
+        v, path = stack.pop()
+        best = max(best, path.bit_count())
+        stack += [(w, path | 1 << w) for w in bits(masks[v] & ~path)]
     return best
 
 

@@ -1,15 +1,20 @@
-"""The elimination-ordering DP behind the treewidth, pathwidth and tree-f oracles.
+"""The elimination-ordering DPs behind the treewidth, pathwidth and tree-f oracles.
 
 All three parameters are a minimum over vertex orderings of the largest cost
 of one elimination step (the Q-set recurrence of Bodlaender, Fomin, Koster,
-Kratsch & Thilikos, On exact algorithms for treewidth, ACM TALG 2012).
-elimination_dp fills that minimum for every subset of the vertices, and
-recover_order reads an optimal ordering back out of the table.  An oracle
-supplies only cost(t, v), the cost of eliminating v after the set t:
+Kratsch & Thilikos, On exact algorithms for treewidth, ACM TALG 2012), so the
+table is dp[S] = min over v in S of max(dp[S - v], cost(S - v, v)) for every
+subset S of the vertices, and recover_order reads an optimal ordering back
+out of it.  The cost of eliminating v after the set t is:
 
 - treewidth: |Q(t, v)|, the vertices outside t u {v} that v reaches through t;
-- pathwidth: |N(S) - S| for S = t u {v}, the vertex separation of S;
-- tree-f: f of the elimination bag {v} u Q(t, v) (in prodstruct.exact).
+- tree-f: f of the elimination bag {v} u Q(t, v) (in prodstruct.exact);
+- pathwidth: |N(S) - S| for S = t u {v}, the vertex separation of S.
+
+tw and tree-f fill their tables with elimination_dp.  The pathwidth cost does
+not depend on which v of S is last, so pathwidth_dp fills the same table with
+its own loop over the states, one cost per state:
+dp[S] = max(|N(S) - S|, min over v in S of dp[S - v]).
 
 Graphs are lists of neighbourhood bitmasks and vertex sets are int bitmasks.
 Tables are bytearrays of 2^n entries, so every value must stay below 256.
@@ -29,24 +34,29 @@ def bits(mask: int):
         mask ^= b
 
 
-def component(masks, within: int, v: int) -> int:
-    """The vertices that v reaches through vertices of `within`, v included."""
+def flood(masks, within: int, v: int):
+    """(C, N(C)): the vertices C that v reaches through vertices of `within`,
+    v included, and the union N(C) of their neighbourhoods."""
     comp = frontier = 1 << v
+    reach = 0
     while frontier:
-        reach = 0
-        for w in bits(frontier):
-            reach |= masks[w]
+        while frontier:         # empties this level into reach
+            b = frontier & -frontier
+            frontier ^= b
+            reach |= masks[b.bit_length() - 1]
         frontier = reach & within & ~comp
         comp |= frontier
-    return comp
+    return comp, reach
+
+
+def component(masks, within: int, v: int) -> int:
+    """The vertices that v reaches through vertices of `within`, v included."""
+    return flood(masks, within, v)[0]
 
 
 def q_set(masks, t: int, v: int) -> int:
     """Q(t, v): the vertices outside t u {v} that v reaches through t."""
-    reach = 0
-    for w in bits(component(masks, t, v)):
-        reach |= masks[w]
-    return reach & ~t & ~(1 << v)
+    return flood(masks, t, v)[1] & ~t & ~(1 << v)
 
 
 def elimination_dp(n: int, cost) -> bytearray:
@@ -102,11 +112,25 @@ def pathwidth_dp(masks):
     """The vertex-separation table (dp[full] is pw) and the cost it was filled with."""
     size = 1 << len(masks)
     nb = array("q", [0]) * size          # nb[S] = N(S), the union of S's neighbourhoods
+    dp = bytearray(size)
     for s in range(1, size):
         low = s & -s
-        nb[s] = nb[s ^ low] | masks[low.bit_length() - 1]
+        ns = nb[s] = nb[s ^ low] | masks[low.bit_length() - 1]
+        c = (ns & ~s).bit_count()
+        best = 256
+        rest = s
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            d = dp[s ^ bit]
+            if d <= c:          # max(d, c) is c, the least the state can take
+                best = c
+                break
+            if d < best:
+                best = d
+        dp[s] = best
 
     def cost(t, v):
         s = t | 1 << v
         return (nb[s] & ~s).bit_count()
-    return elimination_dp(len(masks), cost), cost
+    return dp, cost

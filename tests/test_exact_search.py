@@ -9,6 +9,8 @@ second recursion.  Both pairs must give the same values and the same
 witnesses.
 """
 
+import json
+import sys
 from functools import lru_cache
 from math import ceil
 
@@ -16,7 +18,8 @@ import pytest
 
 import prodstruct.constructions as C
 from conftest import random_graph
-from prodstruct.exact import bandwidth_exact, treedepth_exact
+from prodstruct.cli import main
+from prodstruct.exact import bandwidth_exact, longest_path_order, treedepth_exact
 from prodstruct.exact._kernels import bits, component
 from prodstruct.graphs import Graph
 from prodstruct.rng import SplitMix64
@@ -145,3 +148,25 @@ def test_bandwidth_matches_plain_loop(g):
 @pytest.mark.parametrize("g", INSTANCES, ids=lambda g: f"n{g.n}m{g.m}")
 def test_treedepth_matches_plain_loop(g):
     assert treedepth_exact(g) == plain_treedepth(g)
+
+
+# -- no recursion per placed vertex ----------------------------------------
+
+def test_bandwidth_of_a_path_past_the_recursion_limit(tmp_path, capsys):
+    g = C.path(1100)
+    assert bandwidth_exact(g, max_n=1100) == (1, list(range(1100)))
+    p = tmp_path / "p1100.json"
+    p.write_text(g.to_json())
+    assert main(["exact", "bw", str(p), "--max-n", "1100"]) == 0
+    assert json.loads(capsys.readouterr().out)["outputs"]["value"] == 1
+
+
+def test_longest_path_deeper_than_the_recursion_limit():
+    # a path of 400 vertices has 400^2 simple paths, so lower the limit
+    # rather than pay seconds for a path longer than the default limit
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(300)
+    try:
+        assert longest_path_order(C.path(400)) == 400
+    finally:
+        sys.setrecursionlimit(limit)
