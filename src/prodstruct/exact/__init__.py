@@ -3,9 +3,12 @@
 All oracles are exact and return witnesses.  Size caps are module constants
 with per-call overrides; exceeding a cap raises InstanceTooLarge, never
 silently truncates.  tw, pw and tree-f are elimination-ordering subset DPs
-(see _kernels): tw and tree-f share elimination_dp and differ only in the
-cost of an elimination step, and pw fills the same table with its own loop,
-one cost per state, since its step cost does not depend on the vertex
+(the Q-set DP of Bodlaender, Fomin, Koster, Kratsch & Thilikos, ACM TALG
+2012; see _kernels), each searched level by level from the empty set until
+the value of the full set is known: only states of value at most the answer
+are expanded.  tw and tree-f share elimination_dp and differ only in the
+cost of an elimination step; pw searches with its own loop, one cost per
+state, since its step cost does not depend on the vertex
 eliminated.  bw is one branch-and-bound over vertex bitmasks on an explicit
 stack and td one memoized recursion over connected vertex bitmasks, TwIntTw
 enumerates chordal completions, and twtw enumerates ordered pairs of set
@@ -25,8 +28,8 @@ from math import ceil, sqrt
 from ..graphs import Graph, GraphError, VertexPartition, quotient
 from ..decomposition import TreeDecomposition, PathDecomposition
 from ..rng import SplitMix64
-from ._kernels import (bits, component, elimination_dp, pathwidth_dp, q_set,
-                       recover_order, treewidth_dp)
+from ._kernels import (STATE_BYTES, bits, component, elimination_dp, pathwidth_dp,
+                       q_set, recover_order, treewidth_dp)
 
 TW_MAX_N = 16
 PW_MAX_N = 16
@@ -83,7 +86,7 @@ def _elimination_td(g: Graph, order) -> TreeDecomposition:
 
 def treewidth_exact(g: Graph, max_n=None):
     """Exact treewidth with a witness decomposition."""
-    _cap(g, TW_MAX_N, max_n, "treewidth_exact", 1)
+    _cap(g, TW_MAX_N, max_n, "treewidth_exact", STATE_BYTES)
     if g.n == 0:
         return -1, TreeDecomposition(0, [frozenset()], [])
     dp, cost = treewidth_dp(g.adjacency_masks())
@@ -92,7 +95,7 @@ def treewidth_exact(g: Graph, max_n=None):
 
 def _treewidth_value(g: Graph) -> int:
     """Exact treewidth without a witness, for callers that need the value only."""
-    _cap(g, TW_MAX_N, None, "treewidth", 1)
+    _cap(g, TW_MAX_N, None, "treewidth", STATE_BYTES)
     return treewidth_dp(g.adjacency_masks())[0][-1] if g.n else -1
 
 
@@ -100,7 +103,7 @@ def _treewidth_value(g: Graph) -> int:
 
 def pathwidth_exact(g: Graph, max_n=None):
     """Exact pathwidth via the vertex-separation DP, with a witness."""
-    _cap(g, PW_MAX_N, max_n, "pathwidth_exact", 9)   # dp table plus 8-byte N(S) table
+    _cap(g, PW_MAX_N, max_n, "pathwidth_exact", STATE_BYTES)
     if g.n == 0:
         return -1, PathDecomposition(0, [frozenset()])
     masks = g.adjacency_masks()
@@ -232,7 +235,7 @@ def tree_param_exact(g: Graph, f: str, max_n=None):
     """
     if f not in PARAMS:
         raise GraphError(f"unknown or non-hereditary parameter {f!r}")
-    _cap(g, TREEF_MAX_N, max_n, "tree_param_exact", 1)
+    _cap(g, TREEF_MAX_N, max_n, "tree_param_exact", STATE_BYTES)
     if g.n == 0:
         return 0, TreeDecomposition(0, [frozenset()], [])
     masks = g.adjacency_masks()

@@ -11,19 +11,33 @@ out of it.  The cost of eliminating v after the set t is:
 - tree-f: f of the elimination bag {v} u Q(t, v) (in prodstruct.exact);
 - pathwidth: |N(S) - S| for S = t u {v}, the vertex separation of S.
 
-tw and tree-f fill their tables with elimination_dp.  The pathwidth cost does
-not depend on which v of S is last, so pathwidth_dp fills the same table with
-its own loop over the states, one cost per state:
-dp[S] = max(|N(S) - S|, min over v in S of dp[S - v]).
+Only states of value at most dp[full] can lie on an optimal ordering (TALG
+2012 prunes the DP to the sets below an upper bound the same way).  So the
+tables are not filled in full but searched level by level from the empty set:
+level k expands the states of value exactly k, and the search stops once
+level k is done and dp[full] <= k.  The table contract is then:
+
+- every entry at most dp[full] is exact;
+- every other entry is above dp[full], or 255 if the search never reached it.
+
+recover_order reads only entries at most dp[full], so it gives the ordering a
+full table would.  tw and tree-f search with elimination_dp.  The pathwidth
+cost does not depend on which v of S is last, so a state's value
+max(|N(S) - S|, min over v in S of dp[S - v]) is final when the search first
+reaches it, and pathwidth_dp runs its own loop with one cost per state.
 
 Graphs are lists of neighbourhood bitmasks and vertex sets are int bitmasks.
-Tables are bytearrays of 2^n entries, so every value must stay below 256.
+Tables are bytearrays of 2^n entries, and each search queues at most one
+8-byte array('q') entry per state; every value must stay below 255.
 """
 
 from array import array
 
 # There is one kernel path, plain Python; benchmark reports still name it.
 USE_NUMBA = False
+# bytes a search may hold per state: the 1-byte table entry and at most one
+# 8-byte array('q') queue entry
+STATE_BYTES = 9
 
 
 def bits(mask: int):
@@ -60,32 +74,51 @@ def q_set(masks, t: int, v: int) -> int:
 
 
 def elimination_dp(n: int, cost) -> bytearray:
-    """dp[S] = min over v in S of max(dp[S - v], cost(S - v, v)), dp[empty] = 0."""
-    dp = bytearray(1 << n)
-    for s in range(1, 1 << n):
-        best = 256
-        rest = s
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            t = s ^ bit
-            d = dp[t]
-            if d >= best:       # max(d, cost) >= best: v cannot lower the minimum
-                continue
-            c = cost(t, bit.bit_length() - 1)
-            if c > d:
-                d = c
-            if d < best:
-                best = d
-        dp[s] = best
-    return dp
+    """The Q-set table, searched level by level up to dp[full].
+
+    Level k expands the states of value exactly k: from S, each v outside S
+    offers dp[S | v] the value max(k, cost(S, v)).  A state that drops to k
+    joins the level's stack, so no state is pushed twice.  The search stops
+    once level k is done and dp[full] <= k.  Every entry at most dp[full] is
+    then exact; every other one is above it, or 255 if never reached.
+    """
+    full = (1 << n) - 1
+    dp = bytearray(b"\xff") * (full + 1)
+    dp[0] = 0
+    stack = array("q")
+    for k in range(255):        # costs can reach n (td of a clique bag)
+        s = dp.find(k)
+        while s >= 0:
+            stack.append(s)
+            s = dp.find(k, s + 1)
+        while stack:
+            s = stack.pop()
+            rest = full ^ s
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                u = s | bit
+                d = dp[u]
+                if d <= k:
+                    continue
+                c = cost(s, bit.bit_length() - 1)
+                if c <= k:
+                    dp[u] = k
+                    stack.append(u)
+                elif c < d:
+                    dp[u] = c
+        if dp[full] <= k:
+            return dp
+    raise ValueError("elimination costs must stay below 255")
 
 
 def recover_order(dp: bytearray, cost) -> list:
     """An elimination ordering attaining dp[full], first-eliminated first.
 
     Walking down from the full set, the last vertex of S is the first v in
-    ascending order with max(dp[S - v], cost(S - v, v)) == dp[S].
+    ascending order with max(dp[S - v], cost(S - v, v)) == dp[S].  Only
+    entries at most dp[full] are read, so a table searched up to dp[full]
+    gives the same ordering as a full one.
     """
     s = len(dp) - 1
     order = []
@@ -97,40 +130,57 @@ def recover_order(dp: bytearray, cost) -> list:
                 order.append(v)
                 s = t
                 break
+        else:
+            raise AssertionError(f"no vertex of state {s:#x} attains dp = {dp[s]}")
     order.reverse()
     return order
 
 
 def treewidth_dp(masks):
-    """The treewidth table (dp[full] is tw) and the cost it was filled with."""
+    """The treewidth table (dp[full] is tw) and the cost it was searched with."""
     def cost(t, v):
         return q_set(masks, t, v).bit_count()
     return elimination_dp(len(masks), cost), cost
 
 
 def pathwidth_dp(masks):
-    """The vertex-separation table (dp[full] is pw) and the cost it was filled with."""
-    size = 1 << len(masks)
-    nb = array("q", [0]) * size          # nb[S] = N(S), the union of S's neighbourhoods
-    dp = bytearray(size)
-    for s in range(1, size):
-        low = s & -s
-        ns = nb[s] = nb[s ^ low] | masks[low.bit_length() - 1]
-        c = (ns & ~s).bit_count()
-        best = 256
-        rest = s
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            d = dp[s ^ bit]
-            if d <= c:          # max(d, c) is c, the least the state can take
-                best = c
-                break
-            if d < best:
-                best = d
-        dp[s] = best
+    """The vertex-separation table (dp[full] is pw) and the cost it was searched with.
+
+    The value of S is max(|N(S) - S|, min over v in S of dp[S - v]), so it is
+    final when level k first reaches S: max(|N(S) - S|, k).  Each reached
+    state is queued once, on the level of its value, as N(S) << n | S.
+    """
+    n = len(masks)
+    full = (1 << n) - 1
+    dp = bytearray(b"\xff") * (full + 1)
+    dp[0] = 0
+    levels = [array("q") for _ in range(n + 1)]      # values stay below n
+    levels[0].append(0)
+    for k, level in enumerate(levels):
+        while level:
+            entry = level.pop()
+            s = entry & full
+            ns = entry >> n
+            rest = full ^ s
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                u = s | bit
+                if dp[u] != 255:        # reached already, at its value
+                    continue
+                nu = ns | masks[bit.bit_length() - 1]
+                c = (nu & ~u).bit_count()
+                if c < k:
+                    c = k
+                dp[u] = c
+                levels[c].append(nu << n | u)
+        if dp[full] <= k:
+            break
 
     def cost(t, v):
         s = t | 1 << v
-        return (nb[s] & ~s).bit_count()
+        ns = 0
+        for w in bits(s):
+            ns |= masks[w]
+        return (ns & ~s).bit_count()
     return dp, cost

@@ -257,12 +257,14 @@ def test_mixing_report_shape():
 
 
 def test_table_budget_refuses_before_allocating():
-    # 9 * 2^30 and 2^40 bytes are over TABLE_BUDGET_BYTES: refused at once
+    # 9 * 2^27 bytes and more are over TABLE_BUDGET_BYTES: refused at once
     from prodstruct.exact import TABLE_BUDGET_BYTES
     assert TABLE_BUDGET_BYTES == 1 << 30
     with pytest.raises(InstanceTooLarge, match="DP table"):
         pathwidth_exact(path(30), max_n=30)
     with pytest.raises(InstanceTooLarge, match="DP table"):
         treewidth_exact(path(40), max_n=40)
+    with pytest.raises(InstanceTooLarge, match="DP table"):
+        treewidth_exact(path(27), max_n=27)
     with pytest.raises(InstanceTooLarge, match="DP table"):
         tree_param_exact(path(31), "maxdeg", max_n=31)

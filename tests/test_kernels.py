@@ -1,11 +1,13 @@
-"""The elimination kernels against copies of their earlier loops.
+"""The elimination kernels against copies of their earlier full-table loops.
 
-q_set grows the component and unions its neighbourhoods in one flood fill,
-and pathwidth_dp fills its table with one separation cost per state.  The
-references below are the earlier forms: a component walk followed by a second
-walk over the component, and the pathwidth table filled by elimination_dp
-with one cost per (state, vertex) pair.  Tables must be byte-identical and
-recover_order must read the same orderings out of them.
+elimination_dp and pathwidth_dp search their tables level by level and stop
+once dp[full] is known; q_set grows the component and unions its
+neighbourhoods in one flood fill.  The references below are the earlier
+forms: elimination_dp filling all 2^n states, a component walk followed by a
+second walk over the component, and the pathwidth table filled by that full
+DP with one cost per (state, vertex) pair.  The searched table must hold the
+same dp[full], the same value at every entry at most dp[full] and a larger
+one everywhere else, and recover_order must read the same ordering out of it.
 """
 
 from array import array
@@ -24,6 +26,27 @@ from prodstruct.rng import SplitMix64
 
 
 # -- reference kernels: the earlier loops ----------------------------------
+
+def full_elimination_dp(n, cost):
+    dp = bytearray(1 << n)
+    for s in range(1, 1 << n):
+        best = 256
+        rest = s
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            t = s ^ bit
+            d = dp[t]
+            if d >= best:
+                continue
+            c = cost(t, bit.bit_length() - 1)
+            if c > d:
+                d = c
+            if d < best:
+                best = d
+        dp[s] = best
+    return dp
+
 
 def plain_component(masks, within, v):
     comp = frontier = 1 << v
@@ -46,7 +69,7 @@ def plain_q_set(masks, t, v):
 def plain_treewidth_dp(masks):
     def cost(t, v):
         return plain_q_set(masks, t, v).bit_count()
-    return elimination_dp(len(masks), cost), cost
+    return full_elimination_dp(len(masks), cost), cost
 
 
 def plain_pathwidth_dp(masks):
@@ -59,7 +82,20 @@ def plain_pathwidth_dp(masks):
     def cost(t, v):
         s = t | 1 << v
         return (nb[s] & ~s).bit_count()
-    return elimination_dp(len(masks), cost), cost
+    return full_elimination_dp(len(masks), cost), cost
+
+
+def tree_f_cost(g, f):
+    """tree_param_exact's step cost: f of the elimination bag, memoized."""
+    masks = g.adjacency_masks()
+    memo = {}
+
+    def cost(t, v):
+        bag = 1 << v | q_set(masks, t, v)
+        if bag not in memo:
+            memo[bag] = X.PARAMS[f](g.subgraph(bits(bag))[0])
+        return memo[bag]
+    return cost
 
 
 # -- instances -------------------------------------------------------------
@@ -90,11 +126,20 @@ def seeded_graphs():
 SMALL = seeded_graphs()
 
 
-def assert_same_kernel(new, old, masks):
-    dp, cost = new(masks)
-    ref_dp, ref_cost = old(masks)
-    assert bytes(dp) == bytes(ref_dp)
+def assert_same_search(dp, cost, ref_dp, ref_cost):
+    """dp is the searched table, ref_dp the full one."""
+    top = ref_dp[-1]
+    assert len(dp) == len(ref_dp) and dp[-1] == top
+    for s, (d, ref) in enumerate(zip(dp, ref_dp)):
+        if ref <= top:
+            assert d == ref, f"state {s:#x}: {d} != {ref}"
+        else:
+            assert d > top, f"state {s:#x}: {d} <= dp[full] = {top}"
     assert recover_order(dp, cost) == recover_order(ref_dp, ref_cost)
+
+
+def assert_same_kernel(new, old, masks):
+    assert_same_search(*new(masks), *old(masks))
 
 
 # -- the tests -------------------------------------------------------------
@@ -142,3 +187,36 @@ def test_only_tw_and_tree_f_run_the_shared_dp(monkeypatch):
     assert len(calls) == 1
     tree_param_exact(g, "maxdeg")
     assert len(calls) == 2
+
+
+# seeded graphs with n <= 7 and a clique: td and longest-path of a clique bag
+# cost n, so the search must run past level n - 1
+TREE_F = [g for g in SMALL if g.n <= 7] + [C.complete(6)]
+
+
+@pytest.mark.parametrize("f", X.PARAMS)
+def test_tree_f_search_matches_full_table(f):
+    for g in TREE_F:
+        cost = tree_f_cost(g, f)
+        assert_same_search(elimination_dp(g.n, cost), cost,
+                           full_elimination_dp(g.n, cost), cost)
+
+
+def test_recover_order_refuses_an_unreachable_value():
+    # dp[full] = 3, but every step costs 0 from dp[t] <= 1: nothing attains 3
+    dp = bytearray([0, 1, 1, 3])
+    with pytest.raises(AssertionError, match="attains"):
+        recover_order(dp, lambda t, v: 0)
+
+
+def test_search_on_a_path_stops_at_its_treewidth():
+    # the full table made 1.05 M cost calls here, one per state, for tw = 1
+    masks = C.path(20).adjacency_masks()
+    calls = 0
+
+    def cost(t, v):
+        nonlocal calls
+        calls += 1
+        return q_set(masks, t, v).bit_count()
+    assert elimination_dp(20, cost)[-1] == 1
+    assert calls <= 20 ** 3
