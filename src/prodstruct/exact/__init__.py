@@ -1,27 +1,28 @@
 """Desk-scale exact oracles for the width parameters.
 
 All oracles are exact and return witnesses.  Size caps are module constants
-with per-call overrides; exceeding a cap raises InstanceTooLarge, never
-silently truncates.  tw, pw and tree-f are elimination-ordering subset DPs
-(the Q-set DP of Bodlaender, Fomin, Koster, Kratsch & Thilikos, ACM TALG
-2012; see _kernels), each searched level by level from the empty set until
-the value of the full set is known: only states of value at most the answer
-are expanded.  tw and tree-f share elimination_dp and differ only in the
-cost of an elimination step; pw searches with its own loop, one cost per
-state, since its step cost does not depend on the vertex
-eliminated.  bw is one branch-and-bound over vertex bitmasks on an explicit
-stack and td one memoized recursion over connected vertex bitmasks, TwIntTw
-enumerates chordal completions, and twtw enumerates ordered pairs of set
-partitions.  Where an oracle nests many small computations (elimination bags
-in TwIntTw, quotient treewidths in twtw) it memoizes them in a dict local to
-the call, so nothing is cached from one call to the next.  The brute-force
-references these oracles are cross-checked against live in tests/conftest.py,
-not in the package.
+with per-call overrides; exceeding a cap, or a table over TABLE_BUDGET_BYTES,
+raises InstanceTooLarge, never silently truncates.  tw, pw and tree-f are
+elimination-ordering subset DPs (the Q-set DP of Bodlaender, Fomin, Koster,
+Kratsch & Thilikos, ACM TALG 2012; see _kernels), each searched level by
+level from the empty set until the value of the full set is known: only
+states of value at most the answer are expanded.  tw and tree-f share
+elimination_dp and differ only in the cost of an elimination step; pw
+searches with its own loop, one cost per state, since its step cost does not
+depend on the vertex eliminated.  bw is one branch-and-bound over vertex
+bitmasks on an explicit stack, and td one table over all vertex subsets,
+filled bottom-up.  TwIntTw enumerates chordal completions by a depth-first
+walk over ordering prefixes that expands each (prefix set, maximal bags)
+state once, and twtw enumerates ordered pairs of set partitions, asking of
+each distinct quotient only "tw <= k?" at level k.  Where an oracle nests
+many small computations (elimination bags in TwIntTw, quotient treewidth
+searches in twtw) it keeps them in locals of the call, so nothing is cached
+from one call to the next.  The brute-force references these oracles are
+cross-checked against live in tests/conftest.py, not in the package.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from math import ceil, sqrt
 
@@ -164,9 +165,34 @@ def bandwidth_exact(g: Graph, max_n=None):
 # -- treedepth -----------------------------------------------------------
 
 def treedepth_exact(g: Graph, max_n=None):
-    """Exact treedepth with an elimination-forest witness (parent array)."""
-    _cap(g, TD_MAX_N, max_n, "treedepth_exact")
+    """Exact treedepth with an elimination-forest witness (parent array).
+
+    One table over all 2^n vertex sets, filled in increasing numeric order,
+    so that every subset of S comes before S.  Let C be the component of S's
+    lowest vertex.  If C != S, td[S] = max(td[C], td[S - C]); otherwise
+    td[S] = 1 + min over v of td[S - v], and root[S] is the least v that
+    attains it.  The witness walks down from the components of the full set,
+    each component hanging from the root of the set it split from.
+    """
+    _cap(g, TD_MAX_N, max_n, "treedepth_exact", 2)      # td and root: 1 byte each
     masks = g.adjacency_masks()
+    size = 1 << g.n
+    td = bytearray(size)
+    root = bytearray(size)
+    for s in range(1, size):
+        comp = component(masks, s, (s & -s).bit_length() - 1)
+        if comp != s:
+            td[s] = max(td[comp], td[s ^ comp])
+            continue
+        best = 255
+        rest = s
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            if td[s ^ b] < best:
+                best, first = td[s ^ b], b
+        td[s] = best + 1
+        root[s] = first.bit_length() - 1
 
     def comps(mask):
         out = []
@@ -177,25 +203,14 @@ def treedepth_exact(g: Graph, max_n=None):
             rest &= ~comp
         return out
 
-    @lru_cache(maxsize=None)
-    def depth(mask):
-        """Treedepth of any vertex set: the deepest of its components."""
-        return max((solve(c)[0] for c in comps(mask)), default=0)
-
-    @lru_cache(maxsize=None)
-    def solve(mask):
-        """(treedepth, least optimal root) of a connected vertex set."""
-        return min((1 + depth(mask ^ 1 << v), v) for v in bits(mask))
-
-    full = (1 << g.n) - 1
     parent = [-1] * g.n
-    stack = [(c, -1) for c in comps(full)]
+    stack = [(c, -1) for c in comps(size - 1)]
     while stack:
         mask, par = stack.pop()
-        root = solve(mask)[1]
-        parent[root] = par
-        stack += [(c, root) for c in comps(mask ^ 1 << root)]
-    return depth(full), parent
+        r = root[mask]
+        parent[r] = par
+        stack += [(c, r) for c in comps(mask ^ 1 << r)]
+    return td[-1], parent
 
 
 # -- hereditary bag parameters and tree-f --------------------------------
@@ -292,32 +307,50 @@ def max_clique_order(g: Graph) -> int:
 def _completions(g: Graph):
     """Distinct chordal completions, keyed by maximal elimination bags.
 
-    Returns a list of (maximal_bag_masks, representative_order).  A bag
+    Returns a list of (maximal_bag_masks, representative_order), the order
+    being the first in lexicographic order with those maximal bags.  A bag
     {v} u Q(prefix, v) depends on the prefix set only, so each is computed
-    once per call: at most n 2^(n-1) bags for the n! orderings.  A bag can
-    lie only inside an earlier one, since later bags miss its vertex v and
-    earlier ones hold their own vertex, which is in the prefix.
+    once per call: at most n 2^(n-1) bags.  A bag can lie only inside an
+    earlier one, since later bags miss its vertex v and earlier ones hold
+    their own vertex, which is in the prefix.
+
+    The orderings are walked depth-first in lexicographic order, and a state
+    (prefix set, maximal bags so far) is expanded only the first time it is
+    met.  That loses nothing: the later bags depend on the prefix set alone,
+    and a bag inside an earlier non-maximal bag is inside a maximal one, so
+    a repeated state yields the same maximal bags as its first visit, whose
+    orderings come first.  A state is packed into one int, the maximal bags
+    as a bitset over bag masks above the n prefix bits.
     """
     n = g.n
+    full = (1 << n) - 1
     masks = g.adjacency_masks()
     bag_of = {}         # prefix * n + v -> {v} u Q(prefix, v)
-    seen = {}
-    for order in itertools.permutations(range(n)):
-        bags = []
-        maximal = []
-        prefix = 0
-        for v in order:
+    seen = {}           # maximal bags -> the first ordering with them
+    walked = set()      # states expanded, packed
+    stack = [(0, 0, ())]            # (prefix set, maximal bags bitset, order)
+    while stack:
+        prefix, maximal, order = stack.pop()
+        if prefix == full:
+            key = tuple(bits(maximal))
+            if key not in seen:
+                seen[key] = order
+            continue
+        state = maximal << n | prefix
+        if state in walked:
+            continue
+        walked.add(state)
+        rest = full ^ prefix
+        while rest:         # highest vertex first, so the lowest pops first
+            v = rest.bit_length() - 1
+            rest ^= 1 << v
             key = prefix * n + v
             bag = bag_of.get(key)
             if bag is None:
                 bag = bag_of[key] = 1 << v | q_set(masks, prefix, v)
-            if not any(bag | o == o for o in bags):
-                maximal.append(bag)
-            bags.append(bag)
-            prefix |= 1 << v
-        maximal = tuple(sorted(maximal))
-        if maximal not in seen:
-            seen[maximal] = order
+            inside = any(bag | o == o for o in bits(maximal))
+            stack.append((prefix | 1 << v, maximal if inside else maximal | 1 << bag,
+                          order + (v,)))
     return [(list(k), v) for k, v in sorted(seen.items())]
 
 
@@ -385,9 +418,12 @@ def twtw_exact(g: Graph, c: int = 1, max_n=None):
     vertex partitions with part intersections <= c; the factors may be taken
     as the quotients themselves (supergraph factors only raise treewidth).
 
-    Partitions are walked as label strings, and a quotient's treewidth is
-    computed once per distinct quotient (as adjacency masks) within the call.
-    Only the returned pair is built as partitions and quotient graphs.
+    Partitions are walked as label strings, and each distinct quotient (as
+    adjacency masks) gets one treewidth search within the call.  Level k only
+    asks "tw(quotient) <= k?": it advances every undecided search by one
+    level, and a quotient decided there joins the pool of level k.  Searches
+    of quotients above the answer never run past it.  Only the returned pair
+    is built as partitions and quotient graphs.
     """
     if c < 1:
         raise GraphError("need c >= 1")
@@ -395,8 +431,9 @@ def twtw_exact(g: Graph, c: int = 1, max_n=None):
     if g.n == 0:
         return 0, None
     edges = g.edges()
-    tw_of = {}          # quotient adjacency masks -> treewidth
-    cands = []
+    quotients = {}      # quotient adjacency masks -> index
+    searches = []       # per quotient, its tw search until tw is known
+    cands = []          # (quotient index, labels, nparts) in partition order
     for labels, nparts in _growth_labels(g.n):
         masks = [0] * nparts
         for u, v in edges:
@@ -405,11 +442,12 @@ def twtw_exact(g: Graph, c: int = 1, max_n=None):
                 masks[a] |= 1 << b
                 masks[b] |= 1 << a
         key = tuple(masks)
-        tw = tw_of.get(key)
-        if tw is None:
-            tw = tw_of[key] = treewidth_dp(masks)[0][-1]
-        cands.append((tw, labels, nparts))
-    cands.sort(key=lambda t: t[0])
+        q = quotients.get(key)
+        if q is None:
+            q = quotients[key] = len(searches)
+            searches.append(treewidth_dp(masks, levels=True)[0])
+        cands.append((q, labels, nparts))
+    tw = [None] * len(searches)
 
     def compatible(a, b) -> bool:
         # |x & y| for parts x of a and y of b is the number of vertices labelled (x, y)
@@ -420,10 +458,18 @@ def twtw_exact(g: Graph, c: int = 1, max_n=None):
                 return False
         return True
 
-    for k in range(cands[-1][0] + 1):
-        pool = [t for t in cands if t[0] <= k]
+    # the pool at level k holds the partitions of quotient tw <= k, by tw and
+    # then in partition order; every pair of the pool at level k - 1 failed
+    pool = []
+    for k in range(g.n):
+        for q, search in enumerate(searches):
+            if search is not None and next(search)[-1] <= k:
+                tw[q] = k
+                searches[q] = None
+        old = len(pool)
+        pool += [t for t in cands if tw[t[0]] == k]
         for i, a in enumerate(pool):
-            for b in pool[i:]:
+            for b in pool[max(i, old):]:
                 if compatible(a[1], b[1]):
                     p1, p2 = (_partition(g.n, *x[1:]) for x in (a, b))
                     return k, (p1, p2, quotient(g, p1), quotient(g, p2))

@@ -21,10 +21,14 @@ level k is done and dp[full] <= k.  The table contract is then:
 - every other entry is above dp[full], or 255 if the search never reached it.
 
 recover_order reads only entries at most dp[full], so it gives the ordering a
-full table would.  tw and tree-f search with elimination_dp.  The pathwidth
-cost does not depend on which v of S is last, so a state's value
-max(|N(S) - S|, min over v in S of dp[S - v]) is final when the search first
-reaches it, and pathwidth_dp runs its own loop with one cost per state.
+full table would.  tw and tree-f search with elimination_levels, a generator
+of the table after each level: elimination_dp runs it to the end, and
+treewidth_dp(masks, levels=True) hands it out unstarted, so that a caller
+asking only "tw <= k?" (twtw, of each quotient) advances it one level per k
+and drops it once the answer is known.  The pathwidth cost does not depend
+on which v of S is last, so a state's value max(|N(S) - S|, min over v in S
+of dp[S - v]) is final when the search first reaches it, and pathwidth_dp
+runs its own loop with one cost per state.
 
 Graphs are lists of neighbourhood bitmasks and vertex sets are int bitmasks.
 Tables are bytearrays of 2^n entries, and each search queues at most one
@@ -73,14 +77,15 @@ def q_set(masks, t: int, v: int) -> int:
     return flood(masks, t, v)[1] & ~t & ~(1 << v)
 
 
-def elimination_dp(n: int, cost) -> bytearray:
-    """The Q-set table, searched level by level up to dp[full].
+def elimination_levels(n: int, cost):
+    """The Q-set search, one level at a time: yields the table after each level.
 
     Level k expands the states of value exactly k: from S, each v outside S
     offers dp[S | v] the value max(k, cost(S, v)).  A state that drops to k
-    joins the level's stack, so no state is pushed twice.  The search stops
-    once level k is done and dp[full] <= k.  Every entry at most dp[full] is
-    then exact; every other one is above it, or 255 if never reached.
+    joins the level's stack, so no state is pushed twice.  After level k
+    every entry at most k is exact, so dp[full] <= k iff the answer is at
+    most k, and the search ends with that level.  Between levels the table
+    is all the search holds.
     """
     full = (1 << n) - 1
     dp = bytearray(b"\xff") * (full + 1)
@@ -107,9 +112,21 @@ def elimination_dp(n: int, cost) -> bytearray:
                     stack.append(u)
                 elif c < d:
                     dp[u] = c
+        yield dp
         if dp[full] <= k:
-            return dp
+            return
     raise ValueError("elimination costs must stay below 255")
+
+
+def elimination_dp(n: int, cost) -> bytearray:
+    """The Q-set table, searched level by level up to dp[full].
+
+    Every entry at most dp[full] is then exact; every other one is above
+    it, or 255 if never reached.
+    """
+    for dp in elimination_levels(n, cost):
+        pass
+    return dp
 
 
 def recover_order(dp: bytearray, cost) -> list:
@@ -136,11 +153,17 @@ def recover_order(dp: bytearray, cost) -> list:
     return order
 
 
-def treewidth_dp(masks):
-    """The treewidth table (dp[full] is tw) and the cost it was searched with."""
+def treewidth_dp(masks, levels=False):
+    """The treewidth table (dp[full] is tw) and the cost it was searched with.
+
+    With levels=True the search comes back unstarted in place of the table,
+    as an elimination_levels generator, for a caller that asks only
+    "tw <= k?" and advances it one level per k.
+    """
     def cost(t, v):
         return q_set(masks, t, v).bit_count()
-    return elimination_dp(len(masks), cost), cost
+    n = len(masks)
+    return (elimination_levels if levels else elimination_dp)(n, cost), cost
 
 
 def pathwidth_dp(masks):

@@ -1,11 +1,16 @@
+import contextlib
 import hashlib
+import io
+import itertools
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import prodstruct.cli as cli
 import prodstruct.decomposition
@@ -458,3 +463,34 @@ def test_report_hashes_json_payload_inputs(tmp_path, capsys):
     assert code == 0
     assert sorted(rep["inputs"]) == sorted(map(str, (g, td, pairs)))
     assert rep["inputs"][str(pairs)] == hashlib.sha256(pairs.read_bytes()).hexdigest()
+
+
+# -- no internal error on tiny legal input ----------------------------------
+
+# fixed examples, so the property costs the same few seconds on every run
+settings.register_profile("tiny-exact", max_examples=300, deadline=None,
+                          derandomize=True, database=None)
+
+
+@st.composite
+def tiny_graphs(draw):
+    n = draw(st.integers(0, 6))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(n, edges)
+
+
+@settings(settings.get_profile("tiny-exact"))
+@given(g=tiny_graphs(), kind=st.sampled_from(sorted(cli.EXACT)),
+       c=st.integers(-2, 9), max_n=st.one_of(st.none(), st.integers(-3, 40)))
+def test_exact_never_exits_3_on_tiny_input(g, kind, c, max_n):
+    # every oracle, odd --c and --max-n values included: 0, 1 or 2, never a bug
+    with tempfile.TemporaryDirectory() as d:
+        p = os.path.join(d, "g.json")
+        pathlib.Path(p).write_text(g.to_json())
+        argv = ["exact", kind, p, "--c", str(c)]
+        if max_n is not None:
+            argv += ["--max-n", str(max_n)]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(argv)
+    assert code in (0, 1, 2), (argv, out.getvalue())

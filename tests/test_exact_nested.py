@@ -1,10 +1,12 @@
 """The nested oracles twtw and TwIntTw against copies of their plain loops.
 
-twtw_exact memoizes quotient treewidths and _completions memoizes elimination
-bags, each within one call.  The reference oracles below are the loops without
-either memo, building every partition, quotient and decomposition; both must
-give the same values and the same witnesses, and the memoized ones must do
-bounded work.
+twtw_exact runs one treewidth search per distinct quotient and advances it
+one level per level of its own, asking only "tw <= k?"; _completions walks
+the orderings depth-first, computes each elimination bag once and expands
+each (prefix, maximal bags) state once, all within one call.  The reference
+oracles below are the loops without any of that, building every partition,
+quotient, ordering and decomposition; both must give the same values and the
+same witnesses, and the fast ones must do bounded work.
 """
 
 import itertools
@@ -12,6 +14,7 @@ import itertools
 import pytest
 
 import prodstruct.exact as X
+import prodstruct.exact._kernels as K
 from conftest import random_graph
 from prodstruct.constructions import (complete_multipartite, cycle, grid2, path,
                                       stacked_triangulation)
@@ -100,6 +103,9 @@ TWTW_GRAPHS = ([grid2(2, 4), path(7), complete_multipartite([2, 2, 2]), cycle(6)
 TWINTW_GRAPHS = ([complete_multipartite([2, 2, 2]), cycle(7),
                   stacked_triangulation(7, 3).graph]
                  + random_instances((4, 5, 6, 7), 2))
+# seeded graphs with n <= 7, sparse to dense
+SEEDED = [random_graph(rng, n, num, 4) for rng in [SplitMix64(7)]
+          for num in (1, 2, 3) for n in range(1, 8)]
 
 
 def snapshot(w):
@@ -132,16 +138,32 @@ def test_completions_and_twintw_match_the_plain_loop(i):
         assert (td.bags, td.tree_edges) == (ref.bags, ref.tree_edges)
 
 
+@pytest.mark.parametrize("c", [1, 2])
+@pytest.mark.parametrize("i", range(len(SEEDED)))
+def test_twtw_matches_the_plain_loop_on_seeded_graphs(i, c):
+    g = SEEDED[i]
+    value, witness = twtw_exact(g, c)
+    ref_value, ref_witness = plain_twtw(g, c)
+    assert value == ref_value
+    assert snapshot(witness) == snapshot(ref_witness)
+
+
+@pytest.mark.parametrize("i", range(len(SEEDED)))
+def test_completions_match_the_plain_loop_on_seeded_graphs(i):
+    g = SEEDED[i]
+    assert _completions(g) == plain_completions(g)
+
+
 # -- work bounds ----------------------------------------------------------
 
-def counting(monkeypatch, name):
+def counting(monkeypatch, name, module=X):
     calls = []
-    real = getattr(X, name)
+    real = getattr(module, name)
 
     def counted(*a, **k):
         calls.append(1)
         return real(*a, **k)
-    monkeypatch.setattr(X, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -165,3 +187,19 @@ def test_memo_does_not_outlive_the_call(monkeypatch):
     first = len(calls)
     twtw_exact(path(5))
     assert len(calls) == 2 * first
+
+
+def test_twtw_searches_no_quotient_past_the_answer(monkeypatch):
+    # computing every quotient's exact treewidth took 19,378 Q-sets on grid 2x4;
+    # the answer is 1, so each search stops after its level 1
+    calls = counting(monkeypatch, "q_set", K)
+    assert twtw_exact(grid2(2, 4))[0] == 1
+    assert 0 < len(calls) <= 4000
+
+
+def test_completions_expand_each_state_once(monkeypatch):
+    # every permutation of cycle(7) would be 7! * 7 elimination steps; each
+    # expanded step walks the maximal bags once with bits
+    calls = counting(monkeypatch, "bits")
+    _completions(cycle(7))
+    assert 0 < len(calls) <= 7 * 5040 // 10

@@ -1,12 +1,12 @@
 """The bandwidth and treedepth searches against copies of their earlier loops.
 
 bandwidth_exact places vertices over adjacency bitmasks with one window rule,
-and treedepth_exact memoizes one recursion over connected vertex sets.  The
-reference oracles below are the earlier forms: a branch-and-bound over
-adjacency sets and a position dict that also checks every placed neighbour,
-and a recursion that splits components itself and rebuilds the witness in a
-second recursion.  Both pairs must give the same values and the same
-witnesses.
+and treedepth_exact fills one table over all vertex subsets in increasing
+numeric order.  The reference oracles below are the earlier forms: a
+branch-and-bound over adjacency sets and a position dict that also checks
+every placed neighbour, and a memoized recursion that splits components
+itself and rebuilds the witness in a second recursion.  Both pairs must give
+the same values and the same witnesses.
 """
 
 import json
@@ -17,9 +17,11 @@ from math import ceil
 import pytest
 
 import prodstruct.constructions as C
+import prodstruct.exact as X
 from conftest import random_graph
 from prodstruct.cli import main
-from prodstruct.exact import bandwidth_exact, longest_path_order, treedepth_exact
+from prodstruct.exact import (InstanceTooLarge, bandwidth_exact, longest_path_order,
+                              treedepth_exact)
 from prodstruct.exact._kernels import bits, component
 from prodstruct.graphs import Graph
 from prodstruct.rng import SplitMix64
@@ -170,3 +172,29 @@ def test_longest_path_deeper_than_the_recursion_limit():
         assert longest_path_order(C.path(400)) == 400
     finally:
         sys.setrecursionlimit(limit)
+
+
+# -- treedepth: one table entry per subset ---------------------------------
+
+@pytest.mark.parametrize("g", INSTANCES, ids=lambda g: f"n{g.n}m{g.m}")
+def test_treedepth_splits_each_subset_once(g, monkeypatch):
+    # one component per nonempty subset for the table, one per root for the witness
+    calls = []
+    real = X.component
+
+    def counted(*a):
+        calls.append(1)
+        return real(*a)
+    monkeypatch.setattr(X, "component", counted)
+    treedepth_exact(g)
+    assert len(calls) <= 2 ** g.n + g.n
+
+
+def test_treedepth_override_is_refused_not_overflowed(tmp_path, capsys):
+    # the table holds 2 bytes per subset, so n = 200 is far over the budget
+    with pytest.raises(InstanceTooLarge, match="DP table"):
+        treedepth_exact(C.path(200), max_n=200)
+    p = tmp_path / "p300.json"
+    p.write_text(C.path(300).to_json())
+    assert main(["exact", "td", str(p), "--max-n", "300"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"].startswith("InstanceTooLarge")
