@@ -403,9 +403,9 @@ def _growth_labels(n: int):
     yield from rec(0, 0)
 
 
-def _partition(n: int, labels, k: int) -> VertexPartition:
-    """The partition of range(n) into the k parts of a growth string."""
-    parts = [[] for _ in range(k)]
+def _partition(n: int, labels) -> VertexPartition:
+    """The partition of range(n) into the parts of a growth string."""
+    parts = [[] for _ in range(max(labels) + 1)]
     for v, p in enumerate(labels):
         parts[p].append(v)
     return VertexPartition(n, parts)
@@ -433,7 +433,8 @@ def twtw_exact(g: Graph, c: int = 1, max_n=None):
     edges = g.edges()
     quotients = {}      # quotient adjacency masks -> index
     searches = []       # per quotient, its tw search until tw is known
-    cands = []          # (quotient index, labels, nparts) in partition order
+    labelings = []      # every partition's labels, in partition order
+    quotient_of = []    # and the index of its quotient
     for labels, nparts in _growth_labels(g.n):
         masks = [0] * nparts
         for u, v in edges:
@@ -445,8 +446,9 @@ def twtw_exact(g: Graph, c: int = 1, max_n=None):
         q = quotients.get(key)
         if q is None:
             q = quotients[key] = len(searches)
-            searches.append(treewidth_dp(masks, levels=True)[0])
-        cands.append((q, labels, nparts))
+            searches.append(treewidth_dp(key, levels=True)[0])
+        labelings.append(labels)
+        quotient_of.append(q)
     tw = [None] * len(searches)
 
     def compatible(a, b) -> bool:
@@ -467,11 +469,11 @@ def twtw_exact(g: Graph, c: int = 1, max_n=None):
                 tw[q] = k
                 searches[q] = None
         old = len(pool)
-        pool += [t for t in cands if tw[t[0]] == k]
+        pool += [labels for labels, q in zip(labelings, quotient_of) if tw[q] == k]
         for i, a in enumerate(pool):
             for b in pool[max(i, old):]:
-                if compatible(a[1], b[1]):
-                    p1, p2 = (_partition(g.n, *x[1:]) for x in (a, b))
+                if compatible(a, b):
+                    p1, p2 = _partition(g.n, a), _partition(g.n, b)
                     return k, (p1, p2, quotient(g, p1), quotient(g, p2))
     raise AssertionError("unreachable: singleton/whole pair is always compatible")
 
