@@ -4,6 +4,9 @@ Every command prints a RunReport JSON on stdout and writes value files with
 -o/--out.  Exit codes: 0 ok / 1 failed / 2 bad input / 3 internal error.
 Bad input is an unreadable or malformed file or option, a failed
 precondition or a size cap; any other exception is a bug in the program.
+main returns the code and never raises SystemExit: a usage error that
+argparse rejects returns 2 with its message on stderr and no report, and
+--help returns 0.
 
 One registry per subcommand maps each kind to its input file kinds and its
 handler, and argparse takes its choices from the registry keys.  Handlers
@@ -474,7 +477,10 @@ def build_parser():
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as ex:    # usage error (2) or --help (0), already printed
+        return ex.code
     try:
         return args.fn(Run(argv, args), args)
     except BAD_INPUT as ex:

@@ -14,15 +14,19 @@ bitmasks on an explicit stack, and td one table over all vertex subsets,
 filled bottom-up.  TwIntTw enumerates chordal completions by a depth-first
 walk over ordering prefixes that expands each (prefix set, maximal bags)
 state once, and twtw enumerates ordered pairs of set partitions, asking of
-each distinct quotient only "tw <= k?" at level k.  Where an oracle nests
-many small computations (elimination bags in TwIntTw, quotient treewidth
-searches in twtw) it keeps them in locals of the call, so nothing is cached
-from one call to the next.  The brute-force references these oracles are
+each distinct quotient only "tw <= k?" at level k.  For k <= 2 that question
+needs no subset search: _tw_at_most answers it by low-degree elimination,
+both for twtw's quotients and for the bag value of tree-tw, and the Q-set
+search runs only for the levels above.  Where an oracle nests many small
+computations (elimination bags in TwIntTw, quotient treewidth questions in
+twtw) it keeps them in locals of the call, so nothing is cached from one
+call to the next.  The brute-force references these oracles are
 cross-checked against live in tests/conftest.py, not in the package.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from math import ceil, sqrt
 
@@ -94,10 +98,59 @@ def treewidth_exact(g: Graph, max_n=None):
     return dp[-1], _elimination_td(g, recover_order(dp, cost))
 
 
+def _tw_at_most(masks, k: int) -> bool:
+    """tw <= k, for k <= 2, by low-degree elimination.
+
+    A graph of treewidth at most k <= 2 has a vertex of degree at most k, and
+    eliminating one (deleting it and joining its neighbours) leaves a minor,
+    so tw <= k iff eliminating vertices of degree <= k, in any order, empties
+    the graph: the edgeless test, the forest test and the series-parallel
+    reductions (Arnborg & Proskurowski, SIAM J. Alg. Disc. Meth. 1986).
+    """
+    adj = list(masks)
+    left = (1 << len(adj)) - 1
+    while left:
+        for v in bits(left):
+            nb = adj[v]
+            if nb.bit_count() <= k:
+                break
+        else:
+            return False
+        left ^= 1 << v
+        for u in bits(nb):
+            adj[u] = (adj[u] | nb) ^ (1 << u | 1 << v)
+    return True
+
+
+def _tw_levels(masks):
+    """Answers "tw <= k?" for k = 0, 1, 2, ... in turn, True from k = tw on.
+
+    _tw_at_most decides levels 0-2.  Above them the Q-set search runs its
+    own levels 0-2 unasked and then one level per k.
+    """
+    k = 0
+    while k < 3 and not _tw_at_most(masks, k):
+        yield False
+        k += 1
+    if k == 3:
+        for k, dp in enumerate(treewidth_dp(masks, levels=True)[0]):
+            if k > 2:
+                yield dp[-1] <= k
+    while True:
+        yield True
+
+
 def _treewidth_value(g: Graph) -> int:
-    """Exact treewidth without a witness, for callers that need the value only."""
+    """Exact treewidth without a witness, for callers that need the value only:
+    the first k <= 2 that _tw_at_most accepts, or else the DP's value."""
     _cap(g, TW_MAX_N, None, "treewidth", STATE_BYTES)
-    return treewidth_dp(g.adjacency_masks())[0][-1] if g.n else -1
+    if not g.n:
+        return -1
+    masks = g.adjacency_masks()
+    for k in range(3):
+        if _tw_at_most(masks, k):
+            return k
+    return treewidth_dp(masks)[0][-1]
 
 
 # -- pathwidth -----------------------------------------------------------
@@ -384,25 +437,6 @@ def twintw_exact(g: Graph, max_n=None):
 
 # -- twtw ----------------------------------------------------------------
 
-def _growth_labels(n: int):
-    """All set partitions of range(n) as restricted growth strings.
-
-    Yields (labels, k) in lexicographic order of labels: vertex v lies in
-    part labels[v], and the k parts are labelled 0..k-1 in order of their
-    least vertex.
-    """
-    labels = [0] * n
-
-    def rec(v, k):
-        if v == n:
-            yield tuple(labels), k
-            return
-        for p in range(k + 1):
-            labels[v] = p
-            yield from rec(v + 1, max(k, p + 1))
-    yield from rec(0, 0)
-
-
 def _partition(n: int, labels) -> VertexPartition:
     """The partition of range(n) into the parts of a growth string."""
     parts = [[] for _ in range(max(labels) + 1)]
@@ -418,62 +452,81 @@ def twtw_exact(g: Graph, c: int = 1, max_n=None):
     vertex partitions with part intersections <= c; the factors may be taken
     as the quotients themselves (supergraph factors only raise treewidth).
 
-    Partitions are walked as label strings, and each distinct quotient (as
-    adjacency masks) gets one treewidth search within the call.  Level k only
-    asks "tw(quotient) <= k?": it advances every undecided search by one
-    level, and a quotient decided there joins the pool of level k.  Searches
-    of quotients above the answer never run past it.  Only the returned pair
-    is built as partitions and quotient graphs.
+    Partitions are walked as restricted growth strings (vertex v in part
+    labels[v], parts numbered in order of their least vertex), depth-first
+    in lexicographic order on an explicit stack that carries each prefix's
+    quotient masks, so vertex v adds its edges to earlier vertices once per
+    prefix.  Each distinct quotient gets one _tw_levels within the call.
+    Level k only asks "tw(quotient) <= k?": it advances every undecided
+    quotient by one level, and a quotient decided there joins the pool of
+    level k.  Levels 0-2 need no subset search, and for c >= 1 every graph
+    with n <= 9 has twtw <= 2 (the rows and the columns of a 3 x 3 grid
+    layout), so the Q-set search runs only under max_n overrides above 9.
+    Only the returned pair is built as partitions and quotient graphs.
     """
     if c < 1:
         raise GraphError("need c >= 1")
     _cap(g, TWTW_MAX_N, max_n, "twtw_exact")
-    if g.n == 0:
+    n = g.n
+    if n == 0:
         return 0, None
-    edges = g.edges()
+    earlier = [list(bits(m & ((1 << v) - 1))) for v, m in enumerate(g.adjacency_masks())]
     quotients = {}      # quotient adjacency masks -> index
-    searches = []       # per quotient, its tw search until tw is known
+    searches = []       # per quotient, its _tw_levels until tw is known
     labelings = []      # every partition's labels, in partition order
     quotient_of = []    # and the index of its quotient
-    for labels, nparts in _growth_labels(g.n):
-        masks = [0] * nparts
-        for u, v in edges:
-            a, b = labels[u], labels[v]
-            if a != b:
-                masks[a] |= 1 << b
-                masks[b] |= 1 << a
-        key = tuple(masks)
-        q = quotients.get(key)
-        if q is None:
-            q = quotients[key] = len(searches)
-            searches.append(treewidth_dp(key, levels=True)[0])
-        labelings.append(labels)
-        quotient_of.append(q)
+    stack = [((), ())]  # (labels of a prefix, its quotient's masks)
+    while stack:
+        labels, masks = stack.pop()
+        v = len(labels)
+        if v == n:
+            q = quotients.get(masks)
+            if q is None:
+                q = quotients[masks] = len(searches)
+                searches.append(_tw_levels(masks))
+            labelings.append(labels)
+            quotient_of.append(q)
+            continue
+        near = 0        # the parts of v's earlier neighbours
+        for u in earlier[v]:
+            near |= 1 << labels[u]
+        near_parts = list(bits(near))
+        for p in range(len(masks), -1, -1):     # highest first, so part 0 pops first
+            bit = 1 << p
+            grown = list(masks) if p < len(masks) else [*masks, 0]
+            for a in near_parts:
+                grown[a] |= bit
+            grown[p] = (grown[p] | near) & ~bit
+            stack.append((labels + (p,), tuple(grown)))
     tw = [None] * len(searches)
 
-    def compatible(a, b) -> bool:
-        # |x & y| for parts x of a and y of b is the number of vertices labelled (x, y)
-        meet = {}
-        for pair in zip(a, b):
-            m = meet[pair] = meet.get(pair, 0) + 1
-            if m > c:
-                return False
-        return True
+    if c == 1:
+        def compatible(a, b) -> bool:
+            # parts x of a and y of b meet in the vertices labelled (x, y)
+            return len(set(zip(a, b))) == n
+    else:
+        def compatible(a, b) -> bool:
+            return max(Counter(zip(a, b)).values()) <= c
 
     # the pool at level k holds the partitions of quotient tw <= k, by tw and
     # then in partition order; every pair of the pool at level k - 1 failed
     pool = []
-    for k in range(g.n):
+    for k in range(n):
         for q, search in enumerate(searches):
-            if search is not None and next(search)[-1] <= k:
+            if search is not None and next(search):
                 tw[q] = k
                 searches[q] = None
         old = len(pool)
-        pool += [labels for labels, q in zip(labelings, quotient_of) if tw[q] == k]
-        for i, a in enumerate(pool):
-            for b in pool[max(i, old):]:
-                if compatible(a, b):
-                    p1, p2 = _partition(g.n, a), _partition(g.n, b)
+        for labels, q in zip(labelings, quotient_of):
+            if tw[q] == k:
+                sizes = Counter(labels).values()
+                pool.append((labels, len(sizes), max(sizes)))
+        for i, (a, na, sa) in enumerate(pool):
+            for b, nb, sb in pool[max(i, old):]:
+                # a part of a meets each of the nb parts of b in at most c
+                # vertices, so it has at most c * nb; and the same for b
+                if sa <= c * nb and sb <= c * na and compatible(a, b):
+                    p1, p2 = _partition(n, a), _partition(n, b)
                     return k, (p1, p2, quotient(g, p1), quotient(g, p2))
     raise AssertionError("unreachable: singleton/whole pair is always compatible")
 

@@ -24,11 +24,12 @@ recover_order reads only entries at most dp[full], so it gives the ordering a
 full table would.  tw and tree-f search with elimination_levels, a generator
 of the table after each level: elimination_dp runs it to the end, and
 treewidth_dp(masks, levels=True) hands it out unstarted, so that a caller
-asking only "tw <= k?" (twtw, of each quotient) advances it one level per k
-and drops it once the answer is known.  The pathwidth cost does not depend
-on which v of S is last, so a state's value max(|N(S) - S|, min over v in S
-of dp[S - v]) is final when the search first reaches it, and pathwidth_dp
-runs its own loop with one cost per state.
+asking only "tw <= k?" (prodstruct.exact._tw_levels, for twtw's quotients
+above level 2) advances it one level per k and drops it once the answer is
+known.  The pathwidth cost does not depend on which v of S is last, so a
+state's value max(|N(S) - S|, min over v in S of dp[S - v]) is final when
+the search first reaches it, and pathwidth_dp runs its own loop with one
+cost per state.
 
 Graphs are lists of neighbourhood bitmasks and vertex sets are int bitmasks.
 Tables are bytearrays of 2^n entries, and each search queues at most one

@@ -69,6 +69,21 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv,code", [
+    (["exact", "nope", "x.json"], 2),
+    (["decomp", "bipartite-star", "g.json", "--side", "-1,1"], 2),
+    (["exact", "tw", "g.json", "--c", "one"], 2),
+    ([], 2),
+    (["--help"], 0),
+    (["exact", "--help"], 0),
+])
+def test_usage_errors_and_help_return_their_exit_code(argv, code, capsys):
+    # argparse's exit status comes back from main; no SystemExit escapes
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert ("usage:" in out) if code == 0 else ("usage:" in err and out == "")
+
+
 def test_check_td_out_of_range_adhesion_fails(tmp_path, capsys):
     """An adhesion set {5, 6} outside the graph is a failed check, not a crash."""
     g = tmp_path / "g.json"
@@ -494,3 +509,158 @@ def test_exact_never_exits_3_on_tiny_input(g, kind, c, max_n):
         with contextlib.redirect_stdout(io.StringIO()) as out:
             code = main(argv)
     assert code in (0, 1, 2), (argv, out.getvalue())
+
+
+# -- no internal error on tiny legal input of every other kind ---------------
+
+settings.register_profile("tiny-cli", max_examples=400, deadline=None,
+                          derandomize=True, database=None)
+
+OTHER_KINDS = ([("check", kind) for kind in cli.CHECK] + [("decomp", kind) for kind in cli.DECOMP]
+               + [("embed", kind) for kind in cli.EMBED] + [("probe", "mixing")])
+
+
+def _members(top):
+    return st.lists(st.integers(0, top), unique=True, max_size=4) if top >= 0 else st.just([])
+
+
+def _csv(n):
+    return st.lists(st.integers(-1, n), max_size=4).map(lambda xs: ",".join(map(str, xs)))
+
+
+def _groups(draw, n):
+    """A partition of range(n) into nonempty groups, in order of first label."""
+    label = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return [[v for v in range(n) if label[v] == x] for x in dict.fromkeys(label)]
+
+
+@st.composite
+def _graph(draw, n):
+    pairs = list(itertools.combinations(range(n), 2))
+    return {"n": n, "edges": draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []}
+
+
+@st.composite
+def _digraph(draw):
+    n = draw(st.integers(0, 3))
+    arcs = list(itertools.permutations(range(n), 2))
+    return {"n": n, "arcs": draw(st.lists(st.sampled_from(arcs), unique=True)) if arcs else []}
+
+
+# Each decomposition, layering or embedding below is half the time one that
+# is valid for any graph on its n vertices, so that the commands also run
+# past their input checks; the other half has any members, n itself out of
+# range.
+
+@st.composite
+def _td(draw, n):
+    nodes = draw(st.integers(1, 4))
+    if draw(st.booleans()):         # a star whose centre holds every vertex
+        return {"host_n": n, "nodes": nodes,
+                "bags": [list(range(n))] + [draw(_members(n - 1)) for _ in range(1, nodes)],
+                "tree_edges": [[0, i] for i in range(1, nodes)]}
+    return {"host_n": n, "nodes": nodes, "bags": [draw(_members(n)) for _ in range(nodes)],
+            "tree_edges": [[draw(st.integers(0, i - 1)), i] for i in range(1, nodes)]}
+
+
+@st.composite
+def _pd(draw, n):
+    if draw(st.booleans()):
+        return {"host_n": n, "bags": [list(range(n))]}
+    return {"host_n": n, "bags": draw(st.lists(_members(n), min_size=1, max_size=4))}
+
+
+@st.composite
+def _layering(draw, n):
+    return {"layers": [list(range(n))] if draw(st.booleans()) else _groups(draw, n)}
+
+
+@st.composite
+def _embedding(draw, n, directed=False):
+    if not directed and draw(st.booleans()):    # g inside g boxtimes K_1 (boxtimes K_c)
+        c = draw(st.none() | st.integers(1, 3))
+        return {"factors": [draw(_graph(n)), {"n": 1, "edges": []}], "c": c,
+                "map": [[v, 0] + ([] if c is None else [0]) for v in range(n)]}
+    if directed:
+        factors = [draw(_digraph()), draw(_digraph())]
+    else:
+        factors = [draw(_graph(draw(st.integers(1, 3)))) for _ in range(2)]
+    a, b = (f["n"] for f in factors)
+    return {"factors": factors, "c": None if directed else draw(st.none() | st.integers(0, 3)),
+            "map": [[draw(st.integers(0, a)), draw(st.integers(0, b))] for _ in range(n)]}
+
+
+@st.composite
+def other_cli_cases(draw):
+    """A tiny legal argv for one CHECK, DECOMP, EMBED or probe kind: its
+    input files as JSON objects, and option values in range or just out."""
+    cmd, kind = draw(st.sampled_from(OTHER_KINDS))
+    opts = []
+
+    def option(flag, values):
+        if draw(st.booleans()):
+            opts.append(f"{flag}={draw(values)}")
+    if cmd == "probe":
+        for flag, lo, hi in (("--n", 4, 10), ("--d", 1, 4), ("--samples", 1, 20)):
+            opts.append(f"{flag}={draw(st.integers(lo, hi) | st.integers(-1, 1))}")
+        opts.append(f"--seed={draw(st.integers(-1, 5))}")
+        return [cmd, kind] + opts, []
+    n = draw(st.integers(0, 6))
+    kinds = {"check": cli.CHECK, "decomp": cli.DECOMP, "embed": cli.EMBED}[cmd][kind][0]
+    files = []
+    bags = sizes = ()
+    for k in kinds:
+        if k == "graph":
+            files.append(draw(_graph(n)))
+        elif k == "digraph":
+            files.append(draw(_digraph()))
+        elif k in ("td", "pd"):
+            host = sizes[len(files) - 2] if sizes else n     # project-product: its factors
+            files.append(draw((_td if k == "td" else _pd)(host)))
+            bags = [len(b) for b in files[-1]["bags"]]
+        elif k == "layering":
+            files.append(draw(_layering(n)))
+        elif k == "triangulation":
+            files.append(json.loads(stacked_triangulation(
+                draw(st.integers(3, 7)), draw(st.integers(0, 3))).to_json()))
+        elif (cmd, kind) == ("embed", "partition-check"):
+            files.append({"parts": _groups(draw, n) if draw(st.booleans())
+                          else draw(st.lists(_members(n), max_size=4))})
+        elif (cmd, kind) in (("decomp", "project-product"), ("check", "embedding")):
+            files.append(draw(_embedding(n)))
+            sizes = [f["n"] for f in files[-1]["factors"]]
+        else:       # one entry per node of the decomposition before it
+            entry = {"glue-directed": lambda m: _embedding(m, directed=True),
+                     "glue-tree-f": _td,
+                     "glue-ortho": lambda m: st.tuples(_td(m), _pd(m))}[kind]
+            files.append([draw(entry(m)) for m in bags])
+    if cmd == "embed":
+        for flag in ("--p", "--q", "--c", "--threshold", "--path-len", "--a", "--h"):
+            option(flag, st.integers(-1, 3))
+        option("--v1", _csv(n))
+        option("--ordering", _csv(n) | st.permutations(range(n)).map(
+            lambda xs: ",".join(map(str, xs))))
+        if draw(st.booleans()):
+            opts.append("--include-apex")
+    elif cmd == "decomp":
+        option("--root", st.integers(-1, n))
+        option("--side", _csv(n))
+    return [cmd, kind] + opts, files
+
+
+@settings(settings.get_profile("tiny-cli"))
+@given(case=other_cli_cases())
+def test_other_commands_never_exit_3_on_tiny_input(case):
+    # every CHECK, DECOMP and EMBED kind and probe mixing: 0, 1 or 2, never a bug
+    argv, files = case
+    with tempfile.TemporaryDirectory() as d:
+        paths = [os.path.join(d, f"in{i}.json") for i in range(len(files))]
+        for p, obj in zip(paths, files):
+            pathlib.Path(p).write_text(json.dumps(obj))
+        argv = argv[:2] + paths + argv[2:]
+        if argv[0] in ("decomp", "embed"):
+            argv += ["-o", os.path.join(d, "out.json")]
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    assert code in (0, 1, 2), (argv, files, out.getvalue())

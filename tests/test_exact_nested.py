@@ -1,7 +1,8 @@
 """The nested oracles twtw and TwIntTw against copies of their plain loops.
 
-twtw_exact runs one treewidth search per distinct quotient and advances it
-one level per level of its own, asking only "tw <= k?"; _completions walks
+twtw_exact asks each distinct quotient "tw <= k?" one level at a time
+(_tw_levels: low-degree elimination for k <= 2, the level search above it),
+building quotient masks along its partition walk; _completions walks
 the orderings depth-first, computes each elimination bag once and expands
 each (prefix, maximal bags) state once, all within one call.  The reference
 oracles below are the loops without any of that, building every partition,
@@ -10,6 +11,7 @@ same witnesses, and the fast ones must do bounded work.
 """
 
 import itertools
+from itertools import islice
 
 import pytest
 
@@ -18,10 +20,10 @@ import prodstruct.exact._kernels as K
 from conftest import random_graph
 from prodstruct.constructions import (complete_multipartite, cycle, grid2, path,
                                       stacked_triangulation)
-from prodstruct.exact import (_completions, _elimination_td, max_clique_order,
-                              treewidth_exact, twintw_exact, twtw_exact)
+from prodstruct.exact import (_completions, _elimination_td, _treewidth_value, _tw_levels,
+                              max_clique_order, treewidth_exact, twintw_exact, twtw_exact)
 from prodstruct.exact._kernels import q_set
-from prodstruct.graphs import VertexPartition, quotient
+from prodstruct.graphs import Graph, VertexPartition, quotient
 from prodstruct.rng import SplitMix64
 
 
@@ -106,6 +108,34 @@ TWINTW_GRAPHS = ([complete_multipartite([2, 2, 2]), cycle(7),
 # seeded graphs with n <= 7, sparse to dense
 SEEDED = [random_graph(rng, n, num, 4) for rng in [SplitMix64(7)]
           for num in (1, 2, 3) for n in range(1, 8)]
+MORE_SEEDED = [random_graph(rng, n, num, 4) for rng in [SplitMix64(11)]
+               for num in (1, 2, 3) for n in range(2, 8)]
+
+
+def all_labelled_graphs(max_n):
+    for n in range(max_n + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        for m in range(1 << len(pairs)):
+            yield Graph(n, [e for i, e in enumerate(pairs) if m >> i & 1])
+
+
+def disjoint_union(g, h):
+    return Graph(g.n + h.n, g.edges() + [(u + g.n, v + g.n) for u, v in h.edges()])
+
+
+def _recognizer_graphs():
+    rng = SplitMix64(3)
+    out = []
+    for n in range(6, 10):
+        out += [random_graph(rng, n, num, 8) for num in (1, 2, 3, 4, 5, 6, 7) for _ in range(3)]
+        # disconnected: a dense part beside a sparse one
+        out += [disjoint_union(random_graph(rng, n - a, 7, 8), random_graph(rng, a, num, 8))
+                for a in (1, 2, 3) for num in (2, 6)]
+    return out
+
+
+# every labelled graph with n <= 5, and seeded graphs with n = 6-9 up to tw 8
+LOW_TW_GRAPHS = list(all_labelled_graphs(5)) + _recognizer_graphs()
 
 
 def snapshot(w):
@@ -148,10 +178,38 @@ def test_twtw_matches_the_plain_loop_on_seeded_graphs(i, c):
     assert snapshot(witness) == snapshot(ref_witness)
 
 
+@pytest.mark.parametrize("c", [1, 2, 3])
+@pytest.mark.parametrize("i", range(len(MORE_SEEDED)))
+def test_twtw_matches_the_plain_loop_on_more_seeds(i, c):
+    g = MORE_SEEDED[i]
+    value, witness = twtw_exact(g, c)
+    ref_value, ref_witness = plain_twtw(g, c)
+    assert value == ref_value
+    assert snapshot(witness) == snapshot(ref_witness)
+
+
 @pytest.mark.parametrize("i", range(len(SEEDED)))
 def test_completions_match_the_plain_loop_on_seeded_graphs(i):
     g = SEEDED[i]
     assert _completions(g) == plain_completions(g)
+
+
+# -- tw <= k without a subset search ---------------------------------------
+
+def test_tw_levels_answer_each_level():
+    # levels 0-2 by low-degree elimination, higher ones by the Q-set search
+    tws = []
+    for g in LOW_TW_GRAPHS:
+        tw = treewidth_exact(g)[0]
+        got = list(islice(_tw_levels(g.adjacency_masks()), g.n))
+        assert got == [tw <= k for k in range(g.n)], (g.n, g.edges())
+        tws.append(tw)
+    assert max(tws) >= 6
+
+
+def test_treewidth_value_is_treewidth():
+    for g in LOW_TW_GRAPHS:
+        assert _treewidth_value(g) == treewidth_exact(g)[0], (g.n, g.edges())
 
 
 # -- work bounds ----------------------------------------------------------
@@ -169,7 +227,7 @@ def counting(monkeypatch, name, module=X):
 
 def test_twtw_runs_one_dp_per_distinct_quotient(monkeypatch):
     # grid2(2, 4) has Bell(8) = 4140 partitions but 455 distinct quotients
-    calls = counting(monkeypatch, "treewidth_dp")
+    calls = counting(monkeypatch, "_tw_levels")
     assert twtw_exact(grid2(2, 4))[0] == 1
     assert 0 < len(calls) <= 455
 
@@ -182,19 +240,20 @@ def test_completions_compute_each_bag_once(monkeypatch):
 
 
 def test_memo_does_not_outlive_the_call(monkeypatch):
-    calls = counting(monkeypatch, "treewidth_dp")
+    calls = counting(monkeypatch, "_tw_levels")
     twtw_exact(path(5))
     first = len(calls)
     twtw_exact(path(5))
-    assert len(calls) == 2 * first
+    assert 0 < first and len(calls) == 2 * first
 
 
 def test_twtw_searches_no_quotient_past_the_answer(monkeypatch):
     # computing every quotient's exact treewidth took 19,378 Q-sets on grid 2x4;
-    # the answer is 1, so each search stops after its level 1
-    calls = counting(monkeypatch, "q_set", K)
+    # the answer is 1, and levels 0-2 need no subset search at all
+    q_sets = counting(monkeypatch, "q_set", K)
+    dps = counting(monkeypatch, "treewidth_dp")
     assert twtw_exact(grid2(2, 4))[0] == 1
-    assert 0 < len(calls) <= 4000
+    assert q_sets == [] and dps == []
 
 
 def test_completions_expand_each_state_once(monkeypatch):
