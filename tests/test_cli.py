@@ -576,10 +576,10 @@ def _layering(draw, n):
 
 
 @st.composite
-def _embedding(draw, n, directed=False):
-    if not directed and draw(st.booleans()):    # g inside g boxtimes K_1 (boxtimes K_c)
+def _embedding(draw, n, guest=None, directed=False):
+    if guest is not None and draw(st.booleans()):   # guest inside guest boxtimes K_1 (boxtimes K_c)
         c = draw(st.none() | st.integers(1, 3))
-        return {"factors": [draw(_graph(n)), {"n": 1, "edges": []}], "c": c,
+        return {"factors": [guest, {"n": 1, "edges": []}], "c": c,
                 "map": [[v, 0] + ([] if c is None else [0]) for v in range(n)]}
     if directed:
         factors = [draw(_digraph()), draw(_digraph())]
@@ -627,7 +627,7 @@ def other_cli_cases(draw):
             files.append({"parts": _groups(draw, n) if draw(st.booleans())
                           else draw(st.lists(_members(n), max_size=4))})
         elif (cmd, kind) in (("decomp", "project-product"), ("check", "embedding")):
-            files.append(draw(_embedding(n)))
+            files.append(draw(_embedding(n, files[0])))
             sizes = [f["n"] for f in files[-1]["factors"]]
         else:       # one entry per node of the decomposition before it
             entry = {"glue-directed": lambda m: _embedding(m, directed=True),
