@@ -15,19 +15,21 @@ filled bottom-up.  TwIntTw enumerates chordal completions by a depth-first
 walk over ordering prefixes that expands each (prefix set, maximal bags)
 state once, and twtw enumerates ordered pairs of set partitions, asking of
 each distinct quotient only "tw <= k?" at level k.  For k <= 2 that question
-needs no subset search: _tw_at_most answers it by low-degree elimination,
-both for twtw's quotients and for the bag value of tree-tw, and the Q-set
-search runs only for the levels above.  Where an oracle nests many small
-computations (elimination bags in TwIntTw, quotient treewidth questions in
-twtw) it keeps them in locals of the call, so nothing is cached from one
-call to the next.  The brute-force references these oracles are
-cross-checked against live in tests/conftest.py, not in the package.
+needs no subset search: _tw_levels answers it by low-degree elimination,
+both for twtw's quotients and for the bag value of tree-tw, and the
+treewidth DP runs only on graphs of treewidth 3 or more.  Where an oracle
+nests many small computations (elimination bags in TwIntTw, quotient
+treewidth questions in twtw) it keeps them in locals of the call, so nothing
+is cached from one call to the next.  The brute-force references these
+oracles are cross-checked against live in tests/conftest.py, not in the
+package.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from itertools import count
 from math import ceil, sqrt
 
 from ..graphs import Graph, GraphError, VertexPartition, quotient
@@ -98,59 +100,48 @@ def treewidth_exact(g: Graph, max_n=None):
     return dp[-1], _elimination_td(g, recover_order(dp, cost))
 
 
-def _tw_at_most(masks, k: int) -> bool:
-    """tw <= k, for k <= 2, by low-degree elimination.
+def _tw_levels(masks):
+    """Answers "tw <= k?" for k = 0, 1, 2, ... in turn, True from k = tw on.
 
-    A graph of treewidth at most k <= 2 has a vertex of degree at most k, and
-    eliminating one (deleting it and joining its neighbours) leaves a minor,
-    so tw <= k iff eliminating vertices of degree <= k, in any order, empties
-    the graph: the edgeless test, the forest test and the series-parallel
-    reductions (Arnborg & Proskurowski, SIAM J. Alg. Disc. Meth. 1986).
+    Levels 0-2 are one low-degree elimination.  A graph of treewidth t has a
+    vertex of degree at most t, and eliminating a vertex of degree at most 2
+    (deleting it and joining its neighbours) leaves a minor.  So at level k
+    vertices of degree at most k are eliminated while there are any; the
+    graph empties iff tw <= k, and otherwise tw > k and level k + 1 goes on
+    from the same graph (the edgeless, forest and series-parallel reductions
+    of Arnborg & Proskurowski, SIAM J. Alg. Disc. Meth. 1986).  If level 3
+    is asked of a graph of treewidth 3 or more, the treewidth DP answers it
+    and every later level.
     """
     adj = list(masks)
     left = (1 << len(adj)) - 1
+    k = 0
     while left:
         for v in bits(left):
             nb = adj[v]
             if nb.bit_count() <= k:
                 break
-        else:
-            return False
+        else:               # no vertex of degree <= k is left: tw > k
+            yield False
+            k += 1
+            if k == 3:
+                break
+            continue
         left ^= 1 << v
         for u in bits(nb):
             adj[u] = (adj[u] | nb) ^ (1 << u | 1 << v)
-    return True
-
-
-def _tw_levels(masks):
-    """Answers "tw <= k?" for k = 0, 1, 2, ... in turn, True from k = tw on.
-
-    _tw_at_most decides levels 0-2.  Above them the Q-set search runs its
-    own levels 0-2 unasked and then one level per k.
-    """
-    k = 0
-    while k < 3 and not _tw_at_most(masks, k):
-        yield False
-        k += 1
-    if k == 3:
-        for k, dp in enumerate(treewidth_dp(masks, levels=True)[0]):
-            if k > 2:
-                yield dp[-1] <= k
-    while True:
-        yield True
+    tw = treewidth_dp(masks)[0][-1] if left else k
+    for k in count(k):
+        yield tw <= k
 
 
 def _treewidth_value(g: Graph) -> int:
     """Exact treewidth without a witness, for callers that need the value only:
-    the first k <= 2 that _tw_at_most accepts, or else the DP's value."""
+    the first level that _tw_levels accepts."""
     _cap(g, TW_MAX_N, None, "treewidth", STATE_BYTES)
     if not g.n:
         return -1
-    masks = g.adjacency_masks()
-    for k in range(3):
-        if _tw_at_most(masks, k):
-            return k
-    return treewidth_dp(masks)[0][-1]
+    return next(k for k, ok in enumerate(_tw_levels(g.adjacency_masks())) if ok)
 
 
 # -- pathwidth -----------------------------------------------------------
@@ -461,7 +452,7 @@ def twtw_exact(g: Graph, c: int = 1, max_n=None):
     quotient by one level, and a quotient decided there joins the pool of
     level k.  Levels 0-2 need no subset search, and for c >= 1 every graph
     with n <= 9 has twtw <= 2 (the rows and the columns of a 3 x 3 grid
-    layout), so the Q-set search runs only under max_n overrides above 9.
+    layout), so the treewidth DP runs only under max_n overrides above 9.
     Only the returned pair is built as partitions and quotient graphs.
     """
     if c < 1:
@@ -500,13 +491,9 @@ def twtw_exact(g: Graph, c: int = 1, max_n=None):
             stack.append((labels + (p,), tuple(grown)))
     tw = [None] * len(searches)
 
-    if c == 1:
-        def compatible(a, b) -> bool:
-            # parts x of a and y of b meet in the vertices labelled (x, y)
-            return len(set(zip(a, b))) == n
-    else:
-        def compatible(a, b) -> bool:
-            return max(Counter(zip(a, b)).values()) <= c
+    def compatible(a, b) -> bool:
+        # parts x of a and y of b meet in the vertices labelled (x, y)
+        return max(Counter(zip(a, b)).values()) <= c
 
     # the pool at level k holds the partitions of quotient tw <= k, by tw and
     # then in partition order; every pair of the pool at level k - 1 failed

@@ -1,7 +1,7 @@
 """The nested oracles twtw and TwIntTw against copies of their plain loops.
 
 twtw_exact asks each distinct quotient "tw <= k?" one level at a time
-(_tw_levels: low-degree elimination for k <= 2, the level search above it),
+(_tw_levels: low-degree elimination for k <= 2, the treewidth DP above it),
 building quotient masks along its partition walk; _completions walks
 the orderings depth-first, computes each elimination bag once and expands
 each (prefix, maximal bags) state once, all within one call.  The reference
@@ -134,8 +134,14 @@ def _recognizer_graphs():
     return out
 
 
-# every labelled graph with n <= 5, and seeded graphs with n = 6-9 up to tw 8
-LOW_TW_GRAPHS = list(all_labelled_graphs(5)) + _recognizer_graphs()
+# treewidth 3, but _tw_levels's elimination, carried on to degree 3 after
+# levels 0-2, gets stuck: it decides only levels 0-2, where it leaves a minor
+TW3_STUCK = Graph(7, [(0, 1), (0, 2), (0, 5), (1, 3), (1, 6), (2, 3), (2, 6),
+                      (3, 5), (3, 6), (4, 5), (4, 6)])
+
+# every labelled graph with n <= 5, seeded graphs with n = 6-9 up to tw 8,
+# and TW3_STUCK
+LOW_TW_GRAPHS = list(all_labelled_graphs(5)) + _recognizer_graphs() + [TW3_STUCK]
 
 
 def snapshot(w):
@@ -187,7 +193,7 @@ def test_completions_match_the_plain_loop_on_seeded_graphs(i):
 # -- tw <= k without a subset search ---------------------------------------
 
 def test_tw_levels_answer_each_level():
-    # levels 0-2 by low-degree elimination, higher ones by the Q-set search
+    # levels 0-2 by low-degree elimination, higher ones by the treewidth DP
     tws = []
     for g in LOW_TW_GRAPHS:
         tw = treewidth_exact(g)[0]
