@@ -5,8 +5,8 @@ Every command prints a RunReport JSON on stdout and writes value files with
 Bad input is an unreadable or malformed file or option, a failed
 precondition or a size cap; any other exception is a bug in the program.
 main returns the code and never raises SystemExit: a usage error that
-argparse rejects returns 2 with its message on stderr and no report, and
---help returns 0.
+argparse rejects returns 2 with its message on stderr and as the error on
+stdout, and --help returns 0.
 
 One registry per subcommand maps each kind to its input file kinds and its
 handler, and argparse takes its choices from the registry keys.  Handlers
@@ -424,11 +424,17 @@ def cmd_probe(run, args):
 
 # -- driver ---------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):   # on stdout as well, like every other exit's error
+        print(json.dumps({"error": f"{self.prog}: error: {message}"}))
+        super().error(message)
+
+
 @functools.cache
 def build_parser():
     """The argparse parser, built once: it holds the cmd_* functions, and the
     handlers they dispatch to still look library functions up when called."""
-    ap = argparse.ArgumentParser(prog="prodstruct")
+    ap = _Parser(prog="prodstruct")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     def command(name, fn, registry, inputs=True, out=True):

@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import itertools
 
-from .graphs import Graph, GraphError, _joined, apex
-from .decomposition import (PathDecomposition, TreeDecomposition, DecompositionError,
-                            bag_span, validate)
+from .graphs import Graph, GraphError, _joined, apex, subgraph_contained
+from .decomposition import PathDecomposition, TreeDecomposition, _require, bag_span
 from .planar import PlaneTriangulation, v8_fixture
 from .products import ProductEmbedding, EmbeddingError, cartesian, strong, _checked
 from .rng import SplitMix64
@@ -203,9 +202,7 @@ def separating_graph(c: int):
             prev = len(bags) - 1
     g = Graph(n, edges)
     witness = TreeDecomposition(n, bags, tree_edges)
-    rep = validate(g, witness)
-    if not rep.ok:
-        raise DecompositionError(f"witness construction broke: {rep.errors[:3]}")
+    _require(g, witness, "witness construction broke")
     return g, witness
 
 
@@ -284,16 +281,13 @@ def tightness_example(p: int, q: int, m: int):
         mapping = [(0, 0)]
         mapping += [(k, 0) for k in range(1, m + 1)]
         mapping += [(0, k) for k in range(1, m + 1)]
-        e = _checked(ProductEmbedding(guest, (f1, f2), None, tuple(mapping)))
-        return guest, f1, f2, e
-    if guest.n > 12:
-        raise GraphError("search cap: guest larger than 12 vertices")
-    from .graphs import subgraph_contained
-    host = strong(f1, f2)
-    found = subgraph_contained(guest, host)
-    if found is None:
-        raise EmbeddingError(
-            f"K_{{{p*q},{m},{m}}} is not contained in K_{{{p},{m}}} x K_{{{q},{m}}}")
-    mapping = tuple((found[v] // f2.n, found[v] % f2.n) for v in range(guest.n))
-    e = _checked(ProductEmbedding(guest, (f1, f2), None, mapping))
+    else:
+        if guest.n > 12:
+            raise GraphError("search cap: guest larger than 12 vertices")
+        found = subgraph_contained(guest, strong(f1, f2))
+        if found is None:
+            raise EmbeddingError(
+                f"K_{{{p*q},{m},{m}}} is not contained in K_{{{p},{m}}} x K_{{{q},{m}}}")
+        mapping = [(found[v] // f2.n, found[v] % f2.n) for v in range(guest.n)]
+    e = _checked(ProductEmbedding(guest, (f1, f2), None, tuple(mapping)))
     return guest, f1, f2, e

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
-from .graphs import Graph
+from .graphs import Graph, VertexPartition, bfs_layers
 
 
 class DecompositionError(ValueError):
@@ -31,14 +31,7 @@ def _tree_ok(nodes: int, edges):
             return None
         adj[x].append(y)
         adj[y].append(x)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return adj if len(seen) == nodes else None
+    return adj if sum(map(len, bfs_layers(adj, 0))) == nodes else None
 
 
 def _host_and_bags(d: dict):
@@ -309,21 +302,9 @@ def make_layered_witness(g: Graph, l: Layering, td: TreeDecomposition) -> Layere
 def bfs_layering(g: Graph, r: int) -> Layering:
     if not 0 <= r < g.n:
         raise DecompositionError(f"root {r} out of range for n={g.n}")
-    dist = {r: 0}
-    frontier = [r]
-    layers = [[r]]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in g.adj[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-        if nxt:
-            layers.append(sorted(nxt))
-        frontier = nxt
-    if len(dist) != g.n:
-        missing = min(set(range(g.n)) - set(dist))
+    layers = bfs_layers(g.adj, r)
+    if sum(map(len, layers)) != g.n:
+        missing = min(set(range(g.n)).difference(*layers))
         raise DecompositionError(f"graph disconnected: vertex {missing} unreached")
     return Layering(g.n, layers)
 
@@ -368,7 +349,6 @@ def witness_to_partition(w: LayeredWitness):
     Each part induces a disjoint union of per-layer subgraphs, so a valid
     witness gives tw(g[X]), tw(g[Y]) <= k-1 (verified by the caller's oracle).
     """
-    from .graphs import VertexPartition
     odd, even = set(), set()
     for i, l in enumerate(w.layering.layers):
         (odd if i % 2 == 1 else even).update(l)

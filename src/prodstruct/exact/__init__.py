@@ -330,21 +330,20 @@ def neighborhood_lower_bound(g: Graph, f: str) -> int:
 # -- TwIntTw -------------------------------------------------------------
 
 def max_clique_order(g: Graph) -> int:
+    """Branch and bound on the lowest candidate, on an explicit stack."""
     masks = g.adjacency_masks()
     best = 0
-
-    def rec(cand, size):
-        nonlocal best
+    stack = [((1 << g.n) - 1, 0)]
+    while stack:
+        cand, size = stack.pop()
         if size + cand.bit_count() <= best:
-            return
+            continue
         if cand == 0:
-            best = max(best, size)
-            return
+            best = size
+            continue
         v = (cand & (-cand)).bit_length() - 1
-        rec(cand & masks[v], size + 1)
-        rec(cand ^ (1 << v), size)
-
-    rec((1 << g.n) - 1, 0)
+        # the branch with v pops first and runs to its end, as in a recursion
+        stack += [(cand ^ (1 << v), size), (cand & masks[v], size + 1)]
     return best
 
 

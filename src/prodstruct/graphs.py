@@ -16,6 +16,27 @@ class GraphError(ValueError):
     pass
 
 
+def bfs_layers(adj, r: int) -> list:
+    """The breadth-first layers from r, each in discovery order.
+
+    Layer 0 is [r]; layer i+1 lists the unreached neighbours of layer i in the
+    order that its vertices, scanned in turn through adj[u] (any iterable of
+    u's neighbours), first reach them.  Only r's component is reached.
+    """
+    seen = {r}
+    layers = [[r]]
+    for layer in layers:        # a for loop over a list sees what is appended
+        nxt = []
+        for u in layer:
+            for w in adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        if nxt:
+            layers.append(nxt)
+    return layers
+
+
 class Graph:
     """Simple undirected graph with adjacency sets."""
 
@@ -70,16 +91,7 @@ class Graph:
                        for i in range(len(vs)) for j in range(i + 1, len(vs)))
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            for w in self.adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
+        return self.n == 0 or sum(map(len, bfs_layers(self.adj, 0))) == self.n
 
     def subgraph(self, vertices) -> tuple:
         """Induced subgraph on `vertices` relabeled by ascending id.
@@ -100,20 +112,12 @@ class Graph:
 
     def components(self) -> list:
         """Connected components as sorted vertex lists, in id order."""
-        seen = set()
-        out = []
+        seen, out = set(), []
         for s in range(self.n):
-            if s in seen:
-                continue
-            comp = {s}
-            stack = [s]
-            while stack:
-                for w in self.adj[stack.pop()]:
-                    if w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            seen |= comp
-            out.append(sorted(comp))
+            if s not in seen:
+                comp = sorted(v for layer in bfs_layers(self.adj, s) for v in layer)
+                seen.update(comp)
+                out.append(comp)
         return out
 
     # -- serialization ---------------------------------------------------

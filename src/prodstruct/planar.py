@@ -11,10 +11,11 @@ read as `pt.faces`.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
-from .graphs import Graph, GraphError
-from .decomposition import TreeDecomposition, DecompositionError, bag_span, validate
+from .graphs import Graph, GraphError, bfs_layers
+from .decomposition import PathDecomposition, TreeDecomposition, _require, bag_span
 
 
 class EmbeddingInvalid(ValueError):
@@ -40,7 +41,6 @@ class PlaneTriangulation:
         self.faces = fs
 
     def to_json(self) -> str:
-        import json
         return json.dumps({
             "n": self.graph.n,
             "rotation": [list(r) for r in self.rotation],
@@ -49,7 +49,6 @@ class PlaneTriangulation:
 
     @staticmethod
     def from_json(text: str):
-        import json
         d = json.loads(text)
         edges = {(min(u, v), max(u, v)) for v, rot in enumerate(d["rotation"])
                  for u in rot}
@@ -123,26 +122,14 @@ def lex_bfs(pt: PlaneTriangulation, r: int) -> LexBfsTree:
     g = pt.graph
     parent = [-1] * g.n
     layers = [[r]]
-    seen = {r}
-    while True:
+    for found in bfs_layers(g.adj, r)[1:]:
         prev = layers[-1]
         pos = {v: i for i, v in enumerate(prev)}
-        nxt = set()
-        for v in prev:
-            for w in g.adj[v]:
-                if w not in seen:
-                    nxt.add(w)
-        if not nxt:
-            break
-        ranked = []
-        for w in nxt:
-            p = min((pos[u] for u in g.adj[w] if u in pos))
+        ranked = sorted((min(pos[u] for u in g.adj[w] if u in pos), w) for w in found)
+        for p, w in ranked:
             parent[w] = prev[p]
-            ranked.append((p, w))
-        layer = [w for _, w in sorted(ranked)]
-        layers.append(layer)
-        seen |= nxt
-    if len(seen) != g.n:
+        layers.append([w for _, w in ranked])
+    if sum(map(len, layers)) != g.n:
         raise GraphError("triangulation not connected")
     order = [v for layer in layers for v in layer]
     return LexBfsTree(r, parent, layers, order)
@@ -188,9 +175,7 @@ def planar_bandwidth3_decomposition(pt: PlaneTriangulation, r=None):
             bag.update(t.root_path(x))
         bags.append(bag)
     td = TreeDecomposition(pt.graph.n, bags, dual)
-    rep = validate(pt.graph, td)
-    if not rep.ok:
-        raise DecompositionError(f"face decomposition invalid: {rep.errors[:3]}")
+    _require(pt.graph, td, "face decomposition invalid")
     pos = {v: i for i, v in enumerate(t.order)}
     per_bag = [bag_span(pt.graph, sorted(bag, key=pos.__getitem__)) for bag in td.bags]
     return td, t.order, {"max_span": max(per_bag), "per_bag": per_bag}
@@ -203,7 +188,6 @@ def v8_fixture():
     The per-bag orderings realize span <= 3 (the order the bags are written
     in does not; see each ordering below).
     """
-    from .decomposition import PathDecomposition
     cyc = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 0)]
     chords = [(0, 4), (1, 5), (2, 6), (3, 7)]
     g = Graph(8, cyc + chords)

@@ -94,13 +94,9 @@ class DirectedProductEmbedding:
     guest: Graph
     factors: tuple            # (Digraph, Digraph)
     map: tuple                # guest vertex -> (x, y)
+    c = None                  # a class attribute, not a field: no K_c factor
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "factors": [json.loads(f.to_json()) for f in self.factors],
-            "c": None,
-            "map": [list(t) for t in self.map],
-        })
+    to_json = ProductEmbedding.to_json
 
 
 def validate_embedding(e: ProductEmbedding) -> list:
@@ -189,36 +185,35 @@ def _plus_clique(g: Graph, k: int) -> Graph:
     return _joined([(g.n, g.edges()), (k, _clique_edges(k))])
 
 
+def _join_lemma(a: Graph, b: Graph, p: int, q: int, parts, head: list) -> ProductEmbedding:
+    """The join of `parts` and K_pq inside (A+K_p) boxtimes (B+K_q).
+
+    `head` maps the parts' vertices; r_{i,j}, the clique vertex (i-1)q+(j-1)
+    after them, maps to (a_i, b_j), where a_i = a.n+i-1 and b_j = b.n+j-1 are
+    the joined clique vertices.
+    """
+    if p < 1 or q < 1:
+        raise GraphError("need p, q >= 1")
+    guest = _joined(parts + [(p * q, _clique_edges(p * q))])
+    f1, f2 = _plus_clique(a, p), _plus_clique(b, q)
+    mapping = head + [(a.n + i, b.n + j) for i in range(p) for j in range(q)]
+    return _checked(ProductEmbedding(guest, (f1, f2), None, tuple(mapping)))
+
+
 def embed_join_product(a: Graph, b: Graph, p: int, q: int) -> ProductEmbedding:
     """A+B+K_pq inside (A+K_p) boxtimes (B+K_q).
 
     Guest layout: A's ids, then B's, then r_{i,j} at a.n+b.n+(i-1)q+(j-1).
-    Map: A-vertex x -> (x, b1); B-vertex y -> (a1, y); r_{i,j} -> (a_i, b_j),
-    where a_i = a.n+i-1 and b_j = b.n+j-1 are the joined clique vertices.
+    Map: A-vertex x -> (x, b1); B-vertex y -> (a1, y); r_{i,j} -> (a_i, b_j).
     """
-    if p < 1 or q < 1:
-        raise GraphError("need p, q >= 1")
-    guest = _joined([(a.n, a.edges()), (b.n, b.edges()), (p * q, _clique_edges(p * q))])
-    f1, f2 = _plus_clique(a, p), _plus_clique(b, q)
-    mapping = [(x, b.n) for x in range(a.n)]
-    mapping += [(a.n, y) for y in range(b.n)]
-    for i in range(p):
-        for j in range(q):
-            mapping.append((a.n + i, b.n + j))
-    return _checked(ProductEmbedding(guest, (f1, f2), None, tuple(mapping)))
+    return _join_lemma(a, b, p, q, [(a.n, a.edges()), (b.n, b.edges())],
+                       [(x, b.n) for x in range(a.n)] + [(a.n, y) for y in range(b.n)])
 
 
 def embed_move_apex(a: Graph, b: Graph, p: int, q: int) -> ProductEmbedding:
     """(A boxtimes B)+K_pq inside (A+K_p) boxtimes (B+K_q), identity on AxB."""
-    if p < 1 or q < 1:
-        raise GraphError("need p, q >= 1")
-    guest = _joined([(a.n * b.n, _strong_edges(a, b)), (p * q, _clique_edges(p * q))])
-    f1, f2 = _plus_clique(a, p), _plus_clique(b, q)
-    mapping = [(v // b.n, v % b.n) for v in range(a.n * b.n)]
-    for i in range(p):
-        for j in range(q):
-            mapping.append((a.n + i, b.n + j))
-    return _checked(ProductEmbedding(guest, (f1, f2), None, tuple(mapping)))
+    return _join_lemma(a, b, p, q, [(a.n * b.n, _strong_edges(a, b))],
+                       [(v // b.n, v % b.n) for v in range(a.n * b.n)])
 
 
 def embed_apex_partition(g: Graph, v1, include_apex: bool = False):

@@ -81,7 +81,11 @@ def test_usage_errors_and_help_return_their_exit_code(argv, code, capsys):
     # argparse's exit status comes back from main; no SystemExit escapes
     assert main(argv) == code
     out, err = capsys.readouterr()
-    assert ("usage:" in out) if code == 0 else ("usage:" in err and out == "")
+    if code == 0:
+        assert "usage:" in out
+    else:   # argparse's message on stderr, and the same line as the error on stdout
+        assert "usage:" in err
+        assert json.loads(out) == {"error": err.splitlines()[-1]}
 
 
 def test_check_td_out_of_range_adhesion_fails(tmp_path, capsys):

@@ -21,7 +21,7 @@ import prodstruct.exact as X
 from conftest import random_graph
 from prodstruct.cli import main
 from prodstruct.exact import (InstanceTooLarge, bandwidth_exact, longest_path_order,
-                              treedepth_exact)
+                              max_clique_order, treedepth_exact)
 from prodstruct.exact._kernels import bits, component
 from prodstruct.graphs import Graph
 from prodstruct.rng import SplitMix64
@@ -161,6 +161,15 @@ def test_bandwidth_of_a_path_past_the_recursion_limit(tmp_path, capsys):
     p.write_text(g.to_json())
     assert main(["exact", "bw", str(p), "--max-n", "1100"]) == 0
     assert json.loads(capsys.readouterr().out)["outputs"]["value"] == 1
+
+
+def test_max_clique_of_a_path_deeper_than_the_recursion_limit():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(300)
+    try:
+        assert max_clique_order(C.path(400)) == 2
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_longest_path_deeper_than_the_recursion_limit():
