@@ -71,9 +71,6 @@ class Graph:
     def max_degree(self) -> int:
         return max((len(s) for s in self.adj), default=0)
 
-    def min_degree(self) -> int:
-        return min((len(s) for s in self.adj), default=0)
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
 
@@ -84,11 +81,6 @@ class Graph:
         vs = list(vs)
         return all(vs[j] in self.adj[vs[i]]
                    for i in range(len(vs)) for j in range(i + 1, len(vs)))
-
-    def is_independent(self, vs) -> bool:
-        vs = list(vs)
-        return not any(vs[j] in self.adj[vs[i]]
-                       for i in range(len(vs)) for j in range(i + 1, len(vs)))
 
     def is_connected(self) -> bool:
         return self.n == 0 or sum(map(len, bfs_layers(self.adj, 0))) == self.n
@@ -251,10 +243,6 @@ class VertexPartition:
         self.n = n
         self.parts = parts
         self.part_of = tuple(part_of)
-
-    @staticmethod
-    def singletons(n: int) -> "VertexPartition":
-        return VertexPartition(n, [{v} for v in range(n)])
 
     def __repr__(self):
         return f"VertexPartition(n={self.n}, parts={len(self.parts)})"

@@ -12,6 +12,7 @@ read as `pt.faces`.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .graphs import Graph, GraphError, bfs_layers
@@ -29,14 +30,14 @@ class PlaneTriangulation:
         rotation = tuple(tuple(r) for r in rotation)
         if len(rotation) != graph.n:
             raise EmbeddingInvalid("rotation length mismatch")
-        for v, rot in enumerate(rotation):
-            if sorted(rot) != sorted(graph.adj[v]):
+        for v, (rot, nbrs) in enumerate(zip(rotation, graph.adj)):
+            if len(rot) != len(nbrs) or frozenset(rot) != nbrs:
                 raise EmbeddingInvalid(f"rotation at {v} inconsistent with adjacency")
         self.graph = graph
         self.rotation = rotation
         self.outer_face = tuple(outer_face)
         fs = faces(self)
-        if not any(_same_cycle(f, self.outer_face) for f in fs):
+        if not _is_face(fs, self.outer_face):
             raise EmbeddingInvalid("outer_face is not a face of the traversal")
         self.faces = fs
 
@@ -56,45 +57,52 @@ class PlaneTriangulation:
         return PlaneTriangulation(g, d["rotation"], d["outer"])
 
 
-def _same_cycle(a, b) -> bool:
-    if len(a) != len(b):
+def _is_face(fs, cycle) -> bool:
+    """Whether cycle is a cyclic rotation of a face in fs, the sorted output
+    of faces(): one lookup of the rotation that starts at its least vertex.
+    A cycle with an entry that is not a number is no face."""
+    if len(cycle) != 3 or not all(isinstance(x, (int, float)) for x in cycle):
         return False
-    n = len(a)
-    return any(tuple(a[(i + j) % n] for j in range(n)) == tuple(b) for i in range(n))
+    i = cycle.index(min(cycle))
+    key = cycle[i:] + cycle[:i]
+    j = bisect_left(fs, key)
+    return j < len(fs) and fs[j] == key
 
 
 def faces(pt: PlaneTriangulation) -> list:
-    """All faces as oriented triangles; errors on non-triangular faces.
+    """All faces as oriented triangles, sorted; errors on non-triangular faces.
 
-    Each walk starts at the smallest directed edge not yet walked.
+    Each walk starts at the smallest directed edge (u, v) not yet walked, and
+    its face is listed as (u, v, ...), so the faces come out in sorted order.
+    Directed edge (u, v) is marked walked as the int u*n + v.
     """
     g = pt.graph
-    succ = {}
-    for v, rot in enumerate(pt.rotation):
-        deg = len(rot)
-        for i, u in enumerate(rot):
-            # next directed edge after entering v from u
-            succ[(u, v)] = (v, rot[(i - 1) % deg])
-    unused = set(succ.keys())
+    n = g.n
+    rotation = pt.rotation
+    at = [{u: i for i, u in enumerate(rot)} for rot in rotation]   # u's index in rotation[v]
+    walked = set()
     out = []
-    for start in sorted(succ):
-        if start not in unused:
-            continue
-        walk = [start]
-        unused.discard(start)
-        cur = succ[start]
-        while cur != start:
-            if cur not in unused:
-                raise EmbeddingInvalid(f"face walk reuses edge {cur}: {walk}")
-            walk.append(cur)
-            unused.discard(cur)
-            cur = succ[cur]
-        if len(walk) != 3:
-            raise EmbeddingInvalid(f"non-triangular face: {[e[0] for e in walk]}")
-        out.append(tuple(e[0] for e in walk))
-    if g.n - g.m + len(out) != 2:
+    for u, rot in enumerate(rotation):
+        for v in sorted(rot):
+            if u * n + v in walked:
+                continue
+            walked.add(u * n + v)
+            tails = [u]
+            x, y = v, rotation[v][at[v][u] - 1]
+            while x != u or y != v:
+                dart = x * n + y
+                if dart in walked:
+                    darts = list(zip(tails, tails[1:] + [x]))
+                    raise EmbeddingInvalid(f"face walk reuses edge {(x, y)}: {darts}")
+                walked.add(dart)
+                tails.append(x)
+                x, y = y, rotation[y][at[y][x] - 1]
+            if len(tails) != 3:
+                raise EmbeddingInvalid(f"non-triangular face: {tails}")
+            out.append(tuple(tails))
+    if n - g.m + len(out) != 2:
         raise EmbeddingInvalid("Euler formula violated")
-    return sorted(out)
+    return out
 
 
 @dataclass
@@ -103,12 +111,6 @@ class LexBfsTree:
     parent: list             # parent[v], -1 at the root
     layers: list             # layer orderings, layers[i] is ordered
     order: list              # global order: concatenation of the layers
-
-    def root_path(self, v: int) -> list:
-        path = [v]
-        while self.parent[path[-1]] != -1:
-            path.append(self.parent[path[-1]])
-        return path
 
 
 def lex_bfs(pt: PlaneTriangulation, r: int) -> LexBfsTree:
@@ -143,23 +145,19 @@ def cotree(pt: PlaneTriangulation, t: LexBfsTree):
     and tree-cotree duality makes the dual edges a tree.
     """
     fs = pt.faces
+    n = pt.graph.n
     face_of = {}
-    for i, f in enumerate(fs):
-        a, b, c = f
-        for de in ((a, b), (b, c), (c, a)):
-            face_of[de] = i
-    tree_edges = {(min(v, t.parent[v]), max(v, t.parent[v]))
-                  for v in range(pt.graph.n) if t.parent[v] != -1}
-    dual = []
-    for u, v in pt.graph.edges():
-        if (u, v) in tree_edges:
-            continue
-        dual.append((face_of[(u, v)], face_of[(v, u)]))
+    for i, (a, b, c) in enumerate(fs):
+        face_of[a * n + b] = face_of[b * n + c] = face_of[c * n + a] = i
+    parent = t.parent
+    dual = [(face_of[u * n + v], face_of[v * n + u]) for u, v in pt.graph.edges()
+            if parent[u] != v and parent[v] != u]
     return fs, dual
 
 
 def planar_bandwidth3_decomposition(pt: PlaneTriangulation, r=None):
-    """Bags = union of the three root paths of each face's corners.
+    """Bags = union of the three root paths of each face's corners, each
+    climbed from its corner until it meets the bag, so in O(|bag|).
 
     Returns (decomposition indexed by the cotree, global order, report)
     where report = {"max_span": s, "per_bag": [...]}; s <= 3 always.
@@ -168,11 +166,15 @@ def planar_bandwidth3_decomposition(pt: PlaneTriangulation, r=None):
         r = min(pt.outer_face)
     t = lex_bfs(pt, r)
     fs, dual = cotree(pt, t)
+    parent = t.parent
     bags = []
     for f in fs:
         bag = set()
         for x in f:
-            bag.update(t.root_path(x))
+            # a root path is closed upwards: stop where it meets the bag
+            while x != -1 and x not in bag:
+                bag.add(x)
+                x = parent[x]
         bags.append(bag)
     td = TreeDecomposition(pt.graph.n, bags, dual)
     _require(pt.graph, td, "face decomposition invalid")

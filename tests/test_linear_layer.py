@@ -1,10 +1,12 @@
 """The polynomial layer at scale, checked against simple quadratic oracles.
 
 Each oracle below is the plain definition the fast code replaced: the face
-walk that restarts at the smallest unused directed edge, the any-bag edge
-check, the leaf scan over every live node and the neighbour scan over every
-tree edge.  The fast code must give the same faces, errors, orders and
-neighbours, and the planar pipeline and torso gluing must stay near-linear.
+walk that restarts at the smallest unused directed edge, the cotree read
+from a dict keyed by directed-edge pairs, the bags as unions of three whole
+root paths, the any-bag edge check, the leaf scan over every live node and
+the neighbour scan over every tree edge.  The fast code must give the same
+faces, dual edges, bags, spans, errors, orders and neighbours, and the
+planar pipeline and torso gluing must stay near-linear.
 """
 
 import random
@@ -18,10 +20,11 @@ from prodstruct.constructions import stacked_triangulation
 from prodstruct.decomposition import (TreeDecomposition, _leaf_removal_order,
                                       glue_tree_f, validate)
 from prodstruct.graphs import Graph
-from prodstruct.planar import (EmbeddingInvalid, faces,
-                               planar_bandwidth3_decomposition)
+from prodstruct.planar import (EmbeddingInvalid, PlaneTriangulation, cotree, faces,
+                               lex_bfs, planar_bandwidth3_decomposition)
 
 from test_glue_deep import stacked_3tree
+from test_planar import k4_triangulation
 
 
 def walk_faces(pt) -> list:
@@ -49,6 +52,59 @@ def walk_faces(pt) -> list:
     if pt.graph.n - pt.graph.m + len(out) != 2:
         raise EmbeddingInvalid("Euler formula violated")
     return sorted(out)
+
+
+def pair_dict_cotree(pt, t) -> list:
+    """Dual edges from a dict keyed by directed-edge pairs and a set of tree edges."""
+    face_of = {}
+    for i, f in enumerate(pt.faces):
+        a, b, c = f
+        for de in ((a, b), (b, c), (c, a)):
+            face_of[de] = i
+    tree_edges = {(min(v, t.parent[v]), max(v, t.parent[v]))
+                  for v in range(pt.graph.n) if t.parent[v] != -1}
+    return [(face_of[(u, v)], face_of[(v, u)]) for u, v in pt.graph.edges()
+            if (u, v) not in tree_edges]
+
+
+def root_path(t, v) -> list:
+    path = [v]
+    while t.parent[path[-1]] != -1:
+        path.append(t.parent[path[-1]])
+    return path
+
+
+def root_path_bags(pt, t) -> list:
+    """Each face's bag as the union of its corners' whole root paths."""
+    bags = []
+    for f in pt.faces:
+        bag = set()
+        for x in f:
+            bag.update(root_path(t, x))
+        bags.append(bag)
+    return bags
+
+
+def pairwise_span(g, order) -> int:
+    """Largest |i - j| over all pairs of order that are edges of g."""
+    return max((j - i for i in range(len(order)) for j in range(i + 1, len(order))
+                if g.has_edge(order[i], order[j])), default=0)
+
+
+def relabeled(pt, seed):
+    """pt with its vertex ids permuted at random."""
+    n = pt.graph.n
+    new = list(range(n))
+    random.Random(seed).shuffle(new)
+    rotation = [None] * n
+    for v, rot in enumerate(pt.rotation):
+        rotation[new[v]] = [new[u] for u in rot]
+    g = Graph(n, [(new[u], new[v]) for u, v in pt.graph.edges()])
+    return PlaneTriangulation(g, rotation, [new[v] for v in pt.outer_face])
+
+
+PLANAR_CASES = [(4, None)] + [(n, seed) for n in (3, 4, 5, 10, 57, 250, 1000)
+                              for seed in (0, 1, 2)]
 
 
 def scan_neighbors(td, x) -> list:
@@ -83,6 +139,63 @@ def test_faces_match_the_restarting_walk():
         for seed in (0, 1, 2):
             pt = stacked_triangulation(n, seed)
             assert faces(pt) == walk_faces(pt) == pt.faces
+
+
+def test_faces_come_out_sorted_from_the_walk():
+    """faces() does not sort: each walk starts at the smallest unwalked
+    directed edge (u, v) and lists its face as (u, v, w)."""
+    for n in (3, 10, 57, 250):
+        for seed in (0, 1, 2):
+            for pt in (stacked_triangulation(n, seed),
+                       relabeled(stacked_triangulation(n, seed), seed)):
+                fs = faces(pt)
+                assert fs == sorted(fs) == walk_faces(pt)
+                assert all(f[0] == min(f) for f in fs)
+                assert len(set(fs)) == len(fs)
+
+
+@pytest.mark.parametrize("n,seed", PLANAR_CASES)
+def test_cotree_bags_and_spans_match_the_oracles(n, seed):
+    pt = k4_triangulation() if seed is None else stacked_triangulation(n, seed)
+    t = lex_bfs(pt, min(pt.outer_face))
+    fs, dual = cotree(pt, t)
+    assert fs is pt.faces
+    assert dual == pair_dict_cotree(pt, t)
+    td, order, rep = planar_bandwidth3_decomposition(pt)
+    bags = root_path_bags(pt, t)
+    assert [set(b) for b in td.bags] == bags
+    assert td.tree_edges == tuple(sorted((min(x, y), max(x, y)) for x, y in dual))
+    assert order == t.order
+    pos = {v: i for i, v in enumerate(order)}
+    per_bag = [pairwise_span(pt.graph, sorted(b, key=pos.__getitem__)) for b in bags]
+    assert rep == {"max_span": max(per_bag), "per_bag": per_bag}
+    assert rep["max_span"] <= 3
+
+
+def test_triangulation_errors_keep_their_type_and_text():
+    pt = stacked_triangulation(10, 0)
+    g, v = pt.graph, 4
+    rot = pt.rotation[v]
+    bad = {
+        "repeated entry": list(rot) + [rot[0]],
+        "repeated entry, same length": [rot[0], rot[0]] + list(rot[2:]),
+        "missing neighbour": list(rot[1:]),
+    }
+    for what, r in bad.items():
+        rotation = list(pt.rotation)
+        rotation[v] = r
+        with pytest.raises(EmbeddingInvalid) as err:
+            PlaneTriangulation(g, rotation, (0, 1, 2))
+        assert type(err.value) is EmbeddingInvalid, what
+        assert str(err.value) == f"rotation at {v} inconsistent with adjacency", what
+    for outer in [(2, 1, 0), (1, 0, 2), (0, 2, 1), (0, 1), (0, 1, 2, 0), (0, 0, 1),
+                  (0, 1, "x"), (0, 1, [2]), ()]:
+        with pytest.raises(EmbeddingInvalid) as err:
+            PlaneTriangulation(g, pt.rotation, outer)
+        assert type(err.value) is EmbeddingInvalid, outer
+        assert str(err.value) == "outer_face is not a face of the traversal", outer
+    for outer in [(0, 1, 2), (1, 2, 0), (2, 0, 1), [2, 0, 1]]:
+        assert PlaneTriangulation(g, pt.rotation, outer).outer_face == tuple(outer)
 
 
 def test_corrupted_rotation_gives_the_same_error():
@@ -156,6 +269,26 @@ def test_planar_pipeline_at_ten_thousand_vertices():
     assert validate(pt.graph, td).ok
     assert rep["max_span"] <= 3 and len(order) == 10_000
     assert time.perf_counter() - start < 20
+
+
+def test_planar_pipeline_grows_near_linearly():
+    """Generate, decompose and validate at 10^3 and 10^4 vertices, best of 3.
+
+    Bags are three root paths, so the output grows as n log n: the ratio is
+    about 15, where one quadratic step would make it about 100.
+    """
+    def pipeline(n):
+        start = time.perf_counter()
+        pt = stacked_triangulation(n, 1)
+        td, _, _ = planar_bandwidth3_decomposition(pt)
+        assert validate(pt.graph, td).ok
+        return time.perf_counter() - start
+
+    small = large = float("inf")
+    for _ in range(3):
+        small = min(small, pipeline(1000))
+        large = min(large, pipeline(10_000))
+    assert large / small <= 25
 
 
 def test_glue_tree_f_at_1600_nodes():
