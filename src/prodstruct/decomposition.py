@@ -319,10 +319,17 @@ def layering_to_path_decomposition(l: Layering) -> PathDecomposition:
 
 def bag_span(g: Graph, order) -> int:
     """The largest |i - j| over edges of g between order[i] and order[j], or 0:
-    the bandwidth of the subgraph that order induces, under that order."""
+    the bandwidth of the subgraph that order induces, under that order.
+    Each edge is read once, from its earlier end, as pos[w] - i > 0."""
     pos = {v: i for i, v in enumerate(order)}
-    bag = frozenset(pos)
-    return max((abs(i - pos[w]) for v, i in pos.items() for w in g.adj[v] & bag), default=0)
+    later = set(pos)
+    span = 0
+    for i, v in enumerate(order):
+        later.discard(v)
+        for w in g.adj[v] & later:
+            if pos[w] - i > span:
+                span = pos[w] - i
+    return span
 
 
 def witness_to_bandwidth_decomposition(g: Graph, w: LayeredWitness):

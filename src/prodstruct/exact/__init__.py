@@ -2,16 +2,19 @@
 
 All oracles are exact and return witnesses.  Size caps are module constants
 with per-call overrides; exceeding a cap, or a table over TABLE_BUDGET_BYTES,
-raises InstanceTooLarge, never silently truncates.  tw, pw and tree-f are
+raises InstanceTooLarge, never silently truncates.  tw and pw are
 elimination-ordering subset DPs (the Q-set DP of Bodlaender, Fomin, Koster,
 Kratsch & Thilikos, ACM TALG 2012; see _kernels), each searched level by
 level from the empty set until the value of the full set is known: only
-states of value at most the answer are expanded.  tw and tree-f share
-elimination_dp and differ only in the cost of an elimination step; pw
-searches with its own loop, one cost per state, since its step cost does not
-depend on the vertex eliminated.  bw is one branch-and-bound over vertex
-bitmasks on an explicit stack, and td one table over all vertex subsets,
-filled bottom-up.  TwIntTw enumerates chordal completions by a depth-first
+states of value at most the answer are expanded.  tw runs elimination_dp;
+pw searches with its own loop, one cost per state, since its step cost does
+not depend on the vertex eliminated.  tree-f is the block DP of Bouchitté &
+Todinca over the potential maximal cliques (PMCs), each PMC found by testing
+its definition on every vertex subset, and f evaluated once per PMC it
+needs.  bw is one branch-and-bound over vertex bitmasks on an explicit
+stack, and td one table over all vertex subsets, filled bottom-up.  td's
+witness walk and the PMC test both split vertex sets with
+_kernels.components.  TwIntTw enumerates chordal completions by a depth-first
 walk over ordering prefixes that expands each (prefix set, maximal bags)
 state once, and twtw enumerates ordered pairs of set partitions, asking of
 each distinct quotient only "tw <= k?" at level k.  For k <= 2 that question
@@ -28,15 +31,14 @@ package.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
 from itertools import count
 from math import ceil, sqrt
 
 from ..graphs import Graph, GraphError, VertexPartition, quotient
 from ..decomposition import TreeDecomposition, PathDecomposition
 from ..rng import SplitMix64
-from ._kernels import (STATE_BYTES, bits, component, elimination_dp, pathwidth_dp,
-                       q_set, recover_order, treewidth_dp)
+from ._kernels import (STATE_BYTES, bits, component, components, pathwidth_dp, q_set,
+                       recover_order, treewidth_dp)
 
 TW_MAX_N = 16
 PW_MAX_N = 16
@@ -238,22 +240,13 @@ def treedepth_exact(g: Graph, max_n=None):
         td[s] = best + 1
         root[s] = first.bit_length() - 1
 
-    def comps(mask):
-        out = []
-        rest = mask
-        while rest:
-            comp = component(masks, mask, (rest & -rest).bit_length() - 1)
-            out.append(comp)
-            rest &= ~comp
-        return out
-
     parent = [-1] * g.n
-    stack = [(c, -1) for c in comps(size - 1)]
+    stack = [(c, -1) for c, _ in components(masks, size - 1)]
     while stack:
         mask, par = stack.pop()
         r = root[mask]
         parent[r] = par
-        stack += [(c, r) for c in comps(mask ^ 1 << r)]
+        stack += [(c, r) for c, _ in components(masks, mask ^ 1 << r)]
     return td[-1], parent
 
 
@@ -280,36 +273,107 @@ PARAMS = {
     "longest-path": longest_path_order,
 }
 # every entry is hereditary: its value never increases on induced subgraphs,
-# which is what justifies minimizing over chordal completions below
+# which is what justifies minimizing over minimal triangulations below
+
+
+def potential_maximal_cliques(masks) -> dict:
+    """{Ω: [(C, N(C)) for the components C of G - Ω]} over the potential
+    maximal cliques Ω of the graph, in ascending mask order.
+
+    Every non-empty vertex set is tested with the definition (Bouchitté &
+    Todinca, TCS 2002, Theorem 3.15): Ω is a PMC iff no component C of
+    G - Ω has N(C) = Ω, and every non-adjacent pair of Ω lies in one N(C).
+    """
+    full = (1 << len(masks)) - 1
+    out = {}
+    for omega in range(1, full + 1):
+        comps = components(masks, full ^ omega)
+        seps = [nc for _, nc in comps]
+        if omega in seps:
+            continue
+        for x in bits(omega):
+            # the later non-neighbours of x in Ω, each to share an N(C) with x
+            miss = omega & ~masks[x] & ~((2 << x) - 1)
+            if miss:
+                for nc in seps:
+                    if nc >> x & 1:
+                        miss &= ~nc
+                if miss:
+                    break
+        else:
+            out[omega] = comps
+    return out
+
+
+def _block_dp(masks, cost):
+    """min over minimal triangulations H of the largest cost(Ω) over the
+    maximal cliques Ω of H, with the bags and tree edges of a witness.
+
+    The block DP of Bouchitté & Todinca (SIAM J. Comput. 2001): each
+    component C of G - Ω for a PMC Ω is a full block (N(C), C), and the
+    blocks are solved by |C| ascending.  val(C) is the minimum over PMCs Ω
+    with N(C) ⊆ Ω ⊆ N(C) u C that meet C of the largest of cost(Ω) and
+    val(D) over the components D of G - Ω inside C; the answer is the same
+    minimum with C = V.  cost is non-negative and called at most once per
+    PMC, only for a PMC whose blocks stay below the best value so far.
+    Ties go to the lowest mask.  The witness hangs each block's PMC below
+    the bag whose component it came from.
+    """
+    full = (1 << len(masks)) - 1
+    pmcs = potential_maximal_cliques(masks)
+    sep = {c: nc for comps in pmcs.values() for c, nc in comps}
+    sep[full] = 0
+    costs = {}
+    val = {}
+    choice = {}
+    for c in sorted(sep, key=lambda c: (c.bit_count(), c)):
+        s = sep[c]
+        region = s | c
+        best = None
+        for omega, comps in pmcs.items():
+            if omega & s != s or omega & ~region or not omega & c:
+                continue
+            sub = max((val[d] for d, _ in comps if d & c), default=0)
+            if best is not None and sub >= best:
+                continue
+            k = costs.get(omega)
+            if k is None:
+                k = costs[omega] = cost(omega)
+            if best is None or k < best:
+                best = max(k, sub)
+                choice[c] = omega
+        val[c] = best
+    bags, edges = [], []
+    stack = [(full, -1)]
+    while stack:
+        c, up = stack.pop()
+        omega = choice[c]
+        if up >= 0:
+            edges.append((up, len(bags)))
+        stack += [(d, len(bags)) for d, _ in pmcs[omega] if d & c]
+        bags.append(omega)
+    return val[full], bags, edges
 
 
 def tree_param_exact(g: Graph, f: str, max_n=None):
     """Exact tree-f for hereditary f, with a witness decomposition.
 
-    Every tree-decomposition refines to the clique tree of its bag-completion
-    (a chordal completion); the refined bags are induced subgraphs of the
-    originals, so for hereditary f the minimum over chordal completions
-    equals tree-f.  Chordal completions are swept by the elimination-ordering
-    subset DP; f is evaluated on each elimination bag {v} u Q and memoized.
+    Every tree-decomposition refines to the clique tree of a minimal
+    triangulation inside its bag-completion; the refined bags are induced
+    subgraphs of the originals, so for hereditary f tree-f is the minimum
+    over minimal triangulations of the largest f(G[Ω]) over their maximal
+    cliques, which are potential maximal cliques.  _block_dp finds it,
+    evaluating f once on each PMC it needs.
     """
     if f not in PARAMS:
         raise GraphError(f"unknown or non-hereditary parameter {f!r}")
     _cap(g, TREEF_MAX_N, max_n, "tree_param_exact", STATE_BYTES)
     if g.n == 0:
         return 0, TreeDecomposition(0, [frozenset()], [])
-    masks = g.adjacency_masks()
     fn = PARAMS[f]
-
-    @lru_cache(maxsize=None)
-    def bag_value(bag_mask):
-        sub, _ = g.subgraph(bits(bag_mask))
-        return fn(sub)
-
-    def cost(t, v):
-        return bag_value(1 << v | q_set(masks, t, v))
-
-    dp = elimination_dp(g.n, cost)
-    return dp[-1], _elimination_td(g, recover_order(dp, cost))
+    value, bags, edges = _block_dp(g.adjacency_masks(),
+                                   lambda omega: fn(g.subgraph(bits(omega))[0]))
+    return value, TreeDecomposition(g.n, [bits(b) for b in bags], edges)
 
 
 def neighborhood_lower_bound(g: Graph, f: str) -> int:

@@ -1,6 +1,7 @@
-"""The elimination-ordering DPs behind the treewidth, pathwidth and tree-f oracles.
+"""The elimination-ordering DPs behind the treewidth and pathwidth oracles,
+and the bitmask flood fills that split vertex sets into components.
 
-All three parameters are a minimum over vertex orderings of the largest cost
+Both parameters are a minimum over vertex orderings of the largest cost
 of one elimination step (the Q-set recurrence of Bodlaender, Fomin, Koster,
 Kratsch & Thilikos, On exact algorithms for treewidth, ACM TALG 2012), so the
 table is dp[S] = min over v in S of max(dp[S - v], cost(S - v, v)) for every
@@ -8,7 +9,6 @@ subset S of the vertices, and recover_order reads an optimal ordering back
 out of it.  The cost of eliminating v after the set t is:
 
 - treewidth: |Q(t, v)|, the vertices outside t u {v} that v reaches through t;
-- tree-f: f of the elimination bag {v} u Q(t, v) (in prodstruct.exact);
 - pathwidth: |N(S) - S| for S = t u {v}, the vertex separation of S.
 
 Only states of value at most dp[full] can lie on an optimal ordering (TALG
@@ -21,7 +21,7 @@ level k is done and dp[full] <= k.  The table contract is then:
 - every other entry is above dp[full], or 255 if the search never reached it.
 
 recover_order reads only entries at most dp[full], so it gives the ordering a
-full table would.  tw and tree-f search with elimination_dp.  The pathwidth
+full table would.  tw searches with elimination_dp.  The pathwidth
 cost does not depend on which v of S is last, so a state's value
 max(|N(S) - S|, min over v in S of dp[S - v]) is final when the search first
 reaches it, and pathwidth_dp runs its own loop with one cost per state.
@@ -66,6 +66,19 @@ def flood(masks, within: int, v: int):
 def component(masks, within: int, v: int) -> int:
     """The vertices that v reaches through vertices of `within`, v included."""
     return flood(masks, within, v)[0]
+
+
+def components(masks, within: int) -> list:
+    """[(C, N(C))] for the components C of the subgraph that `within` induces,
+    the component of the lowest vertex first; N(C) is the set of vertices
+    outside C with a neighbour in C."""
+    out = []
+    rest = within
+    while rest:
+        comp, reach = flood(masks, within, (rest & -rest).bit_length() - 1)
+        out.append((comp, reach & ~comp))
+        rest ^= comp
+    return out
 
 
 def q_set(masks, t: int, v: int) -> int:

@@ -337,7 +337,14 @@ def test_layered_witness_k_is_read_off_its_bags():
         w.k = 1
 
 
-# in-test copies of the three span loops that bag_span replaced
+# in-test copies of the three span loops that bag_span replaced, and of its
+# own earlier formula: |i - pos[w]| over both ends of every edge in the bag
+
+def _abs_span(g, order):
+    pos = {v: i for i, v in enumerate(order)}
+    bag = frozenset(pos)
+    return max((abs(i - pos[w]) for v, i in pos.items() for w in g.adj[v] & bag), default=0)
+
 
 def _hex_span(g, order):          # constructions.hex_graph
     pos = {v: i for i, v in enumerate(order)}
@@ -373,5 +380,26 @@ def test_bag_span_matches_the_old_loops():
         rng.shuffle(order)
         want = _hex_span(g, order)
         assert bag_span(g, order) == want == _planar_span(g, order) == _witness_span(g, order)
+        assert want == _abs_span(g, order)
     assert bag_span(path(3), []) == 0 and bag_span(path(3), [1]) == 0
     assert bag_span(path(4), [0, 2, 1, 3]) == 2
+
+
+def test_bag_span_matches_its_earlier_formula_on_planar_bags():
+    from prodstruct.constructions import stacked_triangulation
+    from prodstruct.planar import planar_bandwidth3_decomposition
+    rng = SplitMix64(5)
+    for n, seed in ((60, 1), (300, 2)):
+        pt = stacked_triangulation(n, seed)
+        g = pt.graph
+        td, order, report = planar_bandwidth3_decomposition(pt)
+        pos = {v: i for i, v in enumerate(order)}
+        spans = []
+        for bag in td.bags:
+            ordered = sorted(bag, key=pos.__getitem__)
+            spans.append(bag_span(g, ordered))
+            assert spans[-1] == _abs_span(g, ordered)
+            shuffled = list(bag)
+            rng.shuffle(shuffled)
+            assert bag_span(g, shuffled) == _abs_span(g, shuffled)
+        assert spans == report["per_bag"] and max(spans) <= 3

@@ -8,6 +8,11 @@ second walk over the component, and the pathwidth table filled by that full
 DP with one cost per (state, vertex) pair.  The searched table must hold the
 same dp[full], the same value at every entry at most dp[full] and a larger
 one everywhere else, and recover_order must read the same ordering out of it.
+
+tree_param_exact no longer runs an elimination DP: it is the block DP over
+potential maximal cliques.  The full elimination table with the tree-f step
+cost stays here as its reference, and the block DP with cost |Ω| - 1 is
+checked as a second treewidth oracle, against treewidth_exact and networkx.
 """
 
 from array import array
@@ -17,7 +22,8 @@ import pytest
 import prodstruct.constructions as C
 import prodstruct.exact as X
 import prodstruct.exact._kernels as K
-from conftest import random_graph
+from conftest import connected_atlas, random_graph
+from prodstruct.decomposition import TreeDecomposition, validate
 from prodstruct.exact import pathwidth_exact, tree_param_exact, treewidth_exact
 from prodstruct.exact._kernels import (bits, elimination_dp, pathwidth_dp, q_set,
                                        recover_order, treewidth_dp)
@@ -86,7 +92,8 @@ def plain_pathwidth_dp(masks):
 
 
 def tree_f_cost(g, f):
-    """tree_param_exact's step cost: f of the elimination bag, memoized."""
+    """The step cost of the elimination search tree_param_exact ran before
+    the block DP: f of the elimination bag, memoized."""
     masks = g.adjacency_masks()
     memo = {}
 
@@ -171,7 +178,7 @@ def test_q_set_and_component_match_plain_loops(g):
                 assert K.component(masks, t, v) == plain_component(masks, t, v)
 
 
-def test_only_tw_and_tree_f_run_the_shared_dp(monkeypatch):
+def test_only_tw_runs_the_shared_dp(monkeypatch):
     calls = []
     real = K.elimination_dp
 
@@ -179,14 +186,15 @@ def test_only_tw_and_tree_f_run_the_shared_dp(monkeypatch):
         calls.append(1)
         return real(*a, **k)
     monkeypatch.setattr(K, "elimination_dp", counted)
-    monkeypatch.setattr(X, "elimination_dp", counted)
+    # also counted if the oracles' module imports it again
+    monkeypatch.setattr(X, "elimination_dp", counted, raising=False)
     g = C.cycle(5)
     pathwidth_exact(g)
     assert len(calls) == 0
+    tree_param_exact(g, "maxdeg")
+    assert len(calls) == 0
     treewidth_exact(g)
     assert len(calls) == 1
-    tree_param_exact(g, "maxdeg")
-    assert len(calls) == 2
 
 
 # seeded graphs with n <= 7 and a clique: td and longest-path of a clique bag
@@ -220,3 +228,112 @@ def test_search_on_a_path_stops_at_its_treewidth():
         return q_set(masks, t, v).bit_count()
     assert elimination_dp(20, cost)[-1] == 1
     assert calls <= 20 ** 3
+
+
+# -- the block DP over potential maximal cliques ---------------------------
+
+def tree_f_reference(g, f):
+    """tree-f as the elimination-ordering DP computed it: the full table."""
+    return full_elimination_dp(g.n, tree_f_cost(g, f))[-1]
+
+
+def seeded_tree_f_graphs():
+    # n <= 8 at edge densities 1/4 to 3/4: the sparse ones are often disconnected
+    rng = SplitMix64(17)
+    return [random_graph(rng, 2 + i % 7, 1 + rng.randrange(3), 4) for i in range(28)]
+
+
+TREE_F_GRAPHS = {
+    "atlas6": connected_atlas(6),
+    "seeded": seeded_tree_f_graphs(),
+    "edge": [Graph(0), Graph(1), C.complete(6)],
+}
+
+
+def assert_witness_attains(g, f, value, td):
+    rep = validate(g, td)
+    assert rep.ok, rep
+    assert max(X.PARAMS[f](g.subgraph(b)[0]) for b in td.bags) == value
+
+
+@pytest.mark.parametrize("f", X.PARAMS)
+@pytest.mark.parametrize("family", TREE_F_GRAPHS)
+def test_tree_f_block_dp_matches_elimination_reference(family, f):
+    graphs = TREE_F_GRAPHS[family]
+    if family == "seeded":
+        assert any(not g.is_connected() for g in graphs)
+    for g in graphs:
+        value, td = tree_param_exact(g, f)
+        assert value == tree_f_reference(g, f), (g.n, g.edges())
+        if g.n:
+            assert_witness_attains(g, f, value, td)
+
+
+def minimal_triangulation_cliques(g):
+    """The maximal cliques of the minimal triangulations of g, by brute force.
+
+    Every minimal triangulation is the fill graph of some elimination
+    ordering; a fill graph is a minimal triangulation iff removing any one
+    fill edge leaves it non-chordal (Rose, Tarjan & Lueker, SIAM J. Comput.
+    1976)."""
+    import itertools
+    import networkx as nx
+    out = set()
+    seen = set()
+    for order in itertools.permutations(range(g.n)):
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges())
+        later = set(range(g.n))
+        fill = []
+        for v in order:
+            later.discard(v)
+            nb = [w for w in h[v] if w in later]
+            for a, b in itertools.combinations(nb, 2):
+                if not h.has_edge(a, b):
+                    h.add_edge(a, b)
+                    fill.append((a, b))
+        key = frozenset(map(frozenset, fill))
+        if key in seen:
+            continue
+        seen.add(key)
+        if all(not nx.is_chordal(nx.restricted_view(h, [], [e])) for e in fill):
+            out |= {sum(1 << v for v in c) for c in nx.find_cliques(h)}
+    return sorted(out)
+
+
+@pytest.mark.parametrize("g", connected_atlas(5) + [g for g in seeded_tree_f_graphs() if g.n <= 6],
+                         ids=lambda g: f"n{g.n}m{g.m}")
+def test_pmcs_are_the_cliques_of_minimal_triangulations(g):
+    assert list(X.potential_maximal_cliques(g.adjacency_masks())) == \
+        minimal_triangulation_cliques(g)
+
+
+def block_dp_treewidth(g):
+    value, bags, edges = X._block_dp(g.adjacency_masks(), lambda omega: omega.bit_count() - 1)
+    td = TreeDecomposition(g.n, [bits(b) for b in bags], edges)
+    rep = validate(g, td)
+    assert rep.ok and rep.width == value
+    return value
+
+
+def seeded_treewidth_graphs():
+    rng = SplitMix64(23)
+    return [random_graph(rng, 1 + i % 10, 1 + rng.randrange(3), 4) for i in range(40)]
+
+
+def test_block_dp_is_a_second_treewidth_oracle_on_the_atlas():
+    for g in connected_atlas(7):
+        assert block_dp_treewidth(g) == treewidth_exact(g)[0], g.edges()
+
+
+def test_block_dp_is_a_second_treewidth_oracle_on_seeded_graphs():
+    import networkx as nx
+    from networkx.algorithms.approximation import treewidth_min_fill_in
+    for g in seeded_treewidth_graphs():
+        tw = block_dp_treewidth(g)
+        assert tw == treewidth_exact(g)[0], g.edges()
+        nxg = nx.Graph()
+        nxg.add_nodes_from(range(g.n))
+        nxg.add_edges_from(g.edges())
+        assert tw <= treewidth_min_fill_in(nxg)[0]
