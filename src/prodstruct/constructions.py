@@ -226,8 +226,7 @@ def stacked_triangulation(n: int, seed: int) -> PlaneTriangulation:
         rotation[a].insert(rotation[a].index(c), x)
         rotation.append([a, b, c])
         inner += [(a, b, x), (b, c, x), (c, a, x)]
-    edges = {(min(u, v), max(u, v)) for v, rot in enumerate(rotation) for u in rot}
-    return PlaneTriangulation(Graph(n, edges), rotation, (0, 1, 2))
+    return PlaneTriangulation.from_rotation(n, rotation, (0, 1, 2))
 
 
 def random_regular(n: int, d: int, seed: int) -> Graph:

@@ -14,24 +14,22 @@ its definition on every vertex subset, and f evaluated once per PMC it
 needs.  bw is one branch-and-bound over vertex bitmasks on an explicit
 stack, and td one table over all vertex subsets, filled bottom-up.  td's
 witness walk and the PMC test both split vertex sets with
-_kernels.components.  TwIntTw enumerates chordal completions by a depth-first
-walk over ordering prefixes that expands each (prefix set, maximal bags)
-state once, and twtw enumerates ordered pairs of set partitions, asking of
-each distinct quotient only "tw <= k?" at level k.  For k <= 2 that question
-needs no subset search: _tw_levels answers it by low-degree elimination,
-both for twtw's quotients and for the bag value of tree-tw, and the
-treewidth DP runs only on graphs of treewidth 3 or more.  Where an oracle
-nests many small computations (elimination bags in TwIntTw, quotient
-treewidth questions in twtw) it keeps them in locals of the call, so nothing
-is cached from one call to the next.  The brute-force references these
-oracles are cross-checked against live in tests/conftest.py, not in the
+_kernels.components.  TwIntTw pairs the minimal triangulations, enumerated
+over the blocks of the same PMCs, and twtw enumerates ordered pairs of set
+partitions, asking of each distinct quotient only "tw <= k?" at level k.
+For k <= 2 that question needs no subset search: _tw_levels answers it by
+low-degree elimination, both for twtw's quotients and for the bag value of
+tree-tw, and the treewidth DP runs only on graphs of treewidth 3 or more.
+twtw keeps its many quotient treewidth questions in locals of the call, so
+nothing is cached from one call to the next.  The brute-force references
+these oracles are cross-checked against live in tests/conftest.py, not in the
 package.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import count
+from itertools import count, product
 from math import ceil, sqrt
 
 from ..graphs import Graph, GraphError, VertexPartition, quotient
@@ -305,35 +303,48 @@ def potential_maximal_cliques(masks) -> dict:
     return out
 
 
-def _block_dp(masks, cost):
-    """min over minimal triangulations H of the largest cost(Ω) over the
-    maximal cliques Ω of H, with the bags and tree edges of a witness.
+def _blocks(masks) -> list:
+    """The full blocks, each with its PMCs: [(C, [(Ω, [D])])].
 
-    The block DP of Bouchitté & Todinca (SIAM J. Comput. 2001): each
-    component C of G - Ω for a PMC Ω is a full block (N(C), C), and the
-    blocks are solved by |C| ascending.  val(C) is the minimum over PMCs Ω
-    with N(C) ⊆ Ω ⊆ N(C) u C that meet C of the largest of cost(Ω) and
-    val(D) over the components D of G - Ω inside C; the answer is the same
-    minimum with C = V.  cost is non-negative and called at most once per
-    PMC, only for a PMC whose blocks stay below the best value so far.
-    Ties go to the lowest mask.  The witness hangs each block's PMC below
-    the bag whose component it came from.
+    One block (N(C), C) per component C of G - Ω' over the PMCs Ω', by |C|
+    ascending, and last C = V with N(V) = ∅.  A block's PMCs Ω are those
+    with N(C) ⊆ Ω ⊆ N(C) u C, by ascending mask, each with the components D
+    of G - Ω inside C.  Each Ω meets C, since N(C) is no PMC: C is a
+    component of G - N(C) with neighbourhood N(C).
     """
-    full = (1 << len(masks)) - 1
     pmcs = potential_maximal_cliques(masks)
     sep = {c: nc for comps in pmcs.values() for c, nc in comps}
-    sep[full] = 0
-    costs = {}
-    val = {}
-    choice = {}
+    sep[(1 << len(masks)) - 1] = 0
+    out = []
     for c in sorted(sep, key=lambda c: (c.bit_count(), c)):
         s = sep[c]
         region = s | c
+        out.append((c, [(omega, [d for d, _ in comps if d & c])
+                        for omega, comps in pmcs.items()
+                        if omega & s == s and not omega & ~region]))
+    return out
+
+
+def _block_dp(blocks, cost):
+    """min over minimal triangulations H of the largest cost(Ω) over the
+    maximal cliques Ω of H, with the bags and tree edges of a witness.
+
+    The block DP of Bouchitté & Todinca (SIAM J. Comput. 2001) over the
+    blocks of _blocks, solved in their order: val(C) is the minimum over the
+    PMCs Ω of the block of the largest of cost(Ω) and val(D) over the
+    components D of G - Ω inside C; the answer is val(V).  cost is
+    non-negative and called at most once per PMC, only for a PMC whose
+    blocks stay below the best value so far.  Ties go to the lowest mask.
+    The witness hangs each block's PMC below the bag whose component it came
+    from.
+    """
+    costs = {}
+    val = {}
+    choice = {}
+    for c, pmcs in blocks:
         best = None
-        for omega, comps in pmcs.items():
-            if omega & s != s or omega & ~region or not omega & c:
-                continue
-            sub = max((val[d] for d, _ in comps if d & c), default=0)
+        for omega, subs in pmcs:
+            sub = max(map(val.__getitem__, subs), default=0)
             if best is not None and sub >= best:
                 continue
             k = costs.get(omega)
@@ -341,18 +352,34 @@ def _block_dp(masks, cost):
                 k = costs[omega] = cost(omega)
             if best is None or k < best:
                 best = max(k, sub)
-                choice[c] = omega
+                choice[c] = omega, subs
         val[c] = best
+    root = c                # V, the last block
     bags, edges = [], []
-    stack = [(full, -1)]
+    stack = [(root, -1)]
     while stack:
         c, up = stack.pop()
-        omega = choice[c]
+        omega, subs = choice[c]
         if up >= 0:
             edges.append((up, len(bags)))
-        stack += [(d, len(bags)) for d, _ in pmcs[omega] if d & c]
+        stack += [(d, len(bags)) for d in subs]
         bags.append(omega)
-    return val[full], bags, edges
+    return val[root], bags, edges
+
+
+def _minimal_triangulations(blocks) -> list:
+    """Every minimal triangulation as the ascending tuple of its maximal
+    cliques, in ascending order: _block_dp's recursion, enumerating instead
+    of minimizing.  A minimal triangulation of a block is one of its PMCs Ω
+    with one of each block D of Ω, and its maximal cliques are Ω and theirs
+    (Bouchitté & Todinca, SIAM J. Comput. 2001).  Two choices of Ω can give
+    the same triangulation, so each block keeps a set."""
+    tri = {}
+    for c, pmcs in blocks:
+        tri[c] = {frozenset((omega,)).union(*parts)
+                  for omega, subs in pmcs
+                  for parts in product(*(tri[d] for d in subs))}
+    return sorted(tuple(sorted(t)) for t in tri[c])      # c is V, the last block
 
 
 def tree_param_exact(g: Graph, f: str, max_n=None):
@@ -371,7 +398,7 @@ def tree_param_exact(g: Graph, f: str, max_n=None):
     if g.n == 0:
         return 0, TreeDecomposition(0, [frozenset()], [])
     fn = PARAMS[f]
-    value, bags, edges = _block_dp(g.adjacency_masks(),
+    value, bags, edges = _block_dp(_blocks(g.adjacency_masks()),
                                    lambda omega: fn(g.subgraph(bits(omega))[0]))
     return value, TreeDecomposition(g.n, [bits(b) for b in bags], edges)
 
@@ -411,82 +438,38 @@ def max_clique_order(g: Graph) -> int:
     return best
 
 
-def _completions(g: Graph):
-    """Distinct chordal completions, keyed by maximal elimination bags.
-
-    Returns a list of (maximal_bag_masks, representative_order), the order
-    being the first in lexicographic order with those maximal bags.  A bag
-    {v} u Q(prefix, v) depends on the prefix set only, so each is computed
-    once per call: at most n 2^(n-1) bags.  A bag can lie only inside an
-    earlier one, since later bags miss its vertex v and earlier ones hold
-    their own vertex, which is in the prefix.
-
-    The orderings are walked depth-first in lexicographic order, and a state
-    (prefix set, maximal bags so far) is expanded only the first time it is
-    met.  That loses nothing: the later bags depend on the prefix set alone,
-    and a bag inside an earlier non-maximal bag is inside a maximal one, so
-    a repeated state yields the same maximal bags as its first visit, whose
-    orderings come first.  A state is packed into one int, the maximal bags
-    as a bitset over bag masks above the n prefix bits.
-    """
-    n = g.n
-    full = (1 << n) - 1
-    masks = g.adjacency_masks()
-    bag_of = {}         # prefix * n + v -> {v} u Q(prefix, v)
-    seen = {}           # maximal bags -> the first ordering with them
-    walked = set()      # states expanded, packed
-    stack = [(0, 0, ())]            # (prefix set, maximal bags bitset, order)
-    while stack:
-        prefix, maximal, order = stack.pop()
-        if prefix == full:
-            key = tuple(bits(maximal))
-            if key not in seen:
-                seen[key] = order
-            continue
-        state = maximal << n | prefix
-        if state in walked:
-            continue
-        walked.add(state)
-        rest = full ^ prefix
-        while rest:         # highest vertex first, so the lowest pops first
-            v = rest.bit_length() - 1
-            rest ^= 1 << v
-            key = prefix * n + v
-            bag = bag_of.get(key)
-            if bag is None:
-                bag = bag_of[key] = 1 << v | q_set(masks, prefix, v)
-            inside = any(bag | o == o for o in bits(maximal))
-            stack.append((prefix | 1 << v, maximal if inside else maximal | 1 << bag,
-                          order + (v,)))
-    return [(list(k), v) for k, v in sorted(seen.items())]
-
-
 def twintw_exact(g: Graph, max_n=None):
     """Minimum k admitting a pair of k-orthogonal tree-decompositions.
 
-    WLOG both decompositions are clique trees of chordal completions:
-    refining bags to the bag-completion's maximal cliques never increases a
-    pairwise intersection.
+    WLOG both are clique trees of minimal triangulations: every chordal
+    completion, such as a bag-completion, contains a minimal triangulation
+    whose maximal cliques each lie inside one of its own (Parra & Scheffler,
+    DAM 1997), and shrinking bags never increases an intersection.  The
+    pairs stop early at the largest clique, a lower bound.  A witness is the
+    clique tree _block_dp builds at cost 0 on its cliques and 1 elsewhere:
+    only it reaches 0, as another that did would be a subgraph of it.
     """
-    _cap(g, TWINTW_MAX_N, max_n, "twintw_exact")
+    _cap(g, TWINTW_MAX_N, max_n, "twintw_exact", STATE_BYTES)
     if g.n == 0:
         return 0, None
-    comps = _completions(g)
+    blocks = _blocks(g.adjacency_masks())
+    tris = _minimal_triangulations(blocks)
     lb = max_clique_order(g)
-    best = None
-    pair = None
-    for i, (bags1, o1) in enumerate(comps):
-        for bags2, o2 in comps[i:]:
-            val = max((b1 & b2).bit_count() for b1 in bags1 for b2 in bags2)
+    best = pair = None
+    for i, t1 in enumerate(tris):
+        for t2 in tris[i:]:
+            val = max((b1 & b2).bit_count() for b1 in t1 for b2 in t2)
             if best is None or val < best:
-                best, pair = val, (o1, o2)
+                best, pair = val, (t1, t2)
                 if best == lb:
                     break
         if best == lb:
             break
-    td1 = _elimination_td(g, list(pair[0]))
-    td2 = _elimination_td(g, list(pair[1]))
-    return best, (td1, td2)
+    tds = []
+    for cliques in pair:
+        _, bags, edges = _block_dp(blocks, lambda omega: 0 if omega in cliques else 1)
+        tds.append(TreeDecomposition(g.n, [bits(b) for b in bags], edges))
+    return best, tuple(tds)
 
 
 # -- twtw ----------------------------------------------------------------

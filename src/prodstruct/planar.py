@@ -49,12 +49,25 @@ class PlaneTriangulation:
         })
 
     @staticmethod
+    def from_rotation(n: int, rotation, outer_face):
+        """The triangulation of a rotation system, its graph read in one pass
+        over the entries: each edge from its lower end, u >= v, so that a
+        self-loop entry still reaches Graph and is refused there."""
+        g = Graph(n, [(v, u) for v, rot in enumerate(rotation) for u in rot if u >= v])
+        return PlaneTriangulation(g, rotation, outer_face)
+
+    @staticmethod
     def from_json(text: str):
         d = json.loads(text)
-        edges = {(min(u, v), max(u, v)) for v, rot in enumerate(d["rotation"])
-                 for u in rot}
-        g = Graph(d["n"], edges)
-        return PlaneTriangulation(g, d["rotation"], d["outer"])
+        try:
+            return PlaneTriangulation.from_rotation(d["n"], d["rotation"], d["outer"])
+        except (ValueError, TypeError, KeyError):
+            # A malformed file.  from_rotation drops an entry u < v whose
+            # mirror v is missing from rotation[u], so it may refuse the file
+            # at another vertex; raise what the graph of all 2m entries does.
+            edges = {(min(u, v), max(u, v)) for v, rot in enumerate(d["rotation"])
+                     for u in rot}
+            return PlaneTriangulation(Graph(d["n"], edges), d["rotation"], d["outer"])
 
 
 def _is_face(fs, cycle) -> bool:

@@ -268,6 +268,8 @@ def test_table_budget_refuses_before_allocating():
         treewidth_exact(path(27), max_n=27)
     with pytest.raises(InstanceTooLarge, match="DP table"):
         tree_param_exact(path(31), "maxdeg", max_n=31)
+    with pytest.raises(InstanceTooLarge, match="DP table"):
+        twintw_exact(path(31), max_n=31)
     # treedepth: 2 bytes per subset, so n = 30 is over and n = 29 exactly at the budget
     with pytest.raises(InstanceTooLarge, match="DP table"):
         treedepth_exact(path(30), max_n=30)

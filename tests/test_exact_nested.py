@@ -2,27 +2,33 @@
 
 twtw_exact asks each distinct quotient "tw <= k?" one level at a time
 (_tw_levels: low-degree elimination for k <= 2, the treewidth DP above it),
-building quotient masks along its partition walk; _completions walks
-the orderings depth-first, computes each elimination bag once and expands
-each (prefix, maximal bags) state once, all within one call.  The reference
-oracles below are the loops without any of that, building every partition,
-quotient, ordering and decomposition; both must give the same values and the
-same witnesses, and the fast ones must do bounded work.
+building quotient masks along its partition walk.  twintw_exact pairs the
+minimal triangulations that _minimal_triangulations enumerates from one PMC
+sweep, by the block recursion of the tree-f DP.  The reference oracles below
+are the loops without any of that: every partition and quotient for twtw,
+and for TwIntTw every elimination ordering's chordal completion, of which
+the minimal triangulations are those with no other completion's edges
+strictly inside their own.  Both oracles must give the values of the
+references.  twtw must give the same witnesses; a TwIntTw witness must be a
+valid pair of clique trees of minimal triangulations that attains the value.
+And the fast oracles must do bounded work.
 """
 
 import itertools
 from itertools import islice
 
+import networkx as nx
 import pytest
 
 import prodstruct.exact as X
 import prodstruct.exact._kernels as K
-from conftest import random_graph
+from conftest import connected_atlas, random_graph, twintw_raw
 from prodstruct.constructions import (complete_multipartite, cycle, grid2, path,
                                       stacked_triangulation)
-from prodstruct.exact import (_completions, _elimination_td, _treewidth_value, _tw_levels,
+from prodstruct.decomposition import orthogonality, validate
+from prodstruct.exact import (_blocks, _minimal_triangulations, _treewidth_value, _tw_levels,
                               max_clique_order, treewidth_exact, twintw_exact, twtw_exact)
-from prodstruct.exact._kernels import q_set
+from prodstruct.exact._kernels import bits, q_set
 from prodstruct.graphs import Graph, VertexPartition, quotient
 from prodstruct.rng import SplitMix64
 
@@ -75,6 +81,17 @@ def plain_completions(g):
         if maximal not in seen:
             seen[maximal] = order
     return [(list(k), v) for k, v in sorted(seen.items())]
+
+
+def clique_edges(cliques):
+    return {(u, v) for c in cliques for u, v in itertools.combinations(bits(c), 2)}
+
+
+def plain_minimal_triangulations(g):
+    """The completions with no other completion's edges strictly inside theirs."""
+    comps = [bags for bags, _ in plain_completions(g)]
+    fills = [clique_edges(bags) for bags in comps]
+    return [tuple(bags) for bags, e in zip(comps, fills) if not any(f < e for f in fills)]
 
 
 def plain_twintw_orders(g):
@@ -162,16 +179,60 @@ def test_twtw_matches_the_plain_loop(i, c):
     assert snapshot(witness) == snapshot(ref_witness)
 
 
+def assert_twintw_witness(g, value, witness):
+    """Both decompositions are valid clique trees of minimal triangulations,
+    and their orthogonality is the value.  A triangulation is minimal iff
+    removing any one fill edge leaves it non-chordal (Rose, Tarjan & Lueker,
+    SIAM J. Comput. 1976)."""
+    td1, td2 = witness
+    assert orthogonality(td1, td2) == value
+    for td in witness:
+        assert validate(g, td).ok
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(clique_edges(sum(1 << v for v in b) for b in td.bags))
+        assert nx.is_chordal(h)
+        assert sorted(td.bags, key=sorted) == sorted(map(frozenset, nx.find_cliques(h)), key=sorted)
+        fill = [e for e in h.edges() if not g.has_edge(*e)]
+        assert all(not nx.is_chordal(nx.restricted_view(h, [], [e])) for e in fill), g.edges()
+
+
+def assert_twintw_matches_the_plain_loop(g):
+    value, witness = twintw_exact(g)
+    assert value == plain_twintw_orders(g)[0], g.edges()
+    assert_twintw_witness(g, value, witness)
+
+
 @pytest.mark.parametrize("i", range(len(TWINTW_GRAPHS)))
 def test_completions_and_twintw_match_the_plain_loop(i):
-    g = TWINTW_GRAPHS[i]
-    assert _completions(g) == plain_completions(g)
-    value, (td1, td2) = twintw_exact(g)
-    ref_value, (o1, o2) = plain_twintw_orders(g)
-    assert value == ref_value
-    for td, order in ((td1, o1), (td2, o2)):
-        ref = _elimination_td(g, list(order))
-        assert (td.bags, td.tree_edges) == (ref.bags, ref.tree_edges)
+    assert_twintw_matches_the_plain_loop(TWINTW_GRAPHS[i])
+
+
+def test_twintw_matches_the_plain_loop_on_the_atlas():
+    for g in connected_atlas(6):
+        assert_twintw_matches_the_plain_loop(g)
+
+
+def test_twintw_matches_raw_enumeration_up_to_four_vertices():
+    # one graph per isomorphism class, connected or not
+    from networkx.generators.atlas import graph_atlas_g
+    for h in graph_atlas_g()[1:19]:
+        g = Graph(h.number_of_nodes(), [tuple(sorted(e)) for e in h.edges()])
+        assert g.n <= 4
+        value, witness = twintw_exact(g)
+        assert value == twintw_raw(g), g.edges()
+        assert_twintw_witness(g, value, witness)
+
+
+def test_every_block_pmc_meets_its_component():
+    # so _blocks needs no test that Ω meets C: Ω = N(C) is never a PMC
+    for g in connected_atlas(6) + SEEDED:
+        masks = g.adjacency_masks()
+        pmcs = X.potential_maximal_cliques(masks)
+        seps = {nc for comps in pmcs.values() for _, nc in comps}
+        assert not seps & set(pmcs)
+        for c, choices in _blocks(masks):
+            assert all(omega & c for omega, _ in choices)
 
 
 @pytest.mark.parametrize("c", [1, 2, 3])
@@ -186,8 +247,11 @@ def test_twtw_matches_the_plain_loop_on_seeded_graphs(i, c):
 
 @pytest.mark.parametrize("i", range(len(SEEDED)))
 def test_completions_match_the_plain_loop_on_seeded_graphs(i):
+    # the minimal ones among the plain loop's completions, and the value
     g = SEEDED[i]
-    assert _completions(g) == plain_completions(g)
+    tris = _minimal_triangulations(_blocks(g.adjacency_masks()))
+    assert tris == plain_minimal_triangulations(g)
+    assert_twintw_matches_the_plain_loop(g)
 
 
 # -- tw <= k without a subset search ---------------------------------------
@@ -228,11 +292,20 @@ def test_twtw_runs_one_dp_per_distinct_quotient(monkeypatch):
     assert 0 < len(calls) <= 455
 
 
-def test_completions_compute_each_bag_once(monkeypatch):
-    # 7! orderings of 7 elimination steps, but only n 2^(n-1) = 448 (prefix, v) bags
-    calls = counting(monkeypatch, "q_set")
-    _completions(cycle(7))
-    assert 0 < len(calls) <= 7 * 2 ** 6
+def test_twintw_sweeps_the_pmcs_once(monkeypatch):
+    # cycle(7) has as many minimal triangulations as distinct chordal
+    # completions, 42; stacked7 has 1 against 23
+    sweeps = counting(monkeypatch, "potential_maximal_cliques")
+    found = []
+    real = X._minimal_triangulations
+    monkeypatch.setattr(X, "_minimal_triangulations",
+                        lambda blocks: found.append(real(blocks)) or found[-1])
+    for g, tris, completions in ((cycle(7), 42, 42), (stacked_triangulation(7, 3).graph, 1, 23)):
+        sweeps.clear()
+        found.clear()
+        twintw_exact(g)
+        assert len(sweeps) == 1 and [len(t) for t in found] == [tris]
+        assert len(plain_completions(g)) == completions
 
 
 def test_memo_does_not_outlive_the_call(monkeypatch):
@@ -250,11 +323,3 @@ def test_twtw_searches_no_quotient_past_the_answer(monkeypatch):
     dps = counting(monkeypatch, "treewidth_dp")
     assert twtw_exact(grid2(2, 4))[0] == 1
     assert q_sets == [] and dps == []
-
-
-def test_completions_expand_each_state_once(monkeypatch):
-    # every permutation of cycle(7) would be 7! * 7 elimination steps; each
-    # expanded step walks the maximal bags once with bits
-    calls = counting(monkeypatch, "bits")
-    _completions(cycle(7))
-    assert 0 < len(calls) <= 7 * 5040 // 10

@@ -310,7 +310,8 @@ def test_pmcs_are_the_cliques_of_minimal_triangulations(g):
 
 
 def block_dp_treewidth(g):
-    value, bags, edges = X._block_dp(g.adjacency_masks(), lambda omega: omega.bit_count() - 1)
+    value, bags, edges = X._block_dp(X._blocks(g.adjacency_masks()),
+                                     lambda omega: omega.bit_count() - 1)
     td = TreeDecomposition(g.n, [bits(b) for b in bags], edges)
     rep = validate(g, td)
     assert rep.ok and rep.width == value

@@ -3,12 +3,14 @@
 Each oracle below is the plain definition the fast code replaced: the face
 walk that restarts at the smallest unused directed edge, the cotree read
 from a dict keyed by directed-edge pairs, the bags as unions of three whole
-root paths, the any-bag edge check, the leaf scan over every live node and
-the neighbour scan over every tree edge.  The fast code must give the same
+root paths, the any-bag edge check, the leaf scan over every live node,
+the neighbour scan over every tree edge, and the triangulation's graph built
+from the set of all 2m rotation entries.  The fast code must give the same
 faces, dual edges, bags, spans, errors, orders and neighbours, and the
 planar pipeline and torso gluing must stay near-linear.
 """
 
+import json
 import random
 import time
 from types import SimpleNamespace
@@ -211,6 +213,59 @@ def test_corrupted_rotation_gives_the_same_error():
                 with pytest.raises(EmbeddingInvalid) as slow:
                     walk_faces(bad)
                 assert str(fast.value) == str(slow.value)
+
+
+def all_entries_from_json(text):
+    d = json.loads(text)
+    edges = {(min(u, v), max(u, v)) for v, rot in enumerate(d["rotation"]) for u in rot}
+    return PlaneTriangulation(Graph(d["n"], edges), d["rotation"], d["outer"])
+
+
+def outcome(parse, text):
+    try:
+        return "ok", parse(text).to_json()
+    except (ValueError, TypeError, KeyError) as ex:
+        return type(ex).__name__, str(ex)
+
+
+def corrupted_triangulations(rng, d):
+    """One fault each: an entry dropped, replaced (by a self-loop, another
+    vertex, one out of range or another type) or moved, a key or a row
+    dropped, a row added, n off by one."""
+    n, rot = d["n"], d["rotation"]
+    v = rng.randrange(n)
+    i = rng.randrange(len(rot[v]))
+    for what, entry in [("drop", []), ("self", [v]), ("other", [rng.randrange(n)]),
+                        ("negative", [-1]), ("past n", [n]), ("float", [rot[v][i] + 0.5]),
+                        ("integral float", [float(rot[v][i])]), ("text", [str(rot[v][i])]),
+                        ("null", [None]), ("false", [False])]:
+        r = json.loads(json.dumps(d))
+        r["rotation"][v][i:i + 1] = entry
+        yield what, r
+    r = json.loads(json.dumps(d))
+    r["rotation"][rng.randrange(n)].append(r["rotation"][v].pop(i))
+    yield "moved", r
+    for key in ("n", "rotation", "outer"):
+        yield f"no {key}", {k: x for k, x in d.items() if k != key}
+    yield "row dropped", {**d, "rotation": rot[:v] + rot[v + 1:]}
+    yield "row added", {**d, "rotation": rot + [[rng.randrange(n + 1)]]}
+    yield "n - 1", {**d, "n": n - 1}
+    yield "n + 1", {**d, "n": n + 1}
+
+
+def test_triangulation_files_raise_as_the_graph_of_all_entries_does():
+    # from_rotation reads each edge from its lower end only; a file whose
+    # entries do not mirror must still be refused as before, word for word
+    rng = random.Random(5)
+    for n in (3, 4, 5, 8, 13):
+        for seed in range(6):
+            pt = stacked_triangulation(n, seed)
+            assert pt.graph == all_entries_from_json(pt.to_json()).graph
+            d = json.loads(pt.to_json())
+            for what, bad in [("intact", d), *corrupted_triangulations(rng, d)]:
+                text = json.dumps(bad)
+                want = outcome(all_entries_from_json, text)
+                assert outcome(PlaneTriangulation.from_json, text) == want, (what, text)
 
 
 def test_validate_edge_errors_match_any_bag_oracle():
