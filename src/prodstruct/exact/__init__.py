@@ -6,36 +6,35 @@ raises InstanceTooLarge, never silently truncates.  tw and pw are
 elimination-ordering subset DPs (the Q-set DP of Bodlaender, Fomin, Koster,
 Kratsch & Thilikos, ACM TALG 2012; see _kernels), each searched level by
 level from the empty set until the value of the full set is known: only
-states of value at most the answer are expanded.  tw runs elimination_dp;
-pw searches with its own loop, one cost per state, since its step cost does
-not depend on the vertex eliminated.  tree-f is the block DP of Bouchitté &
-Todinca over the potential maximal cliques (PMCs), each PMC found by testing
-its definition on every vertex subset, and f evaluated once per PMC it
-needs.  bw is one branch-and-bound over vertex bitmasks on an explicit
-stack, and td one table over all vertex subsets, filled bottom-up.  td's
-witness walk and the PMC test both split vertex sets with
-_kernels.components.  TwIntTw pairs the minimal triangulations, enumerated
-over the blocks of the same PMCs, and twtw enumerates ordered pairs of set
-partitions, asking of each distinct quotient only "tw <= k?" at level k.
-For k <= 2 that question needs no subset search: _tw_levels answers it by
-low-degree elimination, both for twtw's quotients and for the bag value of
-tree-tw, and the treewidth DP runs only on graphs of treewidth 3 or more.
-twtw keeps its many quotient treewidth questions in locals of the call, so
-nothing is cached from one call to the next.  The brute-force references
-these oracles are cross-checked against live in tests/conftest.py, not in the
-package.
+states of value at most the answer are expanded; pw computes one cost per
+state, since its step cost does not depend on the vertex eliminated.  tree-f
+is the block DP of Bouchitté & Todinca over the potential maximal cliques
+(PMCs), each PMC found by testing its definition on every vertex subset, and
+f evaluated once per PMC it needs.  bw is one branch-and-bound over vertex
+bitmasks on an explicit stack, and td one table over all vertex subsets,
+filled bottom-up.  td's witness walk and the PMC test both split vertex sets
+with _kernels.components.  TwIntTw enumerates the minimal triangulations
+over the blocks of the same PMCs, and the block DP finds the best partner of
+each.  twtw enumerates ordered pairs of set partitions, asking of each
+distinct quotient only "tw <= k?" at level k.  For k <= 2 that question
+needs no subset search: _tw_levels answers it by low-degree elimination,
+both for twtw's quotients and for the bag value of tree-tw, and the
+treewidth DP runs only on graphs of treewidth 3 or more.  twtw keeps its
+many quotient treewidth questions in locals of the call, so nothing is
+cached from one call to the next.  The brute-force references these oracles
+are cross-checked against live in tests/conftest.py, not in the package.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import count, product
-from math import ceil, sqrt
+from math import ceil, prod, sqrt
 
 from ..graphs import Graph, GraphError, VertexPartition, quotient
 from ..decomposition import TreeDecomposition, PathDecomposition
 from ..rng import SplitMix64
-from ._kernels import (STATE_BYTES, bits, component, components, pathwidth_dp, q_set,
+from ._kernels import (STATE_BYTES, bits, components, flood, pathwidth_dp, q_set,
                        recover_order, treewidth_dp)
 
 TW_MAX_N = 16
@@ -67,25 +66,18 @@ def _cap(g: Graph, cap: int, max_n, what: str, state_bytes: int = 0):
 
 # -- treewidth -----------------------------------------------------------
 
-def _elimination_bags(masks, order) -> list:
-    """Bitmask bags {v} u Q(prefix, v) of an elimination ordering."""
-    bags = []
-    prefix = 0
-    for v in order:
-        bags.append(1 << v | q_set(masks, prefix, v))
-        prefix |= 1 << v
-    return bags
-
-
 def _elimination_td(g: Graph, order) -> TreeDecomposition:
-    """Tree-decomposition from an elimination ordering: bags {v} u Q."""
+    """Tree-decomposition from an elimination ordering: bags {v} u Q(prefix, v)."""
+    masks = g.adjacency_masks()
     pos = {v: i for i, v in enumerate(order)}
-    bags = [frozenset(bits(b)) for b in _elimination_bags(g.adjacency_masks(), order)]
-    edges = []
+    bags, edges = [], []
+    prefix = 0
     for i, v in enumerate(order):
-        later = [pos[w] for w in bags[i] if w != v]
-        if later:
-            edges.append((i, min(later)))
+        q = q_set(masks, prefix, v)
+        prefix |= 1 << v
+        bags.append(frozenset(bits(1 << v | q)))
+        if q:
+            edges.append((i, min(pos[w] for w in bits(q))))
         elif i + 1 < len(order):
             edges.append((i, i + 1))
     return TreeDecomposition(g.n, bags, edges)
@@ -224,7 +216,7 @@ def treedepth_exact(g: Graph, max_n=None):
     td = bytearray(size)
     root = bytearray(size)
     for s in range(1, size):
-        comp = component(masks, s, (s & -s).bit_length() - 1)
+        comp = flood(masks, s, (s & -s).bit_length() - 1)[0]
         if comp != s:
             td[s] = max(td[comp], td[s ^ comp])
             continue
@@ -373,7 +365,19 @@ def _minimal_triangulations(blocks) -> list:
     of minimizing.  A minimal triangulation of a block is one of its PMCs Ω
     with one of each block D of Ω, and its maximal cliques are Ω and theirs
     (Bouchitté & Todinca, SIAM J. Comput. 2001).  Two choices of Ω can give
-    the same triangulation, so each block keeps a set."""
+    the same triangulation, so each block keeps a set.
+
+    Before any set is built, the entries the blocks would build are counted,
+    repeats included, and charged against TABLE_BUDGET_BYTES."""
+    count = {}
+    for c, pmcs in blocks:
+        count[c] = sum(prod(map(count.__getitem__, subs)) for _, subs in pmcs)
+    entries = sum(count.values())
+    # 304 bytes per entry: tracemalloc peaked at 248-303 per counted entry on
+    # cycle(n), n = 8-12 (1304 to 250,964 entries, 0.3 to 72.5 MiB)
+    if entries * 304 > TABLE_BUDGET_BYTES:
+        raise InstanceTooLarge(f"twintw_exact: {entries} block triangulations to enumerate "
+                               f"are over the budget of {TABLE_BUDGET_BYTES} bytes")
     tri = {}
     for c, pmcs in blocks:
         tri[c] = {frozenset((omega,)).union(*parts)
@@ -444,32 +448,28 @@ def twintw_exact(g: Graph, max_n=None):
     WLOG both are clique trees of minimal triangulations: every chordal
     completion, such as a bag-completion, contains a minimal triangulation
     whose maximal cliques each lie inside one of its own (Parra & Scheffler,
-    DAM 1997), and shrinking bags never increases an intersection.  The
-    pairs stop early at the largest clique, a lower bound.  A witness is the
-    clique tree _block_dp builds at cost 0 on its cliques and 1 elsewhere:
-    only it reaches 0, as another that did would be a subgraph of it.
+    DAM 1997), and shrinking bags never increases an intersection.  For each
+    T1, _block_dp at cost Ω ↦ max over Ω1 of T1 of |Ω ∩ Ω1| finds the best T2
+    and its clique tree; the search stops early at the largest clique, a
+    lower bound.  T1's witness is the clique tree _block_dp builds at cost 0
+    on T1's cliques and 1 elsewhere: only T1 reaches 0, as another that did
+    would be a subgraph of it.
     """
     _cap(g, TWINTW_MAX_N, max_n, "twintw_exact", STATE_BYTES)
     if g.n == 0:
         return 0, None
     blocks = _blocks(g.adjacency_masks())
-    tris = _minimal_triangulations(blocks)
     lb = max_clique_order(g)
-    best = pair = None
-    for i, t1 in enumerate(tris):
-        for t2 in tris[i:]:
-            val = max((b1 & b2).bit_count() for b1 in t1 for b2 in t2)
-            if best is None or val < best:
-                best, pair = val, (t1, t2)
-                if best == lb:
-                    break
-        if best == lb:
-            break
-    tds = []
-    for cliques in pair:
-        _, bags, edges = _block_dp(blocks, lambda omega: 0 if omega in cliques else 1)
-        tds.append(TreeDecomposition(g.n, [bits(b) for b in bags], edges))
-    return best, tuple(tds)
+    best = None
+    for t1 in _minimal_triangulations(blocks):
+        val, *tree = _block_dp(blocks, lambda omega: max((omega & o).bit_count() for o in t1))
+        if best is None or val < best:
+            best, cliques, second = val, t1, tree
+            if best == lb:
+                break
+    _, *first = _block_dp(blocks, lambda omega: 0 if omega in cliques else 1)
+    return best, tuple(TreeDecomposition(g.n, [bits(b) for b in bags], edges)
+                       for bags, edges in (first, second))
 
 
 # -- twtw ----------------------------------------------------------------

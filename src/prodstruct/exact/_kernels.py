@@ -21,14 +21,14 @@ level k is done and dp[full] <= k.  The table contract is then:
 - every other entry is above dp[full], or 255 if the search never reached it.
 
 recover_order reads only entries at most dp[full], so it gives the ordering a
-full table would.  tw searches with elimination_dp.  The pathwidth
-cost does not depend on which v of S is last, so a state's value
-max(|N(S) - S|, min over v in S of dp[S - v]) is final when the search first
-reaches it, and pathwidth_dp runs its own loop with one cost per state.
+full table would.  The pathwidth cost does not depend on which v of S is
+last, so a state's value max(|N(S) - S|, min over v in S of dp[S - v]) is
+final when the search first reaches it, and pathwidth_dp computes one cost
+per state; treewidth_dp expands each state by every v outside it.
 
 Graphs are lists of neighbourhood bitmasks and vertex sets are int bitmasks.
 Tables are bytearrays of 2^n entries, and each search queues at most one
-8-byte array('q') entry per state; every value must stay below 255.
+8-byte array('q') entry per state; both costs stay below n.
 """
 
 from array import array
@@ -63,11 +63,6 @@ def flood(masks, within: int, v: int):
     return comp, reach
 
 
-def component(masks, within: int, v: int) -> int:
-    """The vertices that v reaches through vertices of `within`, v included."""
-    return flood(masks, within, v)[0]
-
-
 def components(masks, within: int) -> list:
     """[(C, N(C))] for the components C of the subgraph that `within` induces,
     the component of the lowest vertex first; N(C) is the set of vertices
@@ -84,45 +79,6 @@ def components(masks, within: int) -> list:
 def q_set(masks, t: int, v: int) -> int:
     """Q(t, v): the vertices outside t u {v} that v reaches through t."""
     return flood(masks, t, v)[1] & ~t & ~(1 << v)
-
-
-def elimination_dp(n: int, cost) -> bytearray:
-    """The Q-set table, searched level by level up to dp[full].
-
-    Level k expands the states of value exactly k: from S, each v outside S
-    offers dp[S | v] the value max(k, cost(S, v)).  A state that drops to k
-    joins the level's stack, so no state is pushed twice.  The search stops
-    once level k is done and dp[full] <= k.  Every entry at most dp[full] is
-    then exact; every other one is above it, or 255 if never reached.
-    """
-    full = (1 << n) - 1
-    dp = bytearray(b"\xff") * (full + 1)
-    dp[0] = 0
-    stack = array("q")
-    for k in range(255):        # costs can reach n (td of a clique bag)
-        s = dp.find(k)
-        while s >= 0:
-            stack.append(s)
-            s = dp.find(k, s + 1)
-        while stack:
-            s = stack.pop()
-            rest = full ^ s
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                u = s | bit
-                d = dp[u]
-                if d <= k:
-                    continue
-                c = cost(s, bit.bit_length() - 1)
-                if c <= k:
-                    dp[u] = k
-                    stack.append(u)
-                elif c < d:
-                    dp[u] = c
-        if dp[full] <= k:
-            return dp
-    raise ValueError("elimination costs must stay below 255")
 
 
 def recover_order(dp: bytearray, cost) -> list:
@@ -150,10 +106,46 @@ def recover_order(dp: bytearray, cost) -> list:
 
 
 def treewidth_dp(masks):
-    """The treewidth table (dp[full] is tw) and the cost it was searched with."""
+    """The treewidth table (dp[full] is tw), searched level by level, and the
+    cost it was searched with: cost(t, v) = |Q(t, v)|.
+
+    Level k expands the states of value exactly k: from S, each v outside S
+    offers dp[S | v] the value max(k, |Q(S, v)|).  A state that drops to k
+    joins the level's stack, so no state is pushed twice.  The search stops
+    once level k is done and dp[full] <= k.  Every entry at most dp[full] is
+    then exact; every other one is above it, or 255 if never reached.
+    """
     def cost(t, v):
         return q_set(masks, t, v).bit_count()
-    return elimination_dp(len(masks), cost), cost
+    n = len(masks)
+    full = (1 << n) - 1
+    dp = bytearray(b"\xff") * (full + 1)
+    dp[0] = 0
+    stack = array("q")
+    for k in range(max(n, 1)):      # a Q-set has at most n - 1 vertices
+        s = dp.find(k)
+        while s >= 0:
+            stack.append(s)
+            s = dp.find(k, s + 1)
+        while stack:
+            s = stack.pop()
+            rest = full ^ s
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                u = s | bit
+                d = dp[u]
+                if d <= k:
+                    continue
+                c = q_set(masks, s, bit.bit_length() - 1).bit_count()
+                if c <= k:
+                    dp[u] = k
+                    stack.append(u)
+                elif c < d:
+                    dp[u] = c
+        if dp[full] <= k:
+            return dp, cost
+    raise AssertionError("unreachable: every step costs at most n - 1")
 
 
 def pathwidth_dp(masks):

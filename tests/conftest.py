@@ -9,6 +9,7 @@ raw_bag_path_check) refuse hosts above RAW_MAX_N vertices.
 import heapq
 import itertools
 
+import prodstruct.exact
 from prodstruct.decomposition import TreeDecomposition, validate
 from prodstruct.exact import InstanceTooLarge, longest_path_order, treewidth_exact
 from prodstruct.graphs import Graph, subgraph_contained
@@ -16,6 +17,18 @@ from prodstruct.products import strong
 from prodstruct.rng import SplitMix64
 
 RAW_MAX_N = 4
+
+
+def counting(monkeypatch, name, module=prodstruct.exact):
+    """A list that gets one entry per call of module.name, patched for the test."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*a, **k):
+        calls.append(1)
+        return real(*a, **k)
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def random_graph(rng: SplitMix64, n: int, p_num=1, p_den=2) -> Graph:

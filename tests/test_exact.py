@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (random_graph, brute_bandwidth, brute_treedepth,
                       brute_vertex_separation, check_elimination_forest,
                       twintw_raw, twtw_raw, raw_bag_path_check)
+from prodstruct.cli import main
 from prodstruct.constructions import (path, cycle, complete, star,
                                       complete_multipartite, grid2, hex_graph,
                                       windmill, flower)
@@ -273,3 +275,15 @@ def test_table_budget_refuses_before_allocating():
     # treedepth: 2 bytes per subset, so n = 30 is over and n = 29 exactly at the budget
     with pytest.raises(InstanceTooLarge, match="DP table"):
         treedepth_exact(path(30), max_n=30)
+
+
+def test_twintw_enumeration_is_refused_before_it_is_built(tmp_path, capsys):
+    # the blocks of cycle(16) would build about 54 million triangulations,
+    # about 4x more per vertex: refused from the count, before any is built
+    with pytest.raises(InstanceTooLarge, match="block triangulations"):
+        twintw_exact(cycle(16), max_n=16)
+    assert twintw_exact(cycle(12), max_n=12)[0] == 2
+    p = tmp_path / "c16.json"
+    p.write_text(cycle(16).to_json())
+    assert main(["exact", "twintw", str(p), "--max-n", "16"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"].startswith("InstanceTooLarge")

@@ -2,16 +2,18 @@
 
 twtw_exact asks each distinct quotient "tw <= k?" one level at a time
 (_tw_levels: low-degree elimination for k <= 2, the treewidth DP above it),
-building quotient masks along its partition walk.  twintw_exact pairs the
-minimal triangulations that _minimal_triangulations enumerates from one PMC
-sweep, by the block recursion of the tree-f DP.  The reference oracles below
-are the loops without any of that: every partition and quotient for twtw,
-and for TwIntTw every elimination ordering's chordal completion, of which
-the minimal triangulations are those with no other completion's edges
-strictly inside their own.  Both oracles must give the values of the
-references.  twtw must give the same witnesses; a TwIntTw witness must be a
-valid pair of clique trees of minimal triangulations that attains the value.
-And the fast oracles must do bounded work.
+building quotient masks along its partition walk.  twintw_exact takes each
+minimal triangulation T1 that _minimal_triangulations enumerates from one
+PMC sweep, by the block recursion of the tree-f DP, and asks the block DP
+for its best partner T2.  The reference oracles below are the loops without
+any of that: every partition and quotient for twtw, and for TwIntTw every
+elimination ordering's chordal completion, of which the minimal
+triangulations are those with no other completion's edges strictly inside
+their own, tried in pairs.  Both oracles must give the values of the
+references, and the block DP the best partner the pair loop finds for each
+T1.  twtw must give the same witnesses; a TwIntTw witness must be a valid
+pair of clique trees of minimal triangulations that attains the value.  And
+the fast oracles must do bounded work.
 """
 
 import itertools
@@ -22,10 +24,10 @@ import pytest
 
 import prodstruct.exact as X
 import prodstruct.exact._kernels as K
-from conftest import connected_atlas, random_graph, twintw_raw
+from conftest import connected_atlas, counting, random_graph, twintw_raw
 from prodstruct.constructions import (complete_multipartite, cycle, grid2, path,
                                       stacked_triangulation)
-from prodstruct.decomposition import orthogonality, validate
+from prodstruct.decomposition import TreeDecomposition, orthogonality, validate
 from prodstruct.exact import (_blocks, _minimal_triangulations, _treewidth_value, _tw_levels,
                               max_clique_order, treewidth_exact, twintw_exact, twtw_exact)
 from prodstruct.exact._kernels import bits, q_set
@@ -92,6 +94,16 @@ def plain_minimal_triangulations(g):
     comps = [bags for bags, _ in plain_completions(g)]
     fills = [clique_edges(bags) for bags in comps]
     return [tuple(bags) for bags, e in zip(comps, fills) if not any(f < e for f in fills)]
+
+
+def pair_max(t1, t2):
+    """The largest intersection of a clique of t1 with a clique of t2."""
+    return max((b1 & b2).bit_count() for b1 in t1 for b2 in t2)
+
+
+def plain_best_partners(tris):
+    """The plain pair loop: for each T1, the least pair_max over every T2."""
+    return [min(pair_max(t1, t2) for t2 in tris) for t1 in tris]
 
 
 def plain_twintw_orders(g):
@@ -179,22 +191,27 @@ def test_twtw_matches_the_plain_loop(i, c):
     assert snapshot(witness) == snapshot(ref_witness)
 
 
+def assert_minimal_clique_tree(g, td):
+    """td is a valid clique tree of a minimal triangulation of g.  A
+    triangulation is minimal iff removing any one fill edge leaves it
+    non-chordal (Rose, Tarjan & Lueker, SIAM J. Comput. 1976)."""
+    assert validate(g, td).ok
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(clique_edges(sum(1 << v for v in b) for b in td.bags))
+    assert nx.is_chordal(h)
+    assert sorted(td.bags, key=sorted) == sorted(map(frozenset, nx.find_cliques(h)), key=sorted)
+    fill = [e for e in h.edges() if not g.has_edge(*e)]
+    assert all(not nx.is_chordal(nx.restricted_view(h, [], [e])) for e in fill), g.edges()
+
+
 def assert_twintw_witness(g, value, witness):
     """Both decompositions are valid clique trees of minimal triangulations,
-    and their orthogonality is the value.  A triangulation is minimal iff
-    removing any one fill edge leaves it non-chordal (Rose, Tarjan & Lueker,
-    SIAM J. Comput. 1976)."""
+    and their orthogonality is the value."""
     td1, td2 = witness
     assert orthogonality(td1, td2) == value
     for td in witness:
-        assert validate(g, td).ok
-        h = nx.Graph()
-        h.add_nodes_from(range(g.n))
-        h.add_edges_from(clique_edges(sum(1 << v for v in b) for b in td.bags))
-        assert nx.is_chordal(h)
-        assert sorted(td.bags, key=sorted) == sorted(map(frozenset, nx.find_cliques(h)), key=sorted)
-        fill = [e for e in h.edges() if not g.has_edge(*e)]
-        assert all(not nx.is_chordal(nx.restricted_view(h, [], [e])) for e in fill), g.edges()
+        assert_minimal_clique_tree(g, td)
 
 
 def assert_twintw_matches_the_plain_loop(g):
@@ -221,6 +238,30 @@ def test_twintw_matches_raw_enumeration_up_to_four_vertices():
         assert g.n <= 4
         value, witness = twintw_exact(g)
         assert value == twintw_raw(g), g.edges()
+        assert_twintw_witness(g, value, witness)
+
+
+def test_block_dp_finds_the_best_partner_of_each_triangulation(monkeypatch):
+    # twintw_exact runs _block_dp once per T1, in _minimal_triangulations's
+    # order, and then once more for T1's witness; with no clique bound to
+    # stop at, it runs every T1
+    runs = []
+    real = X._block_dp
+    monkeypatch.setattr(X, "_block_dp", lambda blocks, cost: runs.append(real(blocks, cost))
+                        or runs[-1])
+    monkeypatch.setattr(X, "max_clique_order", lambda g: -1)
+    for g in connected_atlas(6) + SEEDED:
+        runs.clear()
+        tris = _minimal_triangulations(_blocks(g.adjacency_masks()))
+        value, witness = twintw_exact(g)
+        best = plain_best_partners(tris)
+        assert len(runs) == len(tris) + 1
+        for t1, least, (val, bags, edges) in zip(tris, best, runs):
+            assert val == least, (g.edges(), t1)
+            # the partner's clique tree attains the value with T1
+            assert pair_max(t1, bags) == val
+            assert_minimal_clique_tree(g, TreeDecomposition(g.n, [bits(b) for b in bags], edges))
+        assert value == min(best)
         assert_twintw_witness(g, value, witness)
 
 
@@ -273,17 +314,6 @@ def test_treewidth_value_is_treewidth():
 
 
 # -- work bounds ----------------------------------------------------------
-
-def counting(monkeypatch, name, module=X):
-    calls = []
-    real = getattr(module, name)
-
-    def counted(*a, **k):
-        calls.append(1)
-        return real(*a, **k)
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
 
 def test_twtw_runs_one_dp_per_distinct_quotient(monkeypatch):
     # grid2(2, 4) has Bell(8) = 4140 partitions but 455 distinct quotients

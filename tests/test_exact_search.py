@@ -17,12 +17,11 @@ from math import ceil
 import pytest
 
 import prodstruct.constructions as C
-import prodstruct.exact as X
-from conftest import random_graph
+from conftest import counting, random_graph
 from prodstruct.cli import main
 from prodstruct.exact import (InstanceTooLarge, bandwidth_exact, longest_path_order,
                               max_clique_order, treedepth_exact)
-from prodstruct.exact._kernels import bits, component
+from prodstruct.exact._kernels import bits, flood
 from prodstruct.graphs import Graph
 from prodstruct.rng import SplitMix64
 
@@ -76,7 +75,7 @@ def plain_treedepth(g):
         out = []
         rest = mask
         while rest:
-            comp = component(masks, mask, (rest & -rest).bit_length() - 1)
+            comp = flood(masks, mask, (rest & -rest).bit_length() - 1)[0]
             out.append(comp)
             rest &= ~comp
         return out
@@ -187,14 +186,9 @@ def test_longest_path_deeper_than_the_recursion_limit():
 
 @pytest.mark.parametrize("g", INSTANCES, ids=lambda g: f"n{g.n}m{g.m}")
 def test_treedepth_splits_each_subset_once(g, monkeypatch):
-    # one component per nonempty subset for the table, one per root for the witness
-    calls = []
-    real = X.component
-
-    def counted(*a):
-        calls.append(1)
-        return real(*a)
-    monkeypatch.setattr(X, "component", counted)
+    # one flood per nonempty subset for the table; the witness walk's floods,
+    # at most one per root, run inside components
+    calls = counting(monkeypatch, "flood")
     treedepth_exact(g)
     assert len(calls) <= 2 ** g.n + g.n
 

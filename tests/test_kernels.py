@@ -1,18 +1,19 @@
 """The elimination kernels against copies of their earlier full-table loops.
 
-elimination_dp and pathwidth_dp search their tables level by level and stop
-once dp[full] is known; q_set grows the component and unions its
-neighbourhoods in one flood fill.  The references below are the earlier
-forms: elimination_dp filling all 2^n states, a component walk followed by a
-second walk over the component, and the pathwidth table filled by that full
-DP with one cost per (state, vertex) pair.  The searched table must hold the
-same dp[full], the same value at every entry at most dp[full] and a larger
-one everywhere else, and recover_order must read the same ordering out of it.
+treewidth_dp and pathwidth_dp search their tables level by level and stop
+once dp[full] is known; flood grows the component of a vertex and unions its
+neighbourhoods in one pass, and q_set reads Q(t, v) off it.  The references
+below are full_elimination_dp, which fills all 2^n states for any step cost,
+a component walk followed by a second walk over the component, and the
+pathwidth table filled by the full DP with one cost per (state, vertex)
+pair.  The searched table must hold the same dp[full], the same value at
+every entry at most dp[full] and a larger one everywhere else, and
+recover_order must read the same ordering out of it.
 
-tree_param_exact no longer runs an elimination DP: it is the block DP over
-potential maximal cliques.  The full elimination table with the tree-f step
-cost stays here as its reference, and the block DP with cost |Ω| - 1 is
-checked as a second treewidth oracle, against treewidth_exact and networkx.
+tree_param_exact is the block DP over potential maximal cliques.  The full
+elimination table with the tree-f step cost is its reference, and the block
+DP with cost |Ω| - 1 is checked as a second treewidth oracle, against
+treewidth_exact and networkx.
 """
 
 from array import array
@@ -22,11 +23,10 @@ import pytest
 import prodstruct.constructions as C
 import prodstruct.exact as X
 import prodstruct.exact._kernels as K
-from conftest import connected_atlas, random_graph
+from conftest import connected_atlas, counting, random_graph
 from prodstruct.decomposition import TreeDecomposition, validate
 from prodstruct.exact import pathwidth_exact, tree_param_exact, treewidth_exact
-from prodstruct.exact._kernels import (bits, elimination_dp, pathwidth_dp, q_set,
-                                       recover_order, treewidth_dp)
+from prodstruct.exact._kernels import bits, pathwidth_dp, q_set, recover_order, treewidth_dp
 from prodstruct.graphs import Graph
 from prodstruct.rng import SplitMix64
 
@@ -175,19 +175,11 @@ def test_q_set_and_component_match_plain_loops(g):
         for v in range(g.n):
             if not t >> v & 1:
                 assert q_set(masks, t, v) == plain_q_set(masks, t, v)
-                assert K.component(masks, t, v) == plain_component(masks, t, v)
+                assert K.flood(masks, t, v)[0] == plain_component(masks, t, v)
 
 
 def test_only_tw_runs_the_shared_dp(monkeypatch):
-    calls = []
-    real = K.elimination_dp
-
-    def counted(*a, **k):
-        calls.append(1)
-        return real(*a, **k)
-    monkeypatch.setattr(K, "elimination_dp", counted)
-    # also counted if the oracles' module imports it again
-    monkeypatch.setattr(X, "elimination_dp", counted, raising=False)
+    calls = counting(monkeypatch, "treewidth_dp")
     g = C.cycle(5)
     pathwidth_exact(g)
     assert len(calls) == 0
@@ -197,19 +189,6 @@ def test_only_tw_runs_the_shared_dp(monkeypatch):
     assert len(calls) == 1
 
 
-# seeded graphs with n <= 7 and a clique: td and longest-path of a clique bag
-# cost n, so the search must run past level n - 1
-TREE_F = [g for g in SMALL if g.n <= 7] + [C.complete(6)]
-
-
-@pytest.mark.parametrize("f", X.PARAMS)
-def test_tree_f_search_matches_full_table(f):
-    for g in TREE_F:
-        cost = tree_f_cost(g, f)
-        assert_same_search(elimination_dp(g.n, cost), cost,
-                           full_elimination_dp(g.n, cost), cost)
-
-
 def test_recover_order_refuses_an_unreachable_value():
     # dp[full] = 3, but every step costs 0 from dp[t] <= 1: nothing attains 3
     dp = bytearray([0, 1, 1, 3])
@@ -217,17 +196,11 @@ def test_recover_order_refuses_an_unreachable_value():
         recover_order(dp, lambda t, v: 0)
 
 
-def test_search_on_a_path_stops_at_its_treewidth():
+def test_search_on_a_path_stops_at_its_treewidth(monkeypatch):
     # the full table made 1.05 M cost calls here, one per state, for tw = 1
-    masks = C.path(20).adjacency_masks()
-    calls = 0
-
-    def cost(t, v):
-        nonlocal calls
-        calls += 1
-        return q_set(masks, t, v).bit_count()
-    assert elimination_dp(20, cost)[-1] == 1
-    assert calls <= 20 ** 3
+    calls = counting(monkeypatch, "q_set", K)
+    assert treewidth_dp(C.path(20).adjacency_masks())[0][-1] == 1
+    assert 0 < len(calls) <= 20 ** 3
 
 
 # -- the block DP over potential maximal cliques ---------------------------
