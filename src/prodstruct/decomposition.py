@@ -310,11 +310,11 @@ def bfs_layering(g: Graph, r: int) -> Layering:
 
 
 def layering_to_path_decomposition(l: Layering) -> PathDecomposition:
+    """Bags L_i u L_{i+1} over the non-empty layers, or one bag holding them
+    all when there are fewer than two (an empty bag for the empty graph)."""
     layers = [x for x in l.layers if x]
-    if len(layers) == 1:
-        return PathDecomposition(l.host_n, [layers[0]])
     bags = [layers[i] | layers[i + 1] for i in range(len(layers) - 1)]
-    return PathDecomposition(l.host_n, bags)
+    return PathDecomposition(l.host_n, bags or [frozenset().union(*layers)])
 
 
 def bag_span(g: Graph, order) -> int:
@@ -366,8 +366,10 @@ def witness_to_partition(w: LayeredWitness):
 # -- bipartite constructions ---------------------------------------------
 
 def _check_bipartition(g: Graph, side):
-    side = frozenset(side)
-    other = frozenset(range(g.n)) - side
+    vertices, side = frozenset(range(g.n)), frozenset(side)
+    if not side <= vertices:
+        raise DecompositionError(f"side vertex {min(side - vertices)} out of range for n={g.n}")
+    other = vertices - side
     for u, v in g.edges():
         if (u in side) == (v in side):
             raise DecompositionError(f"edge ({u},{v}) inside one side")
@@ -375,24 +377,20 @@ def _check_bipartition(g: Graph, side):
 
 
 def bipartite_orthogonal_paths(g: Graph, side):
-    """The 2-orthogonal pair: bags {v_i} u W and {w_j} u V."""
+    """The 2-orthogonal pair: the star decompositions from each side, with
+    bags {v_i} u W and {w_j} u V."""
     side, other = _check_bipartition(g, side)
-    if not side or not other:
-        # degenerate: fall back to a single full bag on each axis
-        full = frozenset(range(g.n))
-        pd = PathDecomposition(g.n, [full])
-        return pd, pd
-    first = PathDecomposition(g.n, [{v} | other for v in sorted(side)])
-    second = PathDecomposition(g.n, [{w} | side for w in sorted(other)])
-    return first, second
+    return _star_decomposition(g, side, other), _star_decomposition(g, other, side)
 
 
 def bipartite_star_decomposition(g: Graph, side) -> PathDecomposition:
-    """Bags {v_i} u W; each bag induces a star plus isolated vertices."""
-    side, other = _check_bipartition(g, side)
-    if not side:
-        return PathDecomposition(g.n, [other])
-    return PathDecomposition(g.n, [{v} | other for v in sorted(side)])
+    """Bags {v_i} u W, or the one bag W when V is empty; each bag induces a
+    star plus isolated vertices."""
+    return _star_decomposition(g, *_check_bipartition(g, side))
+
+
+def _star_decomposition(g: Graph, side, other) -> PathDecomposition:
+    return PathDecomposition(g.n, [{v} | other for v in sorted(side)] or [other])
 
 
 # -- gluing --------------------------------------------------------------
@@ -500,10 +498,10 @@ def glue_orthogonal(g: Graph, td: TreeDecomposition, pairs: dict):
     """
     _, steps = _glue_steps(g, td)
     tree = _TreeAttach()
-    # path_bags[i] is path position i + origin.  Each step leaves a valid path
-    # decomposition of what is glued so far, so the positions holding v are
-    # an interval, and low[v] is its left end
-    path_bags, low, origin = [], {}, 0
+    # path[i] is the bag at path position i, and left the lowest position.
+    # Each step leaves a valid path decomposition of what is glued so far, so
+    # the positions holding v are an interval, and low[v] is its left end
+    path, low, left = {}, {}, 0
     for x, adh in steps:
         r, p = pairs[x]
         sub, _ = g.subgraph(td.bags[x])
@@ -511,23 +509,21 @@ def glue_orthogonal(g: Graph, td: TreeDecomposition, pairs: dict):
             _require(sub, member, f"pair at node {x} invalid")
         tree.add(_relabel(td, x, r.bags), r.tree_edges, adh)
 
-        # path index i holds path_bags[i] u px[i - i* + j*]: j* is px's lowest
-        # bag holding the clique adh, and the intervals of adh all hold i*
+        # position i holds path[i] u px[i - i* + j*]: j* is px's lowest bag
+        # holding the clique adh, the intervals of adh all hold i*, and a
+        # piece with an empty adh starts at left
         px = _relabel(td, x, p.bags)
         j_star = next(j for j, b in enumerate(px) if adh <= b)
-        shift = max((low[v] for v in adh), default=origin) - origin - j_star
-        if shift < 0:
-            path_bags[:0] = [set() for _ in range(-shift)]
-            origin += shift
-            shift = 0
-        path_bags += [set() for _ in range(shift + len(px) - len(path_bags))]
-        for i, bag in enumerate(px, shift):
-            path_bags[i] |= bag
+        start = max((low[v] for v in adh), default=left) - j_star
+        left = min(left, start)
+        for i, bag in enumerate(px, start):
+            path.setdefault(i, set()).update(bag)
             for v in bag:
-                low[v] = min(low.get(v, i + origin), i + origin)
+                low[v] = min(low.get(v, i), i)
 
+    # each piece overlaps the positions glued before it, so they leave no gap
     tree_out = TreeDecomposition(g.n, tree.bags, tree.edges)
-    path_out = PathDecomposition(g.n, path_bags)
+    path_out = PathDecomposition(g.n, [path[i] for i in range(left, left + len(path))])
     for member in (tree_out, path_out):
         _require(g, member, "glued output invalid")
     return tree_out, path_out

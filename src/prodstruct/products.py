@@ -99,17 +99,15 @@ class DirectedProductEmbedding:
     to_json = ProductEmbedding.to_json
 
 
-def validate_embedding(e: ProductEmbedding) -> list:
-    """Invariant checker, independent of the embedding constructors.
-
-    Returns a list of violation strings (empty = valid).
-    """
-    errors = []
+def _check_map(e) -> tuple:
+    """The map check of both embedding checkers: the map's length, each
+    image's arity and range, and injectivity.  Returns the errors and the
+    guest edges whose end images can be looked up in the factors."""
     g = e.guest
     width = 3 if e.c is not None else 2
     if len(e.map) != g.n:
-        return [f"map covers {len(e.map)} vertices, guest has {g.n}"]
-    bad = set()         # vertices whose image cannot be looked up in the factors
+        return [f"map covers {len(e.map)} vertices, guest has {g.n}"], []
+    errors, bad = [], set()     # bad: vertices whose image cannot be looked up
     for v, t in enumerate(e.map):
         if len(t) != width:
             errors.append(f"vertex {v}: tuple arity {len(t)} != {width}")
@@ -123,8 +121,15 @@ def validate_embedding(e: ProductEmbedding) -> list:
     if len(set(e.map)) != len(e.map):
         errors.append("map not injective")
     edges = g.edges()
-    if bad:
-        edges = [(u, v) for u, v in edges if u not in bad and v not in bad]
+    return errors, [(u, v) for u, v in edges if u not in bad and v not in bad] if bad else edges
+
+
+def validate_embedding(e: ProductEmbedding) -> list:
+    """Invariant checker, independent of the embedding constructors.
+
+    Returns a list of violation strings (empty = valid).
+    """
+    errors, edges = _check_map(e)
     adj1, adj2 = e.factors[0].adj, e.factors[1].adj
     for u, v in edges:
         tu, tv = e.map[u], e.map[v]
@@ -141,16 +146,8 @@ def validate_embedding(e: ProductEmbedding) -> list:
 
 def validate_directed_embedding(e: DirectedProductEmbedding) -> list:
     """Each guest edge must be an arc of D1 boxslash D2 in some direction."""
-    errors = []
-    g = e.guest
+    errors, edges = _check_map(e)
     d1, d2 = e.factors
-    if len(e.map) != g.n:
-        return [f"map covers {len(e.map)} vertices, guest has {g.n}"]
-    for v, (x, y) in enumerate(e.map):
-        if not (0 <= x < d1.n and 0 <= y < d2.n):
-            errors.append(f"vertex {v}: coordinate out of range")
-    if len(set(e.map)) != len(e.map):
-        errors.append("map not injective")
 
     def arc(tu, tv):
         (x, y), (xp, yp) = tu, tv
@@ -159,7 +156,7 @@ def validate_directed_embedding(e: DirectedProductEmbedding) -> list:
         return ((x == xp or d1.has_arc(x, xp))
                 and (y == yp or d2.has_arc(y, yp)))
 
-    for u, v in g.edges():
+    for u, v in edges:
         if not (arc(e.map[u], e.map[v]) or arc(e.map[v], e.map[u])):
             errors.append(f"edge ({u},{v}) realized in neither direction")
     return errors
@@ -281,10 +278,13 @@ def degree_partition(g: Graph, threshold: int) -> VertexPartition:
 
     At a local optimum every vertex has at most floor(deg/2) same-side
     neighbours, so Delta<=3 gives parts of max degree <=1 and Delta<=4 gives
-    max degree <=2.
+    max degree <=2.  Raises GraphError if a part has a vertex of degree above
+    threshold, which Delta <= 2*threshold + 1 rules out.
     """
     if threshold not in (1, 2):
         raise GraphError("threshold must be 1 or 2")
+    if g.n == 0:
+        raise GraphError("empty graph has no partition")
     side = [v % 2 for v in range(g.n)]
     improved = True
     while improved:
@@ -295,8 +295,9 @@ def degree_partition(g: Graph, threshold: int) -> VertexPartition:
                 side[v] ^= 1
                 improved = True
                 break
-    if g.n == 0:
-        raise GraphError("empty graph has no partition")
+    over = [v for v in range(g.n) if sum(side[w] == side[v] for w in g.adj[v]) > threshold]
+    if over:
+        raise GraphError(f"vertex {over[0]} keeps more than {threshold} neighbours in its part")
     parts = [[v for v in range(g.n) if side[v] == s] for s in (0, 1)]
     return VertexPartition(g.n, [p for p in parts if p])
 

@@ -311,6 +311,7 @@ def tiny(tmp_path_factory):
         "pairs": [[json.loads(k3_td.to_json()), json.loads(k3_pd.to_json())]] * 2,
         "bag_embeddings": [{"factors": [tournament, {"n": 1, "arcs": []}], "c": None,
                             "map": [[0, 0], [1, 0], [2, 0]]}] * 2,
+        "e3": Graph(3), "k5": complete(5),
         "empty": Graph(0), "empty_layering": Layering(0, []),
         "empty_td": TreeDecomposition(0, [()], []),
         "rows": {"parts": [[0, 1], [2, 3]]},
@@ -380,6 +381,8 @@ RUNS = {
     "decomp bfs-layering": (["c4"], 0, lambda t, out, outputs: check_layering(
         t["c4"][0], Layering.from_json(_read(out)))),
     "decomp layering-path": (["c4_layering"], 0, _valid("c4", (PD, ""))),
+    "decomp layering-path empty": (["empty_layering"], 0, lambda t, out, outputs:
+                                   json.loads(_read(out))["bags"] == [[]]),
     "decomp witness-bandwidth": (["c4", "c4_layering", "c4_td"], 0, _valid("c4", (TD, ""))),
     "decomp witness-partition": (["c4", "c4_layering", "c4_td"], 0,
                                  lambda t, out, outputs: outputs["k"] == 2),
@@ -429,6 +432,21 @@ def test_success_run(case, tiny, tmp_path, capsys):
         assert rep["outputs"]["ok"]
     if recheck is not None:
         assert recheck(tiny, out, rep["outputs"])
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["decomp", "bipartite-ortho", "e3", "--side", "99"],
+     "DecompositionError: side vertex 99 out of range for n=3"),
+    (["decomp", "bipartite-star", "p2", "--side", "0,5"],
+     "DecompositionError: side vertex 5 out of range for n=2"),
+    (["embed", "degree-partition", "k5", "--threshold", "1"],
+     "GraphError: vertex 0 keeps more than 1 neighbours in its part"),
+])
+def test_refused_input_exits_2_and_writes_nothing(argv, error, tiny, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    code, rep = run(capsys, *[tiny[a][1] if a in tiny else a for a in argv], "-o", str(out))
+    assert code == 2 and rep == {"error": error}
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
@@ -595,10 +613,10 @@ def _embedding(draw, n, guest=None, directed=False):
 
 
 @st.composite
-def other_cli_cases(draw):
+def other_cli_cases(draw, kinds=OTHER_KINDS):
     """A tiny legal argv for one CHECK, DECOMP, EMBED or probe kind: its
     input files as JSON objects, and option values in range or just out."""
-    cmd, kind = draw(st.sampled_from(OTHER_KINDS))
+    cmd, kind = draw(st.sampled_from(kinds))
     opts = []
 
     def option(flag, values):
@@ -652,19 +670,49 @@ def other_cli_cases(draw):
     return [cmd, kind] + opts, files
 
 
+def _run_case(case, d):
+    """Run a drawn case with its input files and -o in directory d: its
+    argv, exit code and stdout."""
+    argv, files = case
+    paths = [os.path.join(d, f"in{i}.json") for i in range(len(files))]
+    for p, obj in zip(paths, files):
+        pathlib.Path(p).write_text(json.dumps(obj))
+    argv = argv[:2] + paths + argv[2:]
+    if argv[0] in ("decomp", "embed"):
+        argv += ["-o", os.path.join(d, "out.json")]
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return argv, code, out.getvalue()
+
+
 @settings(settings.get_profile("tiny-cli"))
 @given(case=other_cli_cases())
 def test_other_commands_never_exit_3_on_tiny_input(case):
     # every CHECK, DECOMP and EMBED kind and probe mixing: 0, 1 or 2, never a bug
-    argv, files = case
     with tempfile.TemporaryDirectory() as d:
-        paths = [os.path.join(d, f"in{i}.json") for i in range(len(files))]
-        for p, obj in zip(paths, files):
-            pathlib.Path(p).write_text(json.dumps(obj))
-        argv = argv[:2] + paths + argv[2:]
-        if argv[0] in ("decomp", "embed"):
-            argv += ["-o", os.path.join(d, "out.json")]
-        with contextlib.redirect_stdout(io.StringIO()) as out, \
-                contextlib.redirect_stderr(io.StringIO()):
-            code = main(argv)
-    assert code in (0, 1, 2), (argv, files, out.getvalue())
+        argv, code, out = _run_case(case, d)
+    assert code in (0, 1, 2), (argv, case[1], out)
+
+
+GRAPH_DECOMP = [("decomp", kind) for kind, (inputs, _) in cli.DECOMP.items()
+                if inputs[0] == "graph"]
+
+
+@settings(settings.get_profile("tiny-cli"))
+@given(case=other_cli_cases(GRAPH_DECOMP))
+def test_decomp_exit_0_writes_decompositions_of_its_graph(case):
+    # a td or pd written on exit 0 validates against the input graph, and
+    # the bipartite pair is at most 2-orthogonal
+    with tempfile.TemporaryDirectory() as d:
+        argv, code, out = _run_case(case, d)
+        if code != 0:
+            return
+        g, outputs = Graph.from_json(json.dumps(case[1][0])), json.loads(out)["outputs"]
+        for key, path in outputs.items():
+            written = json.loads(_read(path)) if key.startswith("file") else {}
+            if "bags" in written:
+                kind = TreeDecomposition if "tree_edges" in written else PathDecomposition
+                assert validate(g, kind.from_json(json.dumps(written))).ok, (argv, case[1], written)
+    if argv[1] == "bipartite-ortho":
+        assert outputs["orthogonality"] <= 2, (argv, case[1])

@@ -158,6 +158,11 @@ def test_layering_to_path_decomposition():
     l = bfs_layering(path(5), 0)
     pd = layering_to_path_decomposition(l)
     assert validate(path(5), pd).ok and pd.width() == 1
+    # fewer than two non-empty layers give one bag, empty for the empty graph
+    for l, bag in ((Layering(0, []), set()), (Layering(0, [set()]), set()),
+                   (Layering(3, [{0, 1, 2}, set()]), {0, 1, 2})):
+        pd = layering_to_path_decomposition(l)
+        assert pd.bags == (frozenset(bag),) and validate(Graph(l.host_n), pd).ok
 
 
 def test_witness_to_bandwidth():
@@ -186,6 +191,8 @@ def test_bipartite_constructions():
     p1, p2 = bipartite_orthogonal_paths(g, {0, 1, 2})
     assert validate(g, p1).ok and validate(g, p2).ok
     assert orthogonality(p1, p2) == 2
+    assert p1.to_json() == PathDecomposition(7, [{v, 3, 4, 5, 6} for v in range(3)]).to_json()
+    assert p2.to_json() == PathDecomposition(7, [{0, 1, 2, w} for w in range(3, 7)]).to_json()
     sd = bipartite_star_decomposition(g, {0, 1, 2})
     assert validate(g, sd).ok
     for bag in sd.bags:
@@ -193,6 +200,25 @@ def test_bipartite_constructions():
         assert treewidth_exact(sub)[0] <= 1
     with pytest.raises(DecompositionError):
         bipartite_orthogonal_paths(complete(3), {0})
+
+
+def test_degenerate_bipartite_pairs_are_2_orthogonal():
+    for n in range(6):
+        g = Graph(n)
+        for side in (set(), set(range(n))):
+            p1, p2 = bipartite_orthogonal_paths(g, side)
+            assert validate(g, p1).ok and validate(g, p2).ok
+            assert orthogonality(p1, p2) <= 2
+            assert p1.to_json() == bipartite_star_decomposition(g, side).to_json()
+
+
+def test_bipartite_side_must_be_a_vertex_set():
+    with pytest.raises(DecompositionError, match=r"^side vertex 99 out of range for n=3$"):
+        bipartite_orthogonal_paths(Graph(3), {99})
+    with pytest.raises(DecompositionError, match=r"^side vertex 5 out of range for n=2$"):
+        bipartite_star_decomposition(complete(2), {0, 5})
+    with pytest.raises(DecompositionError, match=r"^side vertex -1 out of range for n=2$"):
+        bipartite_star_decomposition(complete(2), {-1, 0})
 
 
 def test_glue_tree_f_two_triangles():

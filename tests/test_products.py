@@ -3,10 +3,11 @@ import pytest
 from conftest import random_graph
 from prodstruct.constructions import (path, cycle, complete, star,
                                       complete_multipartite)
-from prodstruct.graphs import (Graph, Digraph, bidirect, underlying,
+from prodstruct.graphs import (Graph, Digraph, GraphError, bidirect, underlying,
                                subgraph_contained, VertexPartition)
 from prodstruct.products import (cartesian, direct, strong, directed_strong,
-                                 pair_id, ProductEmbedding, EmbeddingError,
+                                 pair_id, ProductEmbedding, DirectedProductEmbedding,
+                                 EmbeddingError,
                                  validate_embedding, validate_directed_embedding,
                                  embed_join_product, embed_move_apex,
                                  embed_apex_partition, partition_product_check,
@@ -70,6 +71,25 @@ def test_validate_embedding_catches_bad_maps():
     assert any("injective" in e or "identical" in e for e in validate_embedding(dup))
     far = ProductEmbedding(complete(2), (path(3), path(1)), None, ((0, 0), (2, 0)))
     assert validate_embedding(far)
+
+
+def test_directed_checker_reports_bad_images_without_raising():
+    d, p2 = Digraph(2, [(0, 1)]), path(2)
+    for images, want in ((((0, 0, 0), (1, 0)), ["vertex 0: tuple arity 3 != 2"]),
+                         (((0, 0), (2, 0)), ["vertex 1: coordinate out of range"]),
+                         (((0, 0), (0, 0)), ["map not injective",
+                                             "edge (0,1) realized in neither direction"])):
+        e = DirectedProductEmbedding(p2, (d, Digraph(1, [])), images)
+        assert validate_directed_embedding(e) == want
+
+
+def test_degree_partition_refuses_a_part_above_threshold():
+    with pytest.raises(GraphError, match="^vertex 0 keeps more than 1 neighbours in its part$"):
+        degree_partition(complete(5), 1)
+    for part in degree_partition(complete(5), 2).parts:
+        assert complete(5).subgraph(part)[0].max_degree() <= 2
+    with pytest.raises(GraphError, match="^empty graph has no partition$"):
+        degree_partition(Graph(0), 1)
 
 
 def test_join_product_corpus():
