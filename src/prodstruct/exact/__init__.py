@@ -7,7 +7,12 @@ elimination-ordering subset DPs (the Q-set DP of Bodlaender, Fomin, Koster,
 Kratsch & Thilikos, ACM TALG 2012; see _kernels), each searched level by
 level from the empty set until the value of the full set is known: only
 states of value at most the answer are expanded; pw computes one cost per
-state, since its step cost does not depend on the vertex eliminated.  tree-f
+state, since its step cost does not depend on the vertex eliminated.  tw
+runs a safe-reduction front end first (_reduce): simplicial vertices, and
+almost simplicial ones of degree at most a lower bound on tw, are
+eliminated while there are any, the bound raised to MMD+ once one is
+blocked, and the DP runs only on the relabelled remainder.  Its elimination
+ordering continues the front end's, so the witness needs no lifting.  tree-f
 is the block DP of Bouchitté & Todinca over the potential maximal cliques
 (PMCs), each PMC found by testing its definition on every vertex subset, and
 f evaluated once per PMC it needs.  bw is one branch-and-bound over vertex
@@ -17,12 +22,13 @@ with _kernels.components.  TwIntTw enumerates the minimal triangulations
 over the blocks of the same PMCs, and the block DP finds the best partner of
 each.  twtw enumerates ordered pairs of set partitions, asking of each
 distinct quotient only "tw <= k?" at level k.  For k <= 2 that question
-needs no subset search: _tw_levels answers it by low-degree elimination,
-both for twtw's quotients and for the bag value of tree-tw, and the
-treewidth DP runs only on graphs of treewidth 3 or more.  twtw keeps its
-many quotient treewidth questions in locals of the call, so nothing is
-cached from one call to the next.  The brute-force references these oracles
-are cross-checked against live in tests/conftest.py, not in the package.
+needs no subset search: _tw_levels answers it with the front end's rules at
+low = k, which eliminate vertices of degree at most k, and the treewidth DP
+runs only on what the front end leaves of graphs of treewidth 3 or more.
+twtw keeps its many quotient treewidth questions in locals of the call, so
+nothing is cached from one call to the next.  The brute-force references
+these oracles are cross-checked against live in tests/conftest.py, not in
+the package.
 """
 
 from __future__ import annotations
@@ -83,57 +89,154 @@ def _elimination_td(g: Graph, order) -> TreeDecomposition:
     return TreeDecomposition(g.n, bags, edges)
 
 
+def _clique_gap(adj, nb) -> int:
+    """0 if the vertices of nb form a clique, 1 if they do once some one
+    vertex u of them is left out, else 2.  Every non-edge must touch u."""
+    hubs = nb       # the vertices that every non-edge seen so far touches
+    gap = 0
+    for w in bits(nb):
+        miss = nb & ~adj[w] ^ 1 << w         # w's non-neighbours in nb
+        if miss:
+            gap = 1
+            hubs &= 1 << w | (0 if miss & (miss - 1) else miss)
+            if not hubs:
+                return 2
+    return gap
+
+
+def _reduce(adj, left, low, order, grow=True):
+    """The safe reductions of the treewidth front end, on the graph that
+    `left` induces in adj, given tw >= low.  While a rule fires, the lowest
+    vertex v it fires on is eliminated and appended to order:
+
+    - simplicial: N(v) is a clique; low becomes max(low, deg v);
+    - almost simplicial: N(v) - {u} is a clique for some u, and deg v <= low
+      (Bodlaender, Koster & van den Eijkhof, Comput. Intell. 2005).
+
+    Each step leaves a minor G' with tw(G) = max(low, tw(G')), and the fill
+    of the step is the elimination's, so order is the start of an
+    elimination ordering of width max(low, tw(G')).  A vertex of degree at
+    most 2 is almost simplicial, so it needs no clique test.  If grow is
+    false, a simplicial vertex of degree above low stays and low stays too;
+    with low <= 2 the rules then eliminate exactly the vertices of degree at
+    most low.  Returns (left, low, blocked); blocked says that an almost
+    simplicial vertex of degree above low is left.
+    """
+    while True:
+        blocked = False
+        for v in bits(left):
+            nb = adj[v]
+            d = nb.bit_count()
+            if d <= low:
+                if d < 3:
+                    break
+            elif not grow:
+                continue
+            gap = _clique_gap(adj, nb)
+            if not gap:
+                low = max(low, d)
+                break
+            if gap == 1:
+                if d <= low:
+                    break
+                blocked = True
+        else:
+            return left, low, blocked
+        for u in bits(nb):      # join the neighbours of v, and delete v
+            adj[u] = (adj[u] | nb) ^ (1 << u | 1 << v)
+        left ^= 1 << v
+        order.append(v)
+
+
+def _contraction_degeneracy(adj, left) -> int:
+    """MMD+ with the min-d rule (Bodlaender & Koster, JGAA 2006), a lower
+    bound on tw: repeatedly contract a vertex of least degree into its
+    neighbour of least degree, lowest ids first, and keep the largest least
+    degree seen.  Contractions leave minors, and a graph of treewidth t has
+    a vertex of degree at most t."""
+    adj = list(adj)
+    low = 0
+    while left.bit_count() > low + 1:       # below that no degree exceeds low
+        v = min(bits(left), key=lambda v: adj[v].bit_count())
+        nb = adj[v]
+        low = max(low, nb.bit_count())
+        left ^= 1 << v
+        if nb:
+            u = min(bits(nb), key=lambda u: adj[u].bit_count())
+            for w in bits(nb):
+                adj[w] ^= 1 << v
+            rest = nb ^ 1 << u
+            adj[u] |= rest
+            for w in bits(rest):
+                adj[w] |= 1 << u
+    return low
+
+
+def _treewidth(adj, left, low, order):
+    """tw of the graph that `left` induces in adj, given tw >= low:
+    (tw, dp, cost, rest).  The front end (_reduce) runs first, and if it is
+    blocked it runs again under the MMD+ bound.  treewidth_dp then searches
+    what is left, relabelled as rest[0], rest[1], ...; dp is None if nothing
+    is left.  The eliminated vertices are appended to order."""
+    left, low, blocked = _reduce(adj, left, low, order)
+    if blocked:
+        low = max(low, _contraction_degeneracy(adj, left))
+        left, low, _ = _reduce(adj, left, low, order)
+    if not left:
+        return low, None, None, []
+    rest = list(bits(left))
+    index = {v: 1 << i for i, v in enumerate(rest)}
+    dp, cost = treewidth_dp([sum(map(index.__getitem__, bits(adj[v]))) for v in rest])
+    return max(low, dp[-1]), dp, cost, rest
+
+
 def treewidth_exact(g: Graph, max_n=None):
-    """Exact treewidth with a witness decomposition."""
+    """Exact treewidth with a witness decomposition: the elimination ordering
+    of the front end, then the DP's ordering of what the front end leaves."""
     _cap(g, TW_MAX_N, max_n, "treewidth_exact", STATE_BYTES)
     if g.n == 0:
         return -1, TreeDecomposition(0, [frozenset()], [])
-    dp, cost = treewidth_dp(g.adjacency_masks())
-    return dp[-1], _elimination_td(g, recover_order(dp, cost))
+    order = []
+    tw, dp, cost, rest = _treewidth(g.adjacency_masks(), (1 << g.n) - 1, 0, order)
+    if dp is not None:
+        order += [rest[i] for i in recover_order(dp, cost)]
+    return tw, _elimination_td(g, order)
 
 
 def _tw_levels(masks):
     """Answers "tw <= k?" for k = 0, 1, 2, ... in turn, True from k = tw on.
 
-    Levels 0-2 are one low-degree elimination.  A graph of treewidth t has a
-    vertex of degree at most t, and eliminating a vertex of degree at most 2
-    (deleting it and joining its neighbours) leaves a minor.  So at level k
-    vertices of degree at most k are eliminated while there are any; the
-    graph empties iff tw <= k, and otherwise tw > k and level k + 1 goes on
-    from the same graph (the edgeless, forest and series-parallel reductions
-    of Arnborg & Proskurowski, SIAM J. Alg. Disc. Meth. 1986).  If level 3
-    is asked of a graph of treewidth 3 or more, the treewidth DP answers it
-    and every later level.
+    Levels 0-2 run the front end's rules at low = k without growing low,
+    which eliminates vertices of degree at most k while there are any.  A
+    graph of treewidth t has a vertex of degree at most t, and each step
+    leaves a minor, so the graph empties iff tw <= k, and otherwise tw > k
+    and level k + 1 goes on from the same graph (the edgeless, forest and
+    series-parallel reductions of Arnborg & Proskurowski, SIAM J. Alg. Disc.
+    Meth. 1986).  If level 3 is asked of a graph of treewidth 3 or more,
+    _treewidth answers it and every later level from what is left: the front
+    end at low = 3, then the treewidth DP on its remainder.
     """
     adj = list(masks)
     left = (1 << len(adj)) - 1
-    k = 0
-    while left:
-        for v in bits(left):
-            nb = adj[v]
-            if nb.bit_count() <= k:
-                break
-        else:               # no vertex of degree <= k is left: tw > k
-            yield False
-            k += 1
-            if k == 3:
-                break
-            continue
-        left ^= 1 << v
-        for u in bits(nb):
-            adj[u] = (adj[u] | nb) ^ (1 << u | 1 << v)
-    tw = treewidth_dp(masks)[0][-1] if left else k
+    for k in range(3):
+        left = _reduce(adj, left, k, [], grow=False)[0]
+        if not left:
+            tw = k
+            break
+        yield False         # no vertex of degree <= k is left: tw > k
+    else:
+        k, tw = 3, _treewidth(adj, left, 3, [])[0]
     for k in count(k):
         yield tw <= k
 
 
 def _treewidth_value(g: Graph) -> int:
-    """Exact treewidth without a witness, for callers that need the value only:
-    the first level that _tw_levels accepts."""
+    """Exact treewidth without a witness, for callers that need the value
+    only: _treewidth's front end and DP, with no ordering recovered."""
     _cap(g, TW_MAX_N, None, "treewidth", STATE_BYTES)
     if not g.n:
         return -1
-    return next(k for k, ok in enumerate(_tw_levels(g.adjacency_masks())) if ok)
+    return _treewidth(g.adjacency_masks(), (1 << g.n) - 1, 0, [])[0]
 
 
 # -- pathwidth -----------------------------------------------------------

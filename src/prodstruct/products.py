@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Optional
 
 from .graphs import Graph, Digraph, GraphError, VertexPartition, _joined, apex, quotient
@@ -286,16 +287,25 @@ def degree_partition(g: Graph, threshold: int) -> VertexPartition:
     if g.n == 0:
         raise GraphError("empty graph has no partition")
     side = [v % 2 for v in range(g.n)]
-    improved = True
-    while improved:
-        improved = False
-        for v in range(g.n):
-            same = sum(1 for w in g.adj[v] if side[w] == side[v])
-            if 2 * same > len(g.adj[v]):
-                side[v] ^= 1
-                improved = True
-                break
-    over = [v for v in range(g.n) if sum(side[w] == side[v] for w in g.adj[v]) > threshold]
+    same = [sum(side[w] == side[v] for w in g.adj[v]) for v in range(g.n)]
+    # a min-heap of every improvable vertex, plus stale entries skipped when
+    # popped; a flip changes only the counts of the flipped vertex and its
+    # neighbours
+    heap = [v for v in range(g.n) if 2 * same[v] > len(g.adj[v])]
+    while heap:
+        v = heappop(heap)
+        if 2 * same[v] <= len(g.adj[v]):
+            continue
+        side[v] ^= 1
+        same[v] = len(g.adj[v]) - same[v]
+        for w in g.adj[v]:
+            if side[w] == side[v]:
+                same[w] += 1
+                if 2 * same[w] > len(g.adj[w]):
+                    heappush(heap, w)
+            else:
+                same[w] -= 1
+    over = [v for v in range(g.n) if same[v] > threshold]
     if over:
         raise GraphError(f"vertex {over[0]} keeps more than {threshold} neighbours in its part")
     parts = [[v for v in range(g.n) if side[v] == s] for s in (0, 1)]

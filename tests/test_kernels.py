@@ -179,14 +179,28 @@ def test_q_set_and_component_match_plain_loops(g):
 
 
 def test_only_tw_runs_the_shared_dp(monkeypatch):
+    # K3,3 has no simplicial or almost simplicial vertex: the front end leaves it whole
     calls = counting(monkeypatch, "treewidth_dp")
-    g = C.cycle(5)
+    g = C.complete_multipartite([3, 3])
     pathwidth_exact(g)
     assert len(calls) == 0
     tree_param_exact(g, "maxdeg")
     assert len(calls) == 0
     treewidth_exact(g)
     assert len(calls) == 1
+
+
+def test_front_end_leaves_the_dp_only_what_no_rule_reduces(monkeypatch):
+    # the almost simplicial rule under the MMD+ bound empties three of
+    # exact-large's tw graphs; rr13_4 has no almost simplicial vertex
+    sizes = []
+    real = X.treewidth_dp
+    monkeypatch.setattr(X, "treewidth_dp", lambda masks: sizes.append(len(masks)) or real(masks))
+    for g in (C.cycle(12), C.grid2(3, 4), C.random_regular(12, 3, 3)):
+        treewidth_exact(g)
+    assert sizes == []
+    treewidth_exact(C.random_regular(13, 4, 5))
+    assert sizes == [13]
 
 
 def test_recover_order_refuses_an_unreachable_value():

@@ -148,6 +148,42 @@ def test_degree_partition_bounds():
                 assert g.subgraph(part)[0].max_degree() <= bound
 
 
+def rescanning_degree_parts(g):
+    """degree_partition's earlier loop: after every flip it rescans from vertex 0."""
+    side = [v % 2 for v in range(g.n)]
+    improved = True
+    while improved:
+        improved = False
+        for v in range(g.n):
+            same = sum(1 for w in g.adj[v] if side[w] == side[v])
+            if 2 * same > len(g.adj[v]):
+                side[v] ^= 1
+                improved = True
+                break
+    return [p for p in ([v for v in range(g.n) if side[v] == s] for s in (0, 1)) if p]
+
+
+def test_degree_partition_matches_the_rescanning_loop():
+    from conftest import random_graph_max_degree
+    from prodstruct.constructions import grid2, random_regular
+    rng = SplitMix64(43)
+    graphs = [grid2(12, 12), random_regular(300, 3, 1), random_regular(200, 4, 2)]
+    graphs += [random_graph_max_degree(rng, 5 + i % 40, 3 + i % 2) for i in range(60)]
+    for g in graphs:
+        assert [sorted(p) for p in degree_partition(g, 2).parts] == rescanning_degree_parts(g)
+    # denser graphs too, where a part may keep more than the threshold allows
+    for i in range(40):
+        g = random_graph(rng, 4 + i % 12)
+        ref = rescanning_degree_parts(g)
+        over = [v for v in range(g.n) for p in ref if v in p
+                if sum(w in p for w in g.adj[v]) > 2]
+        if over:
+            with pytest.raises(GraphError, match=f"^vertex {over[0]} keeps"):
+                degree_partition(g, 2)
+        else:
+            assert [sorted(p) for p in degree_partition(g, 2).parts] == ref
+
+
 def test_orient_apex_fan():
     h = cycle(4)
     j, f, e = orient_apex_fan(h, [0, 1, 2, 3], 3, 2)
