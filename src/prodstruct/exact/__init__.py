@@ -6,8 +6,9 @@ raises InstanceTooLarge, never silently truncates.  tw and pw are
 elimination-ordering subset DPs (the Q-set DP of Bodlaender, Fomin, Koster,
 Kratsch & Thilikos, ACM TALG 2012; see _kernels), each searched level by
 level from the empty set until the value of the full set is known: only
-states of value at most the answer are expanded; pw computes one cost per
-state, since its step cost does not depend on the vertex eliminated.  tw
+states of value at most the answer are expanded.  pw expands a state only
+by the lowest vertex that does not grow its boundary, if there is one (a
+safe greedy step, since the boundary size is submodular).  tw
 runs a safe-reduction front end first (_reduce): simplicial vertices, and
 almost simplicial ones of degree at most a lower bound on tw, are
 eliminated while there are any, the bound raised to MMD+ once one is

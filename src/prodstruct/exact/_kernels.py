@@ -14,17 +14,31 @@ out of it.  The cost of eliminating v after the set t is:
 Only states of value at most dp[full] can lie on an optimal ordering (TALG
 2012 prunes the DP to the sets below an upper bound the same way).  So the
 tables are not filled in full but searched level by level from the empty set:
-level k expands the states of value exactly k, and the search stops once
-level k is done and dp[full] <= k.  The table contract is then:
+level k expands the states of value k, and the search stops once level k is
+done and dp[full] <= k.
 
-- every entry at most dp[full] is exact;
-- every other entry is above dp[full], or 255 if the search never reached it.
+treewidth_dp expands each state by every v outside it, and its table contract
+is: every entry at most dp[full] is exact; every other entry is above
+dp[full], or 255 if the search never reached it.  recover_order reads only
+entries at most dp[full], so it gives the ordering a full table would.
 
-recover_order reads only entries at most dp[full], so it gives the ordering a
-full table would.  The pathwidth cost does not depend on which v of S is
-last, so a state's value max(|N(S) - S|, min over v in S of dp[S - v]) is
-final when the search first reaches it, and pathwidth_dp computes one cost
-per state; treewidth_dp expands each state by every v outside it.
+pathwidth_dp adds the greedy step of vertex-separation solvers (Coudert,
+Mazauric & Nisse, SEA 2014): if some v outside S has b(S u v) <= b(S), where
+b(X) = |N(X) - X|, S is expanded to S u v for the lowest such v only.  This
+is safe because b(X) = |N[X]| - |X| is submodular: for every continuation
+S c S1 c ... c V, b(Si u v) <= b(Si) + b(S u v) - b(S) <= b(Si), so putting
+v next never raises the largest boundary, and some optimal ordering follows
+the rule at every state.  The cost b(S) does not depend on which v of S is
+last, so a state keeps the value it is first reached with.  The table
+contract is:
+
+- dp[full] is pw;
+- every other entry is 255, if the search never reached it, or the largest
+  boundary along some ordering of its set: an upper bound on the full table's
+  value, not always equal to it.
+
+recover_order still returns an ordering of width dp[full], but not always the
+one a full table would give.
 
 Graphs are lists of neighbourhood bitmasks and vertex sets are int bitmasks.
 Tables are bytearrays of 2^n entries, and each search queues at most one
@@ -86,8 +100,11 @@ def recover_order(dp: bytearray, cost) -> list:
 
     Walking down from the full set, the last vertex of S is the first v in
     ascending order with max(dp[S - v], cost(S - v, v)) == dp[S].  Only
-    entries at most dp[full] are read, so a table searched up to dp[full]
-    gives the same ordering as a full one.
+    entries at most dp[full] are read.  Each one is the value of some ordering
+    of its set, and the state that gave it that value attains the equation, so
+    the walk never gets stuck.  On a treewidth table those entries are exact,
+    and the ordering is the one a full table gives; on a pathwidth table it
+    may be another one of the same width.
     """
     s = len(dp) - 1
     order = []
@@ -151,9 +168,14 @@ def treewidth_dp(masks):
 def pathwidth_dp(masks):
     """The vertex-separation table (dp[full] is pw) and the cost it was searched with.
 
-    The value of S is max(|N(S) - S|, min over v in S of dp[S - v]), so it is
-    final when level k first reaches S: max(|N(S) - S|, k).  Each reached
-    state is queued once, on the level of its value, as N(S) << n | S.
+    Level k expands the states of value k.  A state S is expanded first by the
+    greedy step: if some v outside S has |N(S u v) - (S u v)| <= |N(S) - S|,
+    the lowest such v gives S u v the value k, it joins level k, and no other
+    vertex is tried from S.  Otherwise every v outside S is tried, and a state
+    first reached from S gets the value max(|N(S u v) - (S u v)|, k), which is
+    kept.  Each reached state is queued once, on the level of its value, as
+    N(S) << n | S.  Every reached entry is the largest boundary along some
+    ordering of its set, and dp[full] is pw (see the module docstring).
     """
     n = len(masks)
     full = (1 << n) - 1
@@ -167,18 +189,31 @@ def pathwidth_dp(masks):
             s = entry & full
             ns = entry >> n
             rest = full ^ s
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                u = s | bit
-                if dp[u] != 255:        # reached already, at its value
-                    continue
+            b = (ns & ~s).bit_count()
+            greedy = rest
+            while greedy:
+                bit = greedy & -greedy
+                greedy ^= bit
                 nu = ns | masks[bit.bit_length() - 1]
-                c = (nu & ~u).bit_count()
-                if c < k:
-                    c = k
-                dp[u] = c
-                levels[c].append(nu << n | u)
+                if (nu & ~(s | bit)).bit_count() <= b:     # v does not grow the boundary
+                    u = s | bit
+                    if dp[u] == 255:
+                        dp[u] = k
+                        level.append(nu << n | u)
+                    break
+            else:
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    u = s | bit
+                    if dp[u] != 255:        # reached already: its value stays
+                        continue
+                    nu = ns | masks[bit.bit_length() - 1]
+                    c = (nu & ~u).bit_count()
+                    if c < k:
+                        c = k
+                    dp[u] = c
+                    levels[c].append(nu << n | u)
         if dp[full] <= k:
             break
 

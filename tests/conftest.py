@@ -93,16 +93,26 @@ def brute_treedepth(g: Graph) -> int:
 
 
 def brute_vertex_separation(g: Graph) -> int:
-    """Pathwidth as min over orderings of max boundary."""
+    """Pathwidth as min over orderings of max boundary.
+
+    The orderings are walked depth first, so orderings that share a prefix
+    share its boundaries, and a prefix whose boundary already reaches the best
+    width found is not extended: none of its orderings can do better."""
     best = g.n
-    for perm in itertools.permutations(range(g.n)):
-        worst = 0
-        seen = set()
-        for v in perm:
-            seen.add(v)
-            boundary = {w for u in seen for w in g.adj[u]} - seen
-            worst = max(worst, len(boundary))
-        best = min(best, worst)
+
+    def walk(seen, worst):
+        nonlocal best
+        if worst >= best:
+            return
+        if len(seen) == g.n:
+            best = worst
+            return
+        for v in range(g.n):
+            if v not in seen:
+                nxt = seen | {v}
+                boundary = {w for u in nxt for w in g.adj[u]} - nxt
+                walk(nxt, max(worst, len(boundary)))
+    walk(frozenset(), 0)
     return best
 
 

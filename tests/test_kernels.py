@@ -6,9 +6,15 @@ neighbourhoods in one pass, and q_set reads Q(t, v) off it.  The references
 below are full_elimination_dp, which fills all 2^n states for any step cost,
 a component walk followed by a second walk over the component, and the
 pathwidth table filled by the full DP with one cost per (state, vertex)
-pair.  The searched table must hold the same dp[full], the same value at
-every entry at most dp[full] and a larger one everywhere else, and
-recover_order must read the same ordering out of it.
+pair.  The searched treewidth table must hold the same dp[full], the same
+value at every entry at most dp[full] and a larger one everywhere else, and
+recover_order must read the same ordering out of it.  The pathwidth search
+takes the greedy step, so its reached entries are upper bounds that some
+ordering attains: it must hold the same dp[full], every entry other than 255
+must be at least the full table's, and recover_order must return an ordering
+whose vertex separation is dp[full].  pathwidth_exact is also checked against
+the brute force over orderings and the full table, with its witness
+re-validated, and the greedy step against bounds on the states it reaches.
 
 tree_param_exact is the block DP over potential maximal cliques.  The full
 elimination table with the tree-f step cost is its reference, and the block
@@ -23,7 +29,7 @@ import pytest
 import prodstruct.constructions as C
 import prodstruct.exact as X
 import prodstruct.exact._kernels as K
-from conftest import connected_atlas, counting, random_graph
+from conftest import brute_vertex_separation, connected_atlas, counting, random_graph
 from prodstruct.decomposition import TreeDecomposition, validate
 from prodstruct.exact import pathwidth_exact, tree_param_exact, treewidth_exact
 from prodstruct.exact._kernels import bits, pathwidth_dp, q_set, recover_order, treewidth_dp
@@ -149,6 +155,33 @@ def assert_same_kernel(new, old, masks):
     assert_same_search(*new(masks), *old(masks))
 
 
+def vertex_separation(masks, order):
+    """The largest boundary |N(S) - S| over the prefixes S of order."""
+    prefix = reach = worst = 0
+    for v in order:
+        prefix |= 1 << v
+        reach |= masks[v]
+        worst = max(worst, (reach & ~prefix).bit_count())
+    return worst
+
+
+def assert_pathwidth_search(masks):
+    """pathwidth_dp against the full table: the same dp[full], no entry below
+    the full table's, and an ordering of width dp[full]."""
+    dp, cost = pathwidth_dp(masks)
+    ref = plain_pathwidth_dp(masks)[0]
+    assert len(dp) == len(ref) and dp[-1] == ref[-1]
+    for s, (d, r) in enumerate(zip(dp, ref)):
+        assert d == 255 or d >= r, f"state {s:#x}: {d} < {r}"
+    order = recover_order(dp, cost)
+    assert sorted(order) == list(range(len(masks)))
+    assert vertex_separation(masks, order) == dp[-1]
+
+
+def reached(dp):
+    return len(dp) - dp.count(255)
+
+
 # -- the tests -------------------------------------------------------------
 
 @pytest.mark.parametrize("name", TW_LARGE)
@@ -158,14 +191,58 @@ def test_treewidth_table_matches_plain_loop_on_large(name):
 
 @pytest.mark.parametrize("name", LARGE)
 def test_pathwidth_table_matches_plain_loop_on_large(name):
-    assert_same_kernel(pathwidth_dp, plain_pathwidth_dp, LARGE[name].adjacency_masks())
+    assert_pathwidth_search(LARGE[name].adjacency_masks())
 
 
 @pytest.mark.parametrize("g", SMALL, ids=lambda g: f"n{g.n}m{g.m}")
 def test_tables_match_plain_loops_on_small(g):
     masks = g.adjacency_masks()
     assert_same_kernel(treewidth_dp, plain_treewidth_dp, masks)
-    assert_same_kernel(pathwidth_dp, plain_pathwidth_dp, masks)
+    assert_pathwidth_search(masks)
+
+
+def test_greedy_step_bounds_the_pathwidth_search():
+    # without the step the two searches reach 65,536 and 20,064 states; with
+    # a strict b(S u v) < b(S) they reach 65,536 and 1,514
+    dp = pathwidth_dp(C.star(15).adjacency_masks())[0]
+    assert dp[-1] == 1 and reached(dp) <= 256
+    dp = pathwidth_dp(LARGE["rr16_7"].adjacency_masks())[0]
+    assert dp[-1] == 9 and reached(dp) <= 600
+
+
+def assert_pathwidth_witness(g, value, pd):
+    rep = validate(g, pd)
+    assert rep.ok and rep.width == value, (g.edges(), rep)
+
+
+def test_pathwidth_matches_brute_force_on_the_atlas():
+    for g in connected_atlas(7):
+        value, pd = pathwidth_exact(g)
+        assert value == brute_vertex_separation(g), g.edges()
+        assert_pathwidth_witness(g, value, pd)
+
+
+def seeded_pathwidth_graphs():
+    # n <= 11 at edge densities 1/4 to 3/4, and each with two isolated
+    # vertices added while it stays within n <= 11
+    rng = SplitMix64(29)
+    out = []
+    for i in range(60):
+        g = random_graph(rng, 1 + i % 11, 1 + rng.randrange(3), 4)
+        out.append(g)
+        if g.n <= 9:
+            out.append(Graph(g.n + 2, g.edges()))
+    return out
+
+
+def test_pathwidth_matches_full_table_on_seeded_graphs():
+    graphs = seeded_pathwidth_graphs()
+    assert any(not g.is_connected() for g in graphs)
+    assert any(g.n > 1 and any(not a for a in g.adj) for g in graphs)
+    for g in graphs:
+        value, pd = pathwidth_exact(g)
+        assert value == plain_pathwidth_dp(g.adjacency_masks())[0][-1], g.edges()
+        assert_pathwidth_witness(g, value, pd)
 
 
 @pytest.mark.parametrize("g", SMALL[2:20], ids=lambda g: f"n{g.n}m{g.m}")
