@@ -5,8 +5,10 @@ with per-call overrides; exceeding a cap, or a table over TABLE_BUDGET_BYTES,
 raises InstanceTooLarge, never silently truncates.  tw and pw are
 elimination-ordering subset DPs (the Q-set DP of Bodlaender, Fomin, Koster,
 Kratsch & Thilikos, ACM TALG 2012; see _kernels), each searched level by
-level from the empty set until the value of the full set is known: only
-states of value at most the answer are expanded.  pw expands a state only
+level from the empty set until it pops the full set: only states of value
+at most the answer are expanded.  Each search records the vertex that set
+each state, and its witness ordering is read back along those records from
+the full set, with no step cost evaluated again.  pw expands a state only
 by the lowest vertex that does not grow its boundary, if there is one (a
 safe greedy step, since the boundary size is submodular).  tw
 runs a safe-reduction front end first (_reduce): simplicial vertices, and
@@ -41,8 +43,7 @@ from math import ceil, prod, sqrt
 from ..graphs import Graph, GraphError, VertexPartition, quotient
 from ..decomposition import TreeDecomposition, PathDecomposition
 from ..rng import SplitMix64
-from ._kernels import (STATE_BYTES, bits, components, flood, pathwidth_dp, q_set,
-                       recover_order, treewidth_dp)
+from ._kernels import STATE_BYTES, bits, components, flood, pathwidth_dp, q_set, treewidth_dp
 
 TW_MAX_N = 16
 PW_MAX_N = 16
@@ -174,21 +175,22 @@ def _contraction_degeneracy(adj, left) -> int:
 
 
 def _treewidth(adj, left, low, order):
-    """tw of the graph that `left` induces in adj, given tw >= low:
-    (tw, dp, cost, rest).  The front end (_reduce) runs first, and if it is
-    blocked it runs again under the MMD+ bound.  treewidth_dp then searches
-    what is left, relabelled as rest[0], rest[1], ...; dp is None if nothing
-    is left.  The eliminated vertices are appended to order."""
+    """tw of the graph that `left` induces in adj, given tw >= low.  The
+    front end (_reduce) runs first, and if it is blocked it runs again under
+    the MMD+ bound.  treewidth_dp then searches what is left, relabelled as
+    rest[0], rest[1], ...  The eliminated vertices, then the DP's ordering of
+    what is left, are appended to order: an elimination ordering of width tw."""
     left, low, blocked = _reduce(adj, left, low, order)
     if blocked:
         low = max(low, _contraction_degeneracy(adj, left))
         left, low, _ = _reduce(adj, left, low, order)
     if not left:
-        return low, None, None, []
+        return low
     rest = list(bits(left))
     index = {v: 1 << i for i, v in enumerate(rest)}
-    dp, cost = treewidth_dp([sum(map(index.__getitem__, bits(adj[v]))) for v in rest])
-    return max(low, dp[-1]), dp, cost, rest
+    dp, dp_order = treewidth_dp([sum(map(index.__getitem__, bits(adj[v]))) for v in rest])
+    order += [rest[i] for i in dp_order]
+    return max(low, dp[-1])
 
 
 def treewidth_exact(g: Graph, max_n=None):
@@ -198,9 +200,7 @@ def treewidth_exact(g: Graph, max_n=None):
     if g.n == 0:
         return -1, TreeDecomposition(0, [frozenset()], [])
     order = []
-    tw, dp, cost, rest = _treewidth(g.adjacency_masks(), (1 << g.n) - 1, 0, order)
-    if dp is not None:
-        order += [rest[i] for i in recover_order(dp, cost)]
+    tw = _treewidth(g.adjacency_masks(), (1 << g.n) - 1, 0, order)
     return tw, _elimination_td(g, order)
 
 
@@ -226,18 +226,18 @@ def _tw_levels(masks):
             break
         yield False         # no vertex of degree <= k is left: tw > k
     else:
-        k, tw = 3, _treewidth(adj, left, 3, [])[0]
+        k, tw = 3, _treewidth(adj, left, 3, [])
     for k in count(k):
         yield tw <= k
 
 
 def _treewidth_value(g: Graph) -> int:
     """Exact treewidth without a witness, for callers that need the value
-    only: _treewidth's front end and DP, with no ordering recovered."""
+    only: _treewidth's front end and DP, their ordering dropped."""
     _cap(g, TW_MAX_N, None, "treewidth", STATE_BYTES)
     if not g.n:
         return -1
-    return _treewidth(g.adjacency_masks(), (1 << g.n) - 1, 0, [])[0]
+    return _treewidth(g.adjacency_masks(), (1 << g.n) - 1, 0, [])
 
 
 # -- pathwidth -----------------------------------------------------------
@@ -248,10 +248,10 @@ def pathwidth_exact(g: Graph, max_n=None):
     if g.n == 0:
         return -1, PathDecomposition(0, [frozenset()])
     masks = g.adjacency_masks()
-    dp, cost = pathwidth_dp(masks)
+    dp, order = pathwidth_dp(masks)
     bags = []
     prefix = reach = 0
-    for v in recover_order(dp, cost):
+    for v in order:
         prefix |= 1 << v
         reach |= masks[v]
         bags.append(frozenset(bits(1 << v | reach & ~prefix)))   # {v} u (N(prefix) - prefix)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 
 from .graphs import Graph, GraphError, bfs_layers
 from .decomposition import PathDecomposition, TreeDecomposition, _require, bag_span
@@ -59,6 +60,9 @@ class PlaneTriangulation:
     @staticmethod
     def from_json(text: str):
         d = json.loads(text)
+        # 1.0 == 1 and True == 1 would pass the rotation and face checks
+        if {type(d["n"]), *map(type, chain(d["outer"], *d["rotation"]))} != {int}:
+            raise GraphError("n, rotation and outer entries must be integers")
         try:
             return PlaneTriangulation.from_rotation(d["n"], d["rotation"], d["outer"])
         except (ValueError, TypeError, KeyError):

@@ -128,11 +128,25 @@ def test_non_integer_host_n_is_bad_input(kind, tmp_path, capsys):
     assert rep["error"].startswith("InputError: ") and "host_n must be an integer" in rep["error"]
 
 
+# a triangle with a float outer face, and K4 with a boolean rotation entry:
+# both passed the rotation and face checks, since 1.0 == 1 and True == 1
+FLOAT_OUTER = '{"n": 3, "rotation": [[1, 2], [2, 0], [0, 1]], "outer": [0.0, 1.0, 2.0]}'
+BOOLEAN_ROTATION = ('{"n": 4, "rotation": [[3, true, 2], [3, 2, 0], [3, 0, 1], [1, 0, 2]],'
+                    ' "outer": [0, 1, 2]}')
+TRIANGULATION_IDS = "n, rotation and outer entries must be integers"
+
+
 @pytest.mark.parametrize("cmd, text, message", [
     (["exact", "tw"], '{"n": true, "edges": []}', "n must be an integer"),
     (["exact", "tw"], '{"n": 2, "edges": [[false, true]]}', "non-integer endpoint"),
     (["product", "dstrong"], '{"n": 2, "arcs": [[0, 1.0]]}', "arc endpoints must be integers"),
-], ids=["boolean n", "boolean endpoints", "float arc endpoint"])
+    (["check", "triangulation"], FLOAT_OUTER, TRIANGULATION_IDS),
+    (["decomp", "planar-lexbfs"], FLOAT_OUTER, TRIANGULATION_IDS),
+    (["check", "triangulation"], BOOLEAN_ROTATION, TRIANGULATION_IDS),
+    (["decomp", "planar-lexbfs"], BOOLEAN_ROTATION, TRIANGULATION_IDS),
+], ids=["boolean n", "boolean endpoints", "float arc endpoint",
+        "float outer check", "float outer lexbfs",
+        "boolean rotation check", "boolean rotation lexbfs"])
 def test_non_integer_graph_ids_are_bad_input(cmd, text, message, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(text)

@@ -1,20 +1,19 @@
 """The elimination kernels against copies of their earlier full-table loops.
 
-treewidth_dp and pathwidth_dp search their tables level by level and stop
-once dp[full] is known; flood grows the component of a vertex and unions its
-neighbourhoods in one pass, and q_set reads Q(t, v) off it.  The references
-below are full_elimination_dp, which fills all 2^n states for any step cost,
-a component walk followed by a second walk over the component, and the
+treewidth_dp and pathwidth_dp search their tables level by level, record
+the vertex that set each state, and stop when they pop the full set; flood
+grows the component of a vertex and unions its neighbourhoods in one pass,
+and q_set reads Q(t, v) off it.  The references below are
+full_elimination_dp, which fills all 2^n states for any step cost, a
+component walk followed by a second walk over the component, and the
 pathwidth table filled by the full DP with one cost per (state, vertex)
-pair.  The searched treewidth table must hold the same dp[full], the same
-value at every entry at most dp[full] and a larger one everywhere else, and
-recover_order must read the same ordering out of it.  The pathwidth search
-takes the greedy step, so its reached entries are upper bounds that some
-ordering attains: it must hold the same dp[full], every entry other than 255
-must be at least the full table's, and recover_order must return an ordering
-whose vertex separation is dp[full].  pathwidth_exact is also checked against
-the brute force over orderings and the full table, with its witness
-re-validated, and the greedy step against bounds on the states it reaches.
+pair.  Both searches share one contract, checked against the full table: the
+same dp[full], every entry other than 255 at least the full table's (a
+reached entry is the largest step cost on the path that reached it), and a
+returned ordering of all vertices whose largest step cost, under the
+reference cost, is dp[full].  pathwidth_exact is also checked against the
+brute force over orderings and the full table, with its witness
+re-validated, and both searches against bounds on the work they do.
 
 tree_param_exact is the block DP over potential maximal cliques.  The full
 elimination table with the tree-f step cost is its reference, and the block
@@ -32,7 +31,7 @@ import prodstruct.exact._kernels as K
 from conftest import brute_vertex_separation, connected_atlas, counting, random_graph
 from prodstruct.decomposition import TreeDecomposition, validate
 from prodstruct.exact import pathwidth_exact, tree_param_exact, treewidth_exact
-from prodstruct.exact._kernels import bits, pathwidth_dp, q_set, recover_order, treewidth_dp
+from prodstruct.exact._kernels import bits, pathwidth_dp, q_set, treewidth_dp
 from prodstruct.graphs import Graph
 from prodstruct.rng import SplitMix64
 
@@ -139,43 +138,21 @@ def seeded_graphs():
 SMALL = seeded_graphs()
 
 
-def assert_same_search(dp, cost, ref_dp, ref_cost):
-    """dp is the searched table, ref_dp the full one."""
-    top = ref_dp[-1]
-    assert len(dp) == len(ref_dp) and dp[-1] == top
-    for s, (d, ref) in enumerate(zip(dp, ref_dp)):
-        if ref <= top:
-            assert d == ref, f"state {s:#x}: {d} != {ref}"
-        else:
-            assert d > top, f"state {s:#x}: {d} <= dp[full] = {top}"
-    assert recover_order(dp, cost) == recover_order(ref_dp, ref_cost)
-
-
-def assert_same_kernel(new, old, masks):
-    assert_same_search(*new(masks), *old(masks))
-
-
-def vertex_separation(masks, order):
-    """The largest boundary |N(S) - S| over the prefixes S of order."""
-    prefix = reach = worst = 0
-    for v in order:
-        prefix |= 1 << v
-        reach |= masks[v]
-        worst = max(worst, (reach & ~prefix).bit_count())
-    return worst
-
-
-def assert_pathwidth_search(masks):
-    """pathwidth_dp against the full table: the same dp[full], no entry below
-    the full table's, and an ordering of width dp[full]."""
-    dp, cost = pathwidth_dp(masks)
-    ref = plain_pathwidth_dp(masks)[0]
+def assert_search(kernel, plain, masks):
+    """kernel's searched table and ordering against plain's full table: the
+    same dp[full], no reached entry below the full table's, and an ordering
+    of all vertices whose largest step cost under plain's cost is dp[full]."""
+    dp, order = kernel(masks)
+    ref, cost = plain(masks)
     assert len(dp) == len(ref) and dp[-1] == ref[-1]
     for s, (d, r) in enumerate(zip(dp, ref)):
         assert d == 255 or d >= r, f"state {s:#x}: {d} < {r}"
-    order = recover_order(dp, cost)
     assert sorted(order) == list(range(len(masks)))
-    assert vertex_separation(masks, order) == dp[-1]
+    t = worst = 0
+    for v in order:
+        worst = max(worst, cost(t, v))
+        t |= 1 << v
+    assert worst == dp[-1]
 
 
 def reached(dp):
@@ -186,28 +163,29 @@ def reached(dp):
 
 @pytest.mark.parametrize("name", TW_LARGE)
 def test_treewidth_table_matches_plain_loop_on_large(name):
-    assert_same_kernel(treewidth_dp, plain_treewidth_dp, LARGE[name].adjacency_masks())
+    assert_search(treewidth_dp, plain_treewidth_dp, LARGE[name].adjacency_masks())
 
 
 @pytest.mark.parametrize("name", LARGE)
 def test_pathwidth_table_matches_plain_loop_on_large(name):
-    assert_pathwidth_search(LARGE[name].adjacency_masks())
+    assert_search(pathwidth_dp, plain_pathwidth_dp, LARGE[name].adjacency_masks())
 
 
 @pytest.mark.parametrize("g", SMALL, ids=lambda g: f"n{g.n}m{g.m}")
 def test_tables_match_plain_loops_on_small(g):
     masks = g.adjacency_masks()
-    assert_same_kernel(treewidth_dp, plain_treewidth_dp, masks)
-    assert_pathwidth_search(masks)
+    assert_search(treewidth_dp, plain_treewidth_dp, masks)
+    assert_search(pathwidth_dp, plain_pathwidth_dp, masks)
 
 
 def test_greedy_step_bounds_the_pathwidth_search():
     # without the step the two searches reach 65,536 and 20,064 states; with
-    # a strict b(S u v) < b(S) they reach 65,536 and 1,514
+    # a strict b(S u v) < b(S) they reach 65,536 and 1,514; with the step but
+    # finishing the level after the full set, 124 and 472
     dp = pathwidth_dp(C.star(15).adjacency_masks())[0]
-    assert dp[-1] == 1 and reached(dp) <= 256
+    assert dp[-1] == 1 and reached(dp) <= 64
     dp = pathwidth_dp(LARGE["rr16_7"].adjacency_masks())[0]
-    assert dp[-1] == 9 and reached(dp) <= 600
+    assert dp[-1] == 9 and reached(dp) <= 300
 
 
 def assert_pathwidth_witness(g, value, pd):
@@ -280,18 +258,15 @@ def test_front_end_leaves_the_dp_only_what_no_rule_reduces(monkeypatch):
     assert sizes == [13]
 
 
-def test_recover_order_refuses_an_unreachable_value():
-    # dp[full] = 3, but every step costs 0 from dp[t] <= 1: nothing attains 3
-    dp = bytearray([0, 1, 1, 3])
-    with pytest.raises(AssertionError, match="attains"):
-        recover_order(dp, lambda t, v: 0)
-
-
 def test_search_on_a_path_stops_at_its_treewidth(monkeypatch):
-    # the full table made 1.05 M cost calls here, one per state, for tw = 1
+    # the full table made 1.05 M cost calls here, one per state, for tw = 1;
+    # finishing the level after the full set made 1,350
     calls = counting(monkeypatch, "q_set", K)
     assert treewidth_dp(C.path(20).adjacency_masks())[0][-1] == 1
-    assert 0 < len(calls) <= 20 ** 3
+    assert 0 < len(calls) <= 400
+    # finishing the level after the full set reached 4,459 states here
+    dp = treewidth_dp(LARGE["rr13_4"].adjacency_masks())[0]
+    assert dp[-1] == 5 and reached(dp) <= 2000
 
 
 # -- the block DP over potential maximal cliques ---------------------------
