@@ -250,6 +250,9 @@ class Layering:
             if l & seen:
                 raise DecompositionError("layers overlap")
             seen |= l
+        # 1.0 == 1 and True == 1 would pass the cover check
+        if not all(type(v) is int for v in seen):
+            raise DecompositionError("layer members must be integers")
         if seen != set(range(host_n)):
             raise DecompositionError("layers do not cover the host")
         # empty layers allowed at the tail only

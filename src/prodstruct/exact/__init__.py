@@ -6,15 +6,17 @@ raises InstanceTooLarge, never silently truncates.  tw and pw are
 elimination-ordering subset DPs (the Q-set DP of Bodlaender, Fomin, Koster,
 Kratsch & Thilikos, ACM TALG 2012; see _kernels), each searched level by
 level from the empty set until it pops the full set: only states of value
-at most the answer are expanded.  Each search records the vertex that set
-each state, and its witness ordering is read back along those records from
-the full set, with no step cost evaluated again.  pw expands a state only
-by the lowest vertex that does not grow its boundary, if there is one (a
-safe greedy step, since the boundary size is submodular).  tw
-runs a safe-reduction front end first (_reduce): simplicial vertices, and
-almost simplicial ones of degree at most a lower bound on tw, are
-eliminated while there are any, the bound raised to MMD+ once one is
-blocked, and the DP runs only on the relabelled remainder.  Its elimination
+at most the answer are expanded.  A state's value is final when it is
+first reached, so each search queues each state once, on the level of its
+value, and keeps one byte per state: the vertex that first reached it.  The
+witness ordering is read back along those bytes from the full set, with no
+step cost evaluated again.  pw expands a state only by the lowest vertex
+that does not grow its boundary, if there is one (a safe greedy step, since
+the boundary size is submodular).  tw runs a safe-reduction front end
+first (_reduce): simplicial vertices, and almost simplicial ones of degree
+at most a lower bound on tw, are eliminated while there are any, the bound
+raised to MMD+ once one is blocked, and the DP runs only on the relabelled
+remainder.  Its elimination
 ordering continues the front end's, so the witness needs no lifting.  tree-f
 is the block DP of Bouchitté & Todinca over the potential maximal cliques
 (PMCs), each PMC found by testing its definition on every vertex subset, and
@@ -188,9 +190,9 @@ def _treewidth(adj, left, low, order):
         return low
     rest = list(bits(left))
     index = {v: 1 << i for i, v in enumerate(rest)}
-    dp, dp_order = treewidth_dp([sum(map(index.__getitem__, bits(adj[v]))) for v in rest])
+    width, dp_order = treewidth_dp([sum(map(index.__getitem__, bits(adj[v]))) for v in rest])
     order += [rest[i] for i in dp_order]
-    return max(low, dp[-1])
+    return max(low, width)
 
 
 def treewidth_exact(g: Graph, max_n=None):
@@ -248,14 +250,14 @@ def pathwidth_exact(g: Graph, max_n=None):
     if g.n == 0:
         return -1, PathDecomposition(0, [frozenset()])
     masks = g.adjacency_masks()
-    dp, order = pathwidth_dp(masks)
+    width, order = pathwidth_dp(masks)
     bags = []
     prefix = reach = 0
     for v in order:
         prefix |= 1 << v
         reach |= masks[v]
         bags.append(frozenset(bits(1 << v | reach & ~prefix)))   # {v} u (N(prefix) - prefix)
-    return dp[-1], PathDecomposition(g.n, bags)
+    return width, PathDecomposition(g.n, bags)
 
 
 # -- bandwidth -----------------------------------------------------------

@@ -12,20 +12,26 @@ subset S of the vertices.  The cost of eliminating v after the set t is:
 
 Only states of value at most dp[full] can lie on an optimal ordering (TALG
 2012 prunes the DP to the sets below an upper bound the same way).  So the
-tables are not filled in full but searched level by level from the empty set:
-level k expands the states of value k.  Wherever a search writes dp[S u v],
-it also writes last[S u v] = v, and it stops when it pops the full set.  The
-full set's step cost is 0 (its Q-set and its boundary are empty), so dp[full]
-is only ever set to the current level k, after every state of value below k
-was expanded without reaching it.  A state expanded at level k keeps the
-value k, so the last-chain down from the full set runs through values that
-were final when they were expanded, and the ordering it spells has width
-dp[full].  Both kernels return (dp, order), and the table contract is:
+table is not filled but searched level by level from the empty set: level k
+expands the states of value k.  Each search keeps one bytearray, last, where
+last[S u v] = v records the vertex that first reached S u v and 255 means
+unreached, and it queues each state once, on the level of the value it is
+first reached with.  That is sound because of one invariant: a state's value
+is final when it is first reached.
 
-- dp[full] is the width, and order, first-eliminated first, attains it;
-- every other entry is 255 if the search never reached it, or else the
-  largest step cost along the path that reached it: an upper bound on the
-  full table's value, not always equal to it.
+- pathwidth: the cost |N(S) - S| does not depend on which v of S is last.
+- treewidth: say S u v is first reached from S at level k with cost
+  c = |Q(S, v)| > k.  Then Q(S, v) = N(C) for the component C of v in
+  G[S u v].  A later offer comes from some S' = (S u v) - v' at a level
+  k' >= k.  If v' is in C, its Q-set is N(C) again.  Otherwise C is a whole
+  component of G[S'], every ordering of S' has a step, at the last vertex of
+  C, whose Q-set contains N(C), and so k' >= c.  No later offer goes below c.
+
+The full set's step cost is 0 (its Q-set and its boundary are empty), so
+it joins the level that first reaches it, and the search stops when it pops
+the full set, at the level k that is the width.  The last-chain down from the full set runs through states whose
+values are final and at most k, so the ordering it spells attains k.  Both
+kernels return (width, order), order first-eliminated first.
 
 pathwidth_dp adds the greedy step of vertex-separation solvers (Coudert,
 Mazauric & Nisse, SEA 2014): if some v outside S has b(S u v) <= b(S), where
@@ -33,21 +39,20 @@ b(X) = |N(X) - X|, S is expanded to S u v for the lowest such v only.  This
 is safe because b(X) = |N[X]| - |X| is submodular: for every continuation
 S c S1 c ... c V, b(Si u v) <= b(Si) + b(S u v) - b(S) <= b(Si), so putting
 v next never raises the largest boundary, and some optimal ordering follows
-the rule at every state.  The cost b(S) does not depend on which v of S is
-last, so a state keeps the value it is first reached with.
+the rule at every state.
 
 Graphs are lists of neighbourhood bitmasks and vertex sets are int bitmasks.
-Each search holds two bytearrays of 2^n entries, dp and last, and queues at
-most one 8-byte array('q') entry per state; both costs stay below n.
+Each search holds one bytearray of 2^n entries, last, and queues at most one
+8-byte array('q') entry per state; both costs stay below n.
 """
 
 from array import array
 
 # There is one kernel path, plain Python; benchmark reports still name it.
 USE_NUMBA = False
-# bytes a search may hold per state: the 1-byte dp and last entries and at
-# most one 8-byte array('q') queue entry
-STATE_BYTES = 10
+# bytes a search may hold per state: the 1-byte last entry and at most one
+# 8-byte array('q') queue entry
+STATE_BYTES = 9
 
 
 def bits(mask: int):
@@ -93,7 +98,7 @@ def q_set(masks, t: int, v: int) -> int:
 
 def _walk(last: bytearray) -> list:
     """The ordering that reached the full set, first-eliminated first: the
-    last vertex of each state is the one that set its table entry."""
+    last vertex of each state is the one that first reached it."""
     s = len(last) - 1
     order = [0] * s.bit_length()
     for i in reversed(range(len(order))):
@@ -103,66 +108,51 @@ def _walk(last: bytearray) -> list:
 
 
 def treewidth_dp(masks):
-    """The treewidth table (dp[full] is tw), searched level by level, and an
-    elimination ordering that attains it.
+    """(tw, an elimination ordering that attains it), searched level by level.
 
-    Level k expands the states of value exactly k: from S, each v outside S
-    offers dp[S | v] the value max(k, |Q(S, v)|), and last[S | v] = v records
-    who set it.  A state that drops to k joins the level's stack, so no state
-    is pushed twice.  The search stops when it pops the full set.
+    Level k expands the states of value k.  From S, a v outside S whose state
+    S u v is not reached yet gives it the value max(|Q(S, v)|, k), which is
+    final, and last[S u v] = v; the state is queued once, on the level of its
+    value.  The search stops when it pops the full set.
     """
     n = len(masks)
     full = (1 << n) - 1
-    dp = bytearray(b"\xff") * (full + 1)
-    last = bytearray(full + 1)
-    dp[0] = 0
-    stack = array("q")
-    for k in range(max(n, 1)):      # a Q-set has at most n - 1 vertices
-        s = dp.find(k)
-        while s >= 0:
-            stack.append(s)
-            s = dp.find(k, s + 1)
-        while stack:
-            s = stack.pop()
+    last = bytearray(b"\xff") * (full + 1)
+    levels = [array("q") for _ in range(max(n, 1))]     # a Q-set has at most n - 1 vertices
+    levels[0].append(0)
+    for k, level in enumerate(levels):
+        while level:
+            s = level.pop()
             if s == full:
-                return dp, _walk(last)
+                return k, _walk(last)
             rest = full ^ s
             while rest:
                 bit = rest & -rest
                 rest ^= bit
                 u = s | bit
-                d = dp[u]
-                if d <= k:
+                if last[u] != 255:          # reached already: its value stays
                     continue
                 v = bit.bit_length() - 1
                 c = q_set(masks, s, v).bit_count()
-                if c <= k:
-                    dp[u] = k
-                    last[u] = v
-                    stack.append(u)
-                elif c < d:
-                    dp[u] = c
-                    last[u] = v
-    raise AssertionError("unreachable: every step costs at most n - 1")
+                last[u] = v
+                levels[c if c > k else k].append(u)
 
 
 def pathwidth_dp(masks):
-    """The vertex-separation table (dp[full] is pw) and an ordering that attains it.
+    """(pw, a vertex ordering that attains it), searched level by level.
 
     Level k expands the states of value k.  A state S is expanded first by the
     greedy step: if some v outside S has |N(S u v) - (S u v)| <= |N(S) - S|,
     the lowest such v gives S u v the value k, it joins level k, and no other
     vertex is tried from S.  Otherwise every v outside S is tried, and a state
     first reached from S gets the value max(|N(S u v) - (S u v)|, k), which is
-    kept, as is last[S u v] = v.  Each reached state is queued once, on the
+    final, and last[S u v] = v.  Each reached state is queued once, on the
     level of its value, as N(S) << n | S.  The search stops when it pops the
     full set.
     """
     n = len(masks)
     full = (1 << n) - 1
-    dp = bytearray(b"\xff") * (full + 1)
-    last = bytearray(full + 1)
-    dp[0] = 0
+    last = bytearray(b"\xff") * (full + 1)
     levels = [array("q") for _ in range(n + 1)]      # values stay below n
     levels[0].append(0)
     for k, level in enumerate(levels):
@@ -170,7 +160,7 @@ def pathwidth_dp(masks):
             entry = level.pop()
             s = entry & full
             if s == full:
-                return dp, _walk(last)
+                return k, _walk(last)
             ns = entry >> n
             rest = full ^ s
             b = (ns & ~s).bit_count()
@@ -182,8 +172,7 @@ def pathwidth_dp(masks):
                 nu = ns | masks[v]
                 if (nu & ~(s | bit)).bit_count() <= b:     # v does not grow the boundary
                     u = s | bit
-                    if dp[u] == 255:
-                        dp[u] = k
+                    if last[u] == 255:
                         last[u] = v
                         level.append(nu << n | u)
                     break
@@ -192,13 +181,10 @@ def pathwidth_dp(masks):
                     bit = rest & -rest
                     rest ^= bit
                     u = s | bit
-                    if dp[u] != 255:        # reached already: its value stays
+                    if last[u] != 255:      # reached already: its value stays
                         continue
                     v = bit.bit_length() - 1
                     nu = ns | masks[v]
                     c = (nu & ~u).bit_count()
-                    if c < k:
-                        c = k
-                    dp[u] = c
                     last[u] = v
-                    levels[c].append(nu << n | u)
+                    levels[c if c > k else k].append(nu << n | u)

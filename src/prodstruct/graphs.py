@@ -232,6 +232,8 @@ class VertexPartition:
             if not p:
                 raise GraphError("empty part")
             for v in p:
+                if type(v) is not int:      # True == 1 would index part_of
+                    raise GraphError(f"vertex {v!r} is not an integer")
                 if not (0 <= v < n):
                     raise GraphError(f"vertex {v} out of range")
                 if part_of[v] != -1:

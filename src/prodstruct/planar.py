@@ -29,6 +29,7 @@ class PlaneTriangulation:
 
     def __init__(self, graph: Graph, rotation, outer_face):
         rotation = tuple(tuple(r) for r in rotation)
+        _require_int_ids(graph.n, *rotation)
         if len(rotation) != graph.n:
             raise EmbeddingInvalid("rotation length mismatch")
         for v, (rot, nbrs) in enumerate(zip(rotation, graph.adj)):
@@ -60,25 +61,32 @@ class PlaneTriangulation:
     @staticmethod
     def from_json(text: str):
         d = json.loads(text)
-        # 1.0 == 1 and True == 1 would pass the rotation and face checks
-        if {type(d["n"]), *map(type, chain(d["outer"], *d["rotation"]))} != {int}:
-            raise GraphError("n, rotation and outer entries must be integers")
         try:
             return PlaneTriangulation.from_rotation(d["n"], d["rotation"], d["outer"])
         except (ValueError, TypeError, KeyError):
-            # A malformed file.  from_rotation drops an entry u < v whose
-            # mirror v is missing from rotation[u], so it may refuse the file
-            # at another vertex; raise what the graph of all 2m entries does.
+            # A malformed file.  An entry that is no int may break the graph
+            # before the constructor's check, so check it first.
+            # from_rotation drops an entry u < v whose mirror v is missing
+            # from rotation[u], so it may refuse the file at another vertex;
+            # raise what the graph of all 2m entries does.
+            _require_int_ids(d["n"], d["outer"], *d["rotation"])
             edges = {(min(u, v), max(u, v)) for v, rot in enumerate(d["rotation"])
                      for u in rot}
             return PlaneTriangulation(Graph(d["n"], edges), d["rotation"], d["outer"])
 
 
+def _require_int_ids(n, *rows):
+    """Refuse an n or a row entry that is no int: 1.0 == 1 and True == 1
+    would pass the rotation and face checks."""
+    if {type(n), *map(type, chain(*rows))} != {int}:
+        raise GraphError("n, rotation and outer entries must be integers")
+
+
 def _is_face(fs, cycle) -> bool:
     """Whether cycle is a cyclic rotation of a face in fs, the sorted output
     of faces(): one lookup of the rotation that starts at its least vertex.
-    A cycle with an entry that is not a number is no face."""
-    if len(cycle) != 3 or not all(isinstance(x, (int, float)) for x in cycle):
+    A cycle with an entry that is no int is no face."""
+    if len(cycle) != 3 or not all(type(x) is int for x in cycle):
         return False
     i = cycle.index(min(cycle))
     key = cycle[i:] + cycle[:i]

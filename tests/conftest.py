@@ -8,8 +8,10 @@ raw_bag_path_check) refuse hosts above RAW_MAX_N vertices.
 
 import heapq
 import itertools
+from array import array
 
 import prodstruct.exact
+import prodstruct.exact._kernels
 from prodstruct.decomposition import TreeDecomposition, validate
 from prodstruct.exact import InstanceTooLarge, longest_path_order, treewidth_exact
 from prodstruct.graphs import Graph, subgraph_contained
@@ -29,6 +31,19 @@ def counting(monkeypatch, name, module=prodstruct.exact):
         return real(*a, **k)
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def queued(monkeypatch):
+    """A list that gets one entry per state the subset searches queue: the
+    searches' array is swapped for a subclass that counts append calls."""
+    appends = []
+
+    class Counted(array):
+        def append(self, x):
+            appends.append(1)
+            super().append(x)
+    monkeypatch.setattr(prodstruct.exact._kernels, "array", Counted)
+    return appends
 
 
 def random_graph(rng: SplitMix64, n: int, p_num=1, p_den=2) -> Graph:

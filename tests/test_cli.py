@@ -134,6 +134,8 @@ FLOAT_OUTER = '{"n": 3, "rotation": [[1, 2], [2, 0], [0, 1]], "outer": [0.0, 1.0
 BOOLEAN_ROTATION = ('{"n": 4, "rotation": [[3, true, 2], [3, 2, 0], [3, 0, 1], [1, 0, 2]],'
                     ' "outer": [0, 1, 2]}')
 TRIANGULATION_IDS = "n, rotation and outer entries must be integers"
+# layers of 0.0 or true passed the cover check and were written out as bags
+LAYER_IDS = "layer members must be integers"
 
 
 @pytest.mark.parametrize("cmd, text, message", [
@@ -144,13 +146,22 @@ TRIANGULATION_IDS = "n, rotation and outer entries must be integers"
     (["decomp", "planar-lexbfs"], FLOAT_OUTER, TRIANGULATION_IDS),
     (["check", "triangulation"], BOOLEAN_ROTATION, TRIANGULATION_IDS),
     (["decomp", "planar-lexbfs"], BOOLEAN_ROTATION, TRIANGULATION_IDS),
+    (["decomp", "layering-path"], '{"layers": [[0], [1.0, 2]]}', LAYER_IDS),
+    (["decomp", "layering-path"], '{"layers": [[0], [true], [2]]}', LAYER_IDS),
+    (["embed", "partition-check"], '{"parts": [[0, true], [2]]}', "True is not an integer"),
+    (["embed", "partition-check"], '{"parts": [[0, 1.0], [2]]}', "1.0 is not an integer"),
 ], ids=["boolean n", "boolean endpoints", "float arc endpoint",
         "float outer check", "float outer lexbfs",
-        "boolean rotation check", "boolean rotation lexbfs"])
+        "boolean rotation check", "boolean rotation lexbfs",
+        "float layer", "boolean layer", "boolean part", "float part"])
 def test_non_integer_graph_ids_are_bad_input(cmd, text, message, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
     files = [str(bad)] * (2 if cmd[0] == "product" else 1)
+    if cmd[1] == "partition-check":     # a path on 3 vertices, then both parts files
+        g = tmp_path / "g.json"
+        g.write_text(Graph(3, [(0, 1), (1, 2)]).to_json())
+        files = [str(g), str(bad), str(bad)]
     code, rep = run(capsys, *cmd, *files)
     assert code == 2
     assert rep["error"].startswith("InputError: ") and message in rep["error"]

@@ -259,7 +259,7 @@ def test_mixing_report_shape():
 
 
 def test_table_budget_refuses_before_allocating():
-    # 10 * 2^27 bytes and more are over TABLE_BUDGET_BYTES: refused at once
+    # 9 * 2^27 bytes and more are over TABLE_BUDGET_BYTES: refused at once
     from prodstruct.exact import TABLE_BUDGET_BYTES
     assert TABLE_BUDGET_BYTES == 1 << 30
     with pytest.raises(InstanceTooLarge, match="DP table"):

@@ -1,19 +1,18 @@
 """The elimination kernels against copies of their earlier full-table loops.
 
-treewidth_dp and pathwidth_dp search their tables level by level, record
-the vertex that set each state, and stop when they pop the full set; flood
-grows the component of a vertex and unions its neighbourhoods in one pass,
-and q_set reads Q(t, v) off it.  The references below are
-full_elimination_dp, which fills all 2^n states for any step cost, a
-component walk followed by a second walk over the component, and the
-pathwidth table filled by the full DP with one cost per (state, vertex)
-pair.  Both searches share one contract, checked against the full table: the
-same dp[full], every entry other than 255 at least the full table's (a
-reached entry is the largest step cost on the path that reached it), and a
-returned ordering of all vertices whose largest step cost, under the
-reference cost, is dp[full].  pathwidth_exact is also checked against the
-brute force over orderings and the full table, with its witness
-re-validated, and both searches against bounds on the work they do.
+treewidth_dp and pathwidth_dp search level by level, queue each state once,
+record the vertex that first reached each state, and stop when they pop the
+full set; flood grows the component of a vertex and unions its
+neighbourhoods in one pass, and q_set reads Q(t, v) off it.  The references
+below are full_elimination_dp, which fills all 2^n states for any step
+cost, a component walk followed by a second walk over the component, and
+the pathwidth table filled by the full DP with one cost per (state, vertex)
+pair.  Both searches share one contract, checked against the full table:
+the returned width is the full table's dp[full], and the returned ordering
+of all vertices has largest step cost, under the reference cost, equal to
+that width.  pathwidth_exact is also checked against the brute force over
+orderings and the full table, with its witness re-validated, and both
+searches against bounds on the work they do.
 
 tree_param_exact is the block DP over potential maximal cliques.  The full
 elimination table with the tree-f step cost is its reference, and the block
@@ -28,7 +27,7 @@ import pytest
 import prodstruct.constructions as C
 import prodstruct.exact as X
 import prodstruct.exact._kernels as K
-from conftest import brute_vertex_separation, connected_atlas, counting, random_graph
+from conftest import brute_vertex_separation, connected_atlas, counting, queued, random_graph
 from prodstruct.decomposition import TreeDecomposition, validate
 from prodstruct.exact import pathwidth_exact, tree_param_exact, treewidth_exact
 from prodstruct.exact._kernels import bits, pathwidth_dp, q_set, treewidth_dp
@@ -139,24 +138,18 @@ SMALL = seeded_graphs()
 
 
 def assert_search(kernel, plain, masks):
-    """kernel's searched table and ordering against plain's full table: the
-    same dp[full], no reached entry below the full table's, and an ordering
-    of all vertices whose largest step cost under plain's cost is dp[full]."""
-    dp, order = kernel(masks)
+    """kernel's width and ordering against plain's full table: the same
+    width as dp[full], and an ordering of all vertices whose largest step
+    cost under plain's cost is that width."""
+    width, order = kernel(masks)
     ref, cost = plain(masks)
-    assert len(dp) == len(ref) and dp[-1] == ref[-1]
-    for s, (d, r) in enumerate(zip(dp, ref)):
-        assert d == 255 or d >= r, f"state {s:#x}: {d} < {r}"
+    assert width == ref[-1]
     assert sorted(order) == list(range(len(masks)))
     t = worst = 0
     for v in order:
         worst = max(worst, cost(t, v))
         t |= 1 << v
-    assert worst == dp[-1]
-
-
-def reached(dp):
-    return len(dp) - dp.count(255)
+    assert worst == width
 
 
 # -- the tests -------------------------------------------------------------
@@ -178,14 +171,16 @@ def test_tables_match_plain_loops_on_small(g):
     assert_search(pathwidth_dp, plain_pathwidth_dp, masks)
 
 
-def test_greedy_step_bounds_the_pathwidth_search():
+def test_greedy_step_bounds_the_pathwidth_search(monkeypatch):
     # without the step the two searches reach 65,536 and 20,064 states; with
     # a strict b(S u v) < b(S) they reach 65,536 and 1,514; with the step but
     # finishing the level after the full set, 124 and 472
-    dp = pathwidth_dp(C.star(15).adjacency_masks())[0]
-    assert dp[-1] == 1 and reached(dp) <= 64
-    dp = pathwidth_dp(LARGE["rr16_7"].adjacency_masks())[0]
-    assert dp[-1] == 9 and reached(dp) <= 300
+    states = queued(monkeypatch)
+    assert pathwidth_dp(C.star(15).adjacency_masks())[0] == 1
+    assert len(states) <= 64
+    states.clear()
+    assert pathwidth_dp(LARGE["rr16_7"].adjacency_masks())[0] == 9
+    assert len(states) <= 300
 
 
 def assert_pathwidth_witness(g, value, pd):
@@ -259,14 +254,18 @@ def test_front_end_leaves_the_dp_only_what_no_rule_reduces(monkeypatch):
 
 
 def test_search_on_a_path_stops_at_its_treewidth(monkeypatch):
-    # the full table made 1.05 M cost calls here, one per state, for tw = 1;
-    # finishing the level after the full set made 1,350
+    # one q_set call per queued state but the empty set: a reached state is
+    # never offered again.  The full table made 1.05 M cost calls on the
+    # path, one per state, for tw = 1; finishing the level after the full set
+    # made 1,350.  Rescanning each level and offering reached states again
+    # made 1,695 calls on rr13_4.
     calls = counting(monkeypatch, "q_set", K)
-    assert treewidth_dp(C.path(20).adjacency_masks())[0][-1] == 1
-    assert 0 < len(calls) <= 400
-    # finishing the level after the full set reached 4,459 states here
-    dp = treewidth_dp(LARGE["rr13_4"].adjacency_masks())[0]
-    assert dp[-1] == 5 and reached(dp) <= 2000
+    states = queued(monkeypatch)
+    for g, tw, bound in ((C.path(20), 1, 400), (LARGE["rr13_4"], 5, 1300)):
+        calls.clear()
+        states.clear()
+        assert treewidth_dp(g.adjacency_masks())[0] == tw
+        assert 0 < len(calls) == len(states) - 1 <= bound
 
 
 # -- the block DP over potential maximal cliques ---------------------------

@@ -3,7 +3,7 @@ import pytest
 
 from prodstruct.constructions import stacked_triangulation
 from prodstruct.decomposition import validate
-from prodstruct.graphs import Graph
+from prodstruct.graphs import Graph, GraphError
 from prodstruct.planar import (PlaneTriangulation, EmbeddingInvalid, faces,
                                lex_bfs, cotree,
                                planar_bandwidth3_decomposition, v8_fixture)
@@ -33,6 +33,26 @@ def test_outer_face_must_exist():
     rotation = [[1, 2, 3], [2, 0, 3], [0, 1, 3], [0, 2, 1]]
     with pytest.raises(EmbeddingInvalid):
         PlaneTriangulation(g, rotation, (0, 1, 3))
+
+
+# 1.0 == 1 and True == 1: such ids passed every check of the constructor,
+# and planar_bandwidth3_decomposition then raised TypeError
+TRIANGLE = [[1, 2], [2, 0], [0, 1]]
+
+
+@pytest.mark.parametrize("outer", [[0.0, 1.0, 2.0], [0, True, 2]])
+def test_outer_face_entries_must_be_ints(outer):
+    with pytest.raises(EmbeddingInvalid, match="outer_face is not a face"):
+        PlaneTriangulation.from_rotation(3, TRIANGLE, outer)
+    assert PlaneTriangulation.from_rotation(3, TRIANGLE, [0, 1, 2]).outer_face == (0, 1, 2)
+
+
+def test_n_and_rotation_entries_must_be_ints():
+    g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    with pytest.raises(GraphError, match="must be integers"):
+        PlaneTriangulation(g, [[True, 2, 3], [2, 0, 3], [0, 1, 3], [0, 2, 1]], (0, 1, 2))
+    with pytest.raises(GraphError, match="must be integers"):
+        PlaneTriangulation.from_rotation(True, [[]], ())
 
 
 def test_json_round_trip():
