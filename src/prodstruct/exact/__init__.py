@@ -39,7 +39,7 @@ the package.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import count, product
+from itertools import accumulate, count, product
 from math import ceil, prod, sqrt
 
 from ..graphs import Graph, GraphError, VertexPartition, quotient
@@ -611,6 +611,15 @@ def twtw_exact(g: Graph, c: int = 1, max_n=None):
         raise GraphError("need c >= 1")
     _cap(g, TWTW_MAX_N, max_n, "twtw_exact")
     n = g.n
+    # 176 bytes per partition: tracemalloc peaked at 167-174 per partition
+    # on path(n), n = 9-11, and at 78-167 on K_n, n = 8-10; so n <= 12 fits
+    fits = TABLE_BUDGET_BYTES // 176
+    row = [1]       # the Bell triangle: row k starts with Bell(k)
+    while len(row) <= n and row[0] <= fits:
+        row = list(accumulate(row, initial=row[-1]))
+    if row[0] > fits:
+        raise InstanceTooLarge(f"twtw_exact: n={n} has {row[0]} or more partitions to "
+                               f"enumerate, over the budget of {TABLE_BUDGET_BYTES} bytes")
     if n == 0:
         return 0, None
     earlier = [list(bits(m & ((1 << v) - 1))) for v, m in enumerate(g.adjacency_masks())]

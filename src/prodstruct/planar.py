@@ -32,9 +32,6 @@ class PlaneTriangulation:
         _require_int_ids(graph.n, *rotation)
         if len(rotation) != graph.n:
             raise EmbeddingInvalid("rotation length mismatch")
-        for v, (rot, nbrs) in enumerate(zip(rotation, graph.adj)):
-            if len(rot) != len(nbrs) or frozenset(rot) != nbrs:
-                raise EmbeddingInvalid(f"rotation at {v} inconsistent with adjacency")
         self.graph = graph
         self.rotation = rotation
         self.outer_face = tuple(outer_face)
@@ -95,37 +92,37 @@ def _is_face(fs, cycle) -> bool:
 
 
 def faces(pt: PlaneTriangulation) -> list:
-    """All faces as oriented triangles, sorted; errors on non-triangular faces.
+    """All faces as oriented triangles, sorted; errors on a rotation that
+    does not list each neighbour once and on non-triangular faces.
 
-    Each walk starts at the smallest directed edge (u, v) not yet walked, and
-    its face is listed as (u, v, ...), so the faces come out in sorted order.
-    Directed edge (u, v) is marked walked as the int u*n + v.
+    Once each rotation lists each neighbour once, the face step is a
+    permutation of the directed edges, so each edge (u, v) is tested alone:
+    three steps bring it back iff its face is a triangle, listed once as
+    (u, v, w) from its least vertex u, so in sorted order.  The first edge
+    that fails is the smallest edge of the first bad face, which is walked
+    only to name it.
     """
     g = pt.graph
-    n = g.n
     rotation = pt.rotation
-    at = [{u: i for i, u in enumerate(rot)} for rot in rotation]   # u's index in rotation[v]
-    walked = set()
+    at = []     # at[v][u]: u's index in rotation[v]
+    for v, (rot, nbrs) in enumerate(zip(rotation, g.adj)):
+        at_v = {u: i for i, u in enumerate(rot)}
+        if len(at_v) != len(rot) or at_v.keys() != nbrs:
+            raise EmbeddingInvalid(f"rotation at {v} inconsistent with adjacency")
+        at.append(at_v)
     out = []
     for u, rot in enumerate(rotation):
         for v in sorted(rot):
-            if u * n + v in walked:
-                continue
-            walked.add(u * n + v)
-            tails = [u]
-            x, y = v, rotation[v][at[v][u] - 1]
-            while x != u or y != v:
-                dart = x * n + y
-                if dart in walked:
-                    darts = list(zip(tails, tails[1:] + [x]))
-                    raise EmbeddingInvalid(f"face walk reuses edge {(x, y)}: {darts}")
-                walked.add(dart)
-                tails.append(x)
-                x, y = y, rotation[y][at[y][x] - 1]
-            if len(tails) != 3:
+            w = rotation[v][at[v][u] - 1]
+            if rotation[w][at[w][v] - 1] != u or rotation[u][at[u][w] - 1] != v:
+                tails, x, y = [u], v, w
+                while x != u or y != v:
+                    tails.append(x)
+                    x, y = y, rotation[y][at[y][x] - 1]
                 raise EmbeddingInvalid(f"non-triangular face: {tails}")
-            out.append(tuple(tails))
-    if n - g.m + len(out) != 2:
+            if u < v and u < w:
+                out.append((u, v, w))
+    if g.n - g.m + len(out) != 2:
         raise EmbeddingInvalid("Euler formula violated")
     return out
 

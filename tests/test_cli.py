@@ -136,6 +136,14 @@ BOOLEAN_ROTATION = ('{"n": 4, "rotation": [[3, true, 2], [3, 2, 0], [3, 0, 1], [
 TRIANGULATION_IDS = "n, rotation and outer entries must be integers"
 # layers of 0.0 or true passed the cover check and were written out as bags
 LAYER_IDS = "layer members must be integers"
+# embeddings of path(3) in path(3) boxtimes K_1 (boxtimes K_c) with a float
+# map coordinate or a float c
+P3_FACTORS = '"factors": [{"n": 3, "edges": [[0, 1], [1, 2]]}, {"n": 1, "edges": []}]'
+FLOAT_MAP = '{%s, "c": null, "map": [[0, 0], [1.0, 0], [2, 0]]}' % P3_FACTORS
+FLOAT_C = '{%s, "c": 1.5, "map": [[0, 0, 0], [1, 0, 0], [2, 0, 0]]}' % P3_FACTORS
+# two disjoint triangles: every face a triangle, but 6 - 6 + 4 faces != 2
+TWO_TRIANGLES = ('{"n": 6, "rotation": [[1, 2], [2, 0], [0, 1], [4, 5], [5, 3], [3, 4]],'
+                 ' "outer": [0, 1, 2]}')
 
 
 @pytest.mark.parametrize("cmd, text, message", [
@@ -150,18 +158,22 @@ LAYER_IDS = "layer members must be integers"
     (["decomp", "layering-path"], '{"layers": [[0], [true], [2]]}', LAYER_IDS),
     (["embed", "partition-check"], '{"parts": [[0, true], [2]]}', "True is not an integer"),
     (["embed", "partition-check"], '{"parts": [[0, 1.0], [2]]}', "1.0 is not an integer"),
+    (["check", "embedding"], FLOAT_MAP, "integer map coordinates"),
+    (["check", "embedding"], FLOAT_C, "c must be an integer or null"),
+    (["check", "triangulation"], TWO_TRIANGLES, "Euler formula violated"),
 ], ids=["boolean n", "boolean endpoints", "float arc endpoint",
         "float outer check", "float outer lexbfs",
         "boolean rotation check", "boolean rotation lexbfs",
-        "float layer", "boolean layer", "boolean part", "float part"])
+        "float layer", "boolean layer", "boolean part", "float part",
+        "float map coordinate", "float c", "two triangles"])
 def test_non_integer_graph_ids_are_bad_input(cmd, text, message, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
     files = [str(bad)] * (2 if cmd[0] == "product" else 1)
-    if cmd[1] == "partition-check":     # a path on 3 vertices, then both parts files
+    if cmd[1] in ("partition-check", "embedding"):     # a path on 3 vertices, then the payloads
         g = tmp_path / "g.json"
         g.write_text(Graph(3, [(0, 1), (1, 2)]).to_json())
-        files = [str(g), str(bad), str(bad)]
+        files = [str(g)] + [str(bad)] * (2 if cmd[1] == "partition-check" else 1)
     code, rep = run(capsys, *cmd, *files)
     assert code == 2
     assert rep["error"].startswith("InputError: ") and message in rep["error"]
@@ -319,6 +331,7 @@ def tiny(tmp_path_factory):
     p2 = path(2)
     k3_td, k3_pd = TreeDecomposition(3, [range(3)], []), PathDecomposition(3, [range(3)])
     tournament = {"n": 3, "arcs": [[0, 1], [0, 2], [1, 2]]}
+    p2_js = json.loads(p2.to_json())
     objects = {
         "p2": p2, "p3": path(3), "c4": cycle(4), "dp2": Digraph(2, [(0, 1)]),
         "two_tri": Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]),
@@ -341,6 +354,12 @@ def tiny(tmp_path_factory):
         "empty_td": TreeDecomposition(0, [()], []),
         "rows": {"parts": [[0, 1], [2, 3]]},
         "cols": {"parts": [[0, 3], [1, 2]]},
+        # embeddings of p2 in p2 boxtimes p2, p2 boxtimes p2 boxtimes K_1 and
+        # p2 boxtimes (2 isolated vertices), each with one fault
+        "short_map": {"factors": [p2_js, p2_js], "c": None, "map": [[0, 0]]},
+        "kc_out_of_range": {"factors": [p2_js, p2_js], "c": 1, "map": [[0, 0, 0], [0, 1, 5]]},
+        "far_second": {"factors": [p2_js, {"n": 2, "edges": []}], "c": None,
+                       "map": [[0, 0], [0, 1]]},
     }
     made = {}
     for name, obj in objects.items():
@@ -426,6 +445,14 @@ RUNS = {
     "check pd": (["p3", "p3_pd"], 0, None),
     "check ortho": (["p3", "p3_td", "p3_td"], 0, lambda t, out, outputs: outputs["value"] == 2),
     "check embedding": (["k4", "k4_embedding"], 0, None),
+    "check embedding short map": (["p2", "short_map"], 1, lambda t, out, outputs:
+                                  outputs["errors"] == ["map covers 1 vertices, guest has 2"]),
+    "check embedding K_c out of range": (
+        ["p2", "kc_out_of_range"], 1, lambda t, out, outputs: outputs["errors"] == [
+            "vertex 1: K_c coordinate out of range"]),
+    "check embedding far second coordinates": (
+        ["p2", "far_second"], 1, lambda t, out, outputs: outputs["errors"] == [
+            "edge (0,1): second coordinates 0,1 not equal-or-adjacent"]),
     "check triangulation": (["triangulation"], 0, None),
     **{f"exact {param}": (["p3"], 0, lambda t, out, outputs: outputs["value"] >= 0)
        for param in cli.EXACT},
@@ -454,7 +481,7 @@ def test_success_run(case, tiny, tmp_path, capsys):
     code, rep = run(capsys, *argv)
     assert code == want, rep
     if cmd == "check":
-        assert rep["outputs"]["ok"]
+        assert rep["outputs"]["ok"] is (want == 0)
     if recheck is not None:
         assert recheck(tiny, out, rep["outputs"])
 
@@ -466,6 +493,8 @@ def test_success_run(case, tiny, tmp_path, capsys):
      "DecompositionError: side vertex 5 out of range for n=2"),
     (["embed", "degree-partition", "k5", "--threshold", "1"],
      "GraphError: vertex 0 keeps more than 1 neighbours in its part"),
+    (["embed", "glue-directed", "two_tri", "two_tri_td", "bag_embeddings", "--h", "1"],
+     "DecompositionError: adhesion 2 exceeds declared 1"),
 ])
 def test_refused_input_exits_2_and_writes_nothing(argv, error, tiny, tmp_path, capsys):
     out = tmp_path / "out.json"

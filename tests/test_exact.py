@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (random_graph, brute_bandwidth, brute_treedepth,
                       brute_vertex_separation, check_elimination_forest,
                       twintw_raw, twtw_raw, raw_bag_path_check)
+import prodstruct.exact
 from prodstruct.cli import main
 from prodstruct.constructions import (path, cycle, complete, star,
                                       complete_multipartite, grid2, hex_graph,
@@ -286,4 +287,25 @@ def test_twintw_enumeration_is_refused_before_it_is_built(tmp_path, capsys):
     p = tmp_path / "c16.json"
     p.write_text(cycle(16).to_json())
     assert main(["exact", "twintw", str(p), "--max-n", "16"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"].startswith("InstanceTooLarge")
+
+
+def test_twtw_enumeration_is_refused_before_it_is_built(tmp_path, capsys, monkeypatch):
+    # at 176 bytes per partition, Bell(12) = 4,213,597 fit the budget and
+    # Bell(13) = 27,644,437 do not: refused from the count, before the first
+    # partition's quotient is searched
+    class Searched(Exception):
+        pass
+
+    def search(masks):
+        raise Searched
+    monkeypatch.setattr(prodstruct.exact, "_tw_levels", search)
+    with pytest.raises(Searched):
+        twtw_exact(path(12), max_n=12)
+    for n in (13, 1000):
+        with pytest.raises(InstanceTooLarge, match="27644437 or more partitions"):
+            twtw_exact(path(n), max_n=n)
+    p = tmp_path / "p13.json"
+    p.write_text(path(13).to_json())
+    assert main(["exact", "twtw", str(p), "--max-n", "13"]) == 2
     assert json.loads(capsys.readouterr().out)["error"].startswith("InstanceTooLarge")

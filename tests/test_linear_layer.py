@@ -144,8 +144,8 @@ def test_faces_match_the_restarting_walk():
 
 
 def test_faces_come_out_sorted_from_the_walk():
-    """faces() does not sort: each walk starts at the smallest unwalked
-    directed edge (u, v) and lists its face as (u, v, w)."""
+    """faces() does not sort: it takes the directed edges (u, v) in sorted
+    order and lists each triangle once, as (u, v, w) from its least vertex."""
     for n in (3, 10, 57, 250):
         for seed in (0, 1, 2):
             for pt in (stacked_triangulation(n, seed),
@@ -213,6 +213,42 @@ def test_corrupted_rotation_gives_the_same_error():
                 with pytest.raises(EmbeddingInvalid) as slow:
                     walk_faces(bad)
                 assert str(fast.value) == str(slow.value)
+
+
+def face_outcome(find, rs):
+    try:
+        return find(rs)
+    except EmbeddingInvalid as ex:
+        return str(ex)
+
+
+def random_rotation_systems(rng):
+    """Rotation systems on 3 to 8 vertices: random graphs with every rotation
+    shuffled, and stacked triangulations with one rotation shuffled."""
+    for n in range(3, 9):
+        for _ in range(300):
+            g = Graph(n, [(u, v) for v in range(n) for u in range(v)
+                          if rng.random() < 0.6])
+            rotation = [rng.sample(sorted(nbrs), len(nbrs)) for nbrs in g.adj]
+            yield SimpleNamespace(graph=g, rotation=rotation)
+        for seed in range(100):
+            pt = stacked_triangulation(n, seed)
+            rotation = [list(r) for r in pt.rotation]
+            v = rng.randrange(n)
+            rng.shuffle(rotation[v])
+            yield SimpleNamespace(graph=pt.graph, rotation=rotation)
+
+
+def test_faces_match_the_walk_on_random_rotation_systems():
+    """Each edge's triangle test needs both of its conditions: the faces,
+    or the exact error text, are those of the restarting walk."""
+    rng = random.Random(7)
+    outcomes = set()
+    for rs in random_rotation_systems(rng):
+        got = face_outcome(faces, rs)
+        assert got == face_outcome(walk_faces, rs), rs.rotation
+        outcomes.add(got.split(":")[0] if isinstance(got, str) else "ok")
+    assert outcomes == {"ok", "non-triangular face", "Euler formula violated"}
 
 
 def all_entries_from_json(text):
