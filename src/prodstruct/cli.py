@@ -123,7 +123,7 @@ class Run:
 def _embedding(d, guest, factor=Graph):
     """The embedding of guest in JSON object d: a ProductEmbedding, or with
     factor=Digraph a DirectedProductEmbedding, whose map holds pairs."""
-    factors = tuple(factor.from_json(json.dumps(f)) for f in d["factors"])
+    factors = tuple(factor.from_data(f) for f in d["factors"])
     images = tuple(tuple(t) for t in d["map"])
     if len(factors) != 2 or not all(type(x) is int for t in images for x in t):
         raise InputError("an embedding has 2 factors and integer map coordinates")
@@ -296,14 +296,13 @@ def _witness_partition(out, a, g, l, td):
 
 def _glue_tree_f(out, a, g, td, pieces):
     torso_decomps = _per_node(pieces, td, "torso decompositions",
-                              lambda d, x: D.TreeDecomposition.from_json(json.dumps(d)))
+                              lambda d, x: D.TreeDecomposition.from_data(d))
     return [D.glue_tree_f(g, td, torso_decomps).to_json()]
 
 
 def _pair(d, x):
     t, p = d
-    return (D.TreeDecomposition.from_json(json.dumps(t)),
-            D.PathDecomposition.from_json(json.dumps(p)))
+    return D.TreeDecomposition.from_data(t), D.PathDecomposition.from_data(p)
 
 
 def _both(out, d1, d2):

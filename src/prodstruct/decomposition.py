@@ -81,7 +81,11 @@ class TreeDecomposition:
 
     @staticmethod
     def from_json(text: str) -> "TreeDecomposition":
-        d = json.loads(text)
+        return TreeDecomposition.from_data(json.loads(text))
+
+    @staticmethod
+    def from_data(d) -> "TreeDecomposition":
+        """The decomposition in parsed JSON data, checked as from_json checks it."""
         td = TreeDecomposition(*_host_and_bags(d), [tuple(e) for e in d["tree_edges"]])
         if td.nodes != d["nodes"]:
             raise DecompositionError("node count mismatch")
@@ -109,7 +113,10 @@ class PathDecomposition(TreeDecomposition):
 
     @staticmethod
     def from_json(text: str) -> "PathDecomposition":
-        d = json.loads(text)
+        return PathDecomposition.from_data(json.loads(text))
+
+    @staticmethod
+    def from_data(d) -> "PathDecomposition":
         return PathDecomposition(*_host_and_bags(d))
 
 

@@ -72,7 +72,7 @@ class Graph:
         return max((len(s) for s in self.adj), default=0)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
+        return 0 <= u < self.n and v in self.adj[u]
 
     def closed_neighborhood(self, v: int) -> frozenset:
         return self.adj[v] | {v}
@@ -114,12 +114,19 @@ class Graph:
 
     # -- serialization ---------------------------------------------------
 
+    def to_data(self) -> dict:
+        return {"n": self.n, "edges": self.edges()}
+
     def to_json(self) -> str:
-        return json.dumps({"n": self.n, "edges": self.edges()})
+        return json.dumps(self.to_data(), check_circular=False)
 
     @staticmethod
     def from_json(text: str) -> "Graph":
-        data = json.loads(text)
+        return Graph.from_data(json.loads(text))
+
+    @staticmethod
+    def from_data(data) -> "Graph":
+        """The graph in parsed JSON data, checked as from_json checks it."""
         n = data["n"]
         if type(n) is not int:
             raise GraphError("n must be an integer")
@@ -151,73 +158,95 @@ class Graph:
 
 
 class Digraph:
-    """Directed graph; both uv and vu may be present."""
+    """Directed graph with out-neighbour sets; both uv and vu may be present."""
 
-    __slots__ = ("n", "arcs")
+    __slots__ = ("n", "out")
 
     def __init__(self, n: int, arcs: Iterable[tuple] = ()):
         if n < 0:
             raise GraphError("negative vertex count")
-        aset = set()
+        out = [set() for _ in range(n)]
         for u, v in arcs:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"arc ({u},{v}) out of range for n={n}")
             if u == v:
                 raise GraphError(f"self-loop at {u}")
-            aset.add((u, v))
+            out[u].add(v)
         self.n = n
-        self.arcs = frozenset(aset)
+        self.out = tuple(frozenset(s) for s in out)
+
+    @staticmethod
+    def _from_out(out) -> "Digraph":
+        """The digraph whose out-sets are `out`, a sequence of frozensets of
+        ids in range(len(out)), none holding its own vertex.  Unchecked: for
+        out-sets that the package has built itself."""
+        d = Digraph.__new__(Digraph)
+        d.n = len(out)
+        d.out = tuple(out)
+        return d
+
+    def arcs(self) -> list:
+        return [(u, v) for u, s in enumerate(self.out) for v in sorted(s)]
+
+    @property
+    def m(self) -> int:
+        return sum(map(len, self.out))
 
     def indegree(self, v: int) -> int:
-        return sum(1 for (_, h) in self.arcs if h == v)
+        return sum(v in s for s in self.out)
 
     def max_indegree(self) -> int:
         counts = [0] * self.n
-        for (_, h) in self.arcs:
-            counts[h] += 1
+        for s in self.out:
+            for h in s:
+                counts[h] += 1
         return max(counts, default=0)
 
     def has_arc(self, u: int, v: int) -> bool:
-        return (u, v) in self.arcs
+        return 0 <= u < self.n and v in self.out[u]
+
+    def to_data(self) -> dict:
+        return {"n": self.n, "arcs": self.arcs()}
 
     def to_json(self) -> str:
-        return json.dumps({"n": self.n, "arcs": sorted(self.arcs)})
+        return json.dumps(self.to_data(), check_circular=False)
 
     @staticmethod
     def from_json(text: str) -> "Digraph":
-        data = json.loads(text)
+        return Digraph.from_data(json.loads(text))
+
+    @staticmethod
+    def from_data(data) -> "Digraph":
+        """The digraph in parsed JSON data, checked as from_json checks it."""
         if type(data["n"]) is not int:
             raise GraphError("n must be an integer")
         arcs = data["arcs"]
         if not all(type(x) is int for a in arcs for x in a):
             raise GraphError("arc endpoints must be integers")
         d = Digraph(data["n"], arcs)
-        if len(d.arcs) != len(arcs):
+        if d.m != len(arcs):
             raise GraphError("duplicate arcs")
         return d
 
     def __eq__(self, other):
         return (isinstance(other, Digraph)
-                and self.n == other.n and self.arcs == other.arcs)
+                and self.n == other.n and self.out == other.out)
 
     def __hash__(self):
-        return hash((self.n, self.arcs))
+        return hash((self.n, self.out))
 
     def __repr__(self):
-        return f"Digraph(n={self.n}, arcs={len(self.arcs)})"
+        return f"Digraph(n={self.n}, arcs={self.m})"
 
 
 def bidirect(g: Graph) -> Digraph:
     """Both orientations of every edge."""
-    arcs = []
-    for u, v in g.edges():
-        arcs.append((u, v))
-        arcs.append((v, u))
-    return Digraph(g.n, arcs)
+    return Digraph._from_out(g.adj)
 
 
 def underlying(d: Digraph) -> Graph:
-    return Graph(d.n, [(u, v) for (u, v) in d.arcs if u < v or (v, u) not in d.arcs])
+    return Graph(d.n, [(u, v) for u, s in enumerate(d.out) for v in s
+                       if u < v or u not in d.out[v]])
 
 
 class VertexPartition:

@@ -58,14 +58,20 @@ def strong(a: Graph, b: Graph) -> Graph:
 def directed_strong(d1: Digraph, d2: Digraph) -> Digraph:
     """Arc (x,y)->(x',y') iff each coordinate stays or follows an arc.
 
-    Built from the identity-plus-arc lists of both factors, so in time
-    O((|V1| + |A1|)(|V2| + |A2|)).
+    The out-set of (x,y) is (out1[x]+x) x (out2[y]+y) less (x,y) itself, so
+    the product is built in time O((|V1| + |A1|)(|V2| + |A2|)).
     """
-    n2, arcs2 = d2.n, list(d2.arcs)
-    arcs = [(x * n2 + y, x * n2 + yp) for x in range(d1.n) for y, yp in arcs2]
-    stay_or_arc = [(y, y) for y in range(n2)] + arcs2
-    arcs += [(x * n2 + y, xp * n2 + yp) for x, xp in d1.arcs for y, yp in stay_or_arc]
-    return Digraph(d1.n * n2, arcs)
+    n2 = d2.n
+    closed2 = [sorted(s | {y}) for y, s in enumerate(d2.out)]
+    out = []
+    for x, s in enumerate(d1.out):
+        bases = [xp * n2 for xp in s]
+        bases.append(x * n2)
+        for y, c in enumerate(closed2):
+            o = {b + yp for b in bases for yp in c}
+            o.discard(x * n2 + y)
+            out.append(frozenset(o))
+    return Digraph._from_out(out)
 
 
 # -- embeddings ----------------------------------------------------------
@@ -84,7 +90,7 @@ class ProductEmbedding:
 
     def to_json(self) -> str:
         return json.dumps({
-            "factors": [json.loads(f.to_json()) for f in self.factors],
+            "factors": [f.to_data() for f in self.factors],
             "c": self.c,
             "map": [list(t) for t in self.map],
         })
@@ -383,9 +389,9 @@ def glue_directed_products(g: Graph, td: TreeDecomposition, bag_embeddings: dict
         j1, j2 = e.factors
         k1 = {image[v][0] for v in adh}
         k2 = {image[v][1] for v in adh}
-        arcs1 += [(u + n1, v + n1) for u, v in j1.arcs]
+        arcs1 += [(u + n1, v + n1) for u, v in j1.arcs()]
         arcs1 += [(u, w + n1) for u in k1 for w in range(j1.n)]
-        arcs2 += [(u + n2, v + n2) for u, v in j2.arcs]
+        arcs2 += [(u + n2, v + n2) for u, v in j2.arcs()]
         arcs2 += [(u, w + n2) for u in k2 for w in range(j2.n)]
         for i, v in enumerate(bag_order):
             if v not in image:

@@ -298,6 +298,12 @@ def test_json_round_trips():
     assert TreeDecomposition.from_json(td.to_json()).bags == td.bags
     pd = PathDecomposition(3, [{0, 1}, {1, 2}])
     assert PathDecomposition.from_json(pd.to_json()).bags == pd.bags
+    for dec in (td, pd):
+        read = type(dec).from_data(json.loads(dec.to_json()))
+        assert type(read) is type(dec) and read.to_json() == dec.to_json()
+    with pytest.raises(DecompositionError, match="node count mismatch"):
+        TreeDecomposition.from_data({"host_n": 3, "nodes": 3, "bags": [[0, 1], [1, 2]],
+                                     "tree_edges": [[0, 1]]})
 
 
 def test_path_decomposition_is_a_tree_decomposition():

@@ -48,7 +48,7 @@ def parent_glue_directed(g, td, bag_embeddings):
     removal, root = _leaf_removal_order(td)
     e, order = bag_embeddings[root], sorted(td.bags[root])
     n1, n2 = e.factors[0].n, e.factors[1].n
-    arcs1, arcs2 = list(e.factors[0].arcs), list(e.factors[1].arcs)
+    arcs1, arcs2 = e.factors[0].arcs(), e.factors[1].arcs()
     image = {order[v]: e.map[v] for v in range(len(order))}
     for x, y in reversed(removal):
         e, order = bag_embeddings[x], sorted(td.bags[x])
@@ -56,9 +56,9 @@ def parent_glue_directed(g, td, bag_embeddings):
         adh = sorted(td.bags[x] & td.bags[y])
         k1 = {image[v][0] for v in adh}
         k2 = {image[v][1] for v in adh}
-        arcs1 += [(u + n1, v + n1) for u, v in j1.arcs]
+        arcs1 += [(u + n1, v + n1) for u, v in j1.arcs()]
         arcs1 += [(u, w + n1) for u in k1 for w in range(j1.n)]
-        arcs2 += [(u + n2, v + n2) for u, v in j2.arcs]
+        arcs2 += [(u + n2, v + n2) for u, v in j2.arcs()]
         arcs2 += [(u, w + n2) for u in k2 for w in range(j2.n)]
         for i, v in enumerate(order):
             if v not in image:

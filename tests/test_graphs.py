@@ -112,6 +112,30 @@ def test_digraph_and_conversions():
     assert Digraph.from_json(d.to_json()) == d
 
 
+def test_ids_out_of_range_are_not_adjacent():
+    """A negative id would index from the end and n would raise IndexError."""
+    g = Graph(3, [(0, 2)])
+    d = Digraph(3, [(0, 2), (2, 0)])
+    assert g.has_edge(0, 2) and d.has_arc(2, 0)
+    for u, v in ((-1, 0), (0, -1), (3, 0), (0, 3), (-3, 2), (5, 7)):
+        assert not g.has_edge(u, v)
+        assert not d.has_arc(u, v)
+    assert not Graph(0).has_edge(0, 0) and not Digraph(0).has_arc(0, 0)
+
+
+def test_from_data_reads_what_from_json_reads():
+    g = Graph(4, [(0, 1), (2, 3)])
+    d = Digraph(3, [(0, 1), (2, 1)])
+    assert Graph.from_data(g.to_data()) == g == Graph.from_json(g.to_json())
+    assert Digraph.from_data(d.to_data()) == d == Digraph.from_json(d.to_json())
+    assert json.dumps(g.to_data()) == g.to_json()
+    assert json.dumps(d.to_data()) == d.to_json()
+    with pytest.raises(GraphError, match="duplicate edge"):
+        Graph.from_data({"n": 3, "edges": [[0, 1], [0, 1]]})
+    with pytest.raises(GraphError, match="duplicate arcs"):
+        Digraph.from_data({"n": 3, "arcs": [[0, 1], [0, 1]]})
+
+
 def test_partition_validation():
     with pytest.raises(GraphError):
         VertexPartition(3, [{0, 1}])

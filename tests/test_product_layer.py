@@ -92,9 +92,68 @@ def test_directed_strong_matches_the_four_loop():
     for d1, d2 in cases:
         got = P.directed_strong(d1, d2)
         want = four_loop_directed_strong(d1, d2)
-        assert got.arcs == want
+        assert set(got.arcs()) == want
         old_json = json.dumps({"n": d1.n * d2.n, "arcs": sorted(map(list, want))})
         assert got.to_json() == old_json
+
+
+# -- digraphs kept as out-sets ---------------------------------------------
+
+def test_built_digraphs_equal_and_hash_like_checked_ones():
+    """_from_out, directed_strong and bidirect skip the arc-by-arc check of
+    Digraph(n, arcs), and must still give the same value."""
+    rng = random.Random(5)
+    g = grid2(2, 3)
+    cases = [(Digraph._from_out((frozenset({1, 2}), frozenset(), frozenset({0}))),
+              [(0, 1), (0, 2), (2, 0)]),
+             (bidirect(g), [a for u, v in g.edges() for a in ((u, v), (v, u))])]
+    for _ in range(10):
+        d1, d2 = random_digraph(rng, rng.randrange(0, 5)), random_digraph(rng, rng.randrange(0, 5))
+        cases.append((P.directed_strong(d1, d2), four_loop_directed_strong(d1, d2)))
+    for built, arcs in cases:
+        checked = Digraph(built.n, arcs)
+        assert built == checked and hash(built) == hash(checked)
+        assert built.arcs() == sorted(arcs) and built.to_json() == checked.to_json()
+
+
+def test_directed_strong_with_empty_and_one_vertex_factors():
+    d = Digraph(3, [(0, 1), (2, 1)])
+    for empty in (P.directed_strong(d, Digraph(0)), P.directed_strong(Digraph(0), d)):
+        assert empty == Digraph(0) and empty.arcs() == []
+    # the one-vertex factor only stays: the product is d itself, relabelled
+    assert P.directed_strong(d, Digraph(1)) == d
+    assert P.directed_strong(Digraph(1), d) == d
+    assert P.directed_strong(Digraph(1), Digraph(1)) == Digraph(1)
+
+
+def test_underlying_and_indegree_on_one_way_arcs():
+    from prodstruct.graphs import underlying
+    # 0 -> 1 one way, 1 <-> 2 both ways, 3 -> 2 and 0 -> 2 one way
+    d = Digraph(4, [(0, 1), (1, 2), (2, 1), (3, 2), (0, 2)])
+    assert underlying(d).edges() == [(0, 1), (0, 2), (1, 2), (2, 3)]
+    assert [d.indegree(v) for v in range(4)] == [0, 2, 3, 0]
+    assert d.max_indegree() == 3 and d.m == 5
+    assert Digraph(3, [(2, 0)]).max_indegree() == 1
+    assert underlying(Digraph(3, [(2, 0)])).edges() == [(0, 2)]
+
+
+@pytest.mark.parametrize("arcs, message", [
+    ([[0, 1], [1, 0], [0, 1]], "duplicate arcs"),
+    ([[0, 1], [1, 1]], "self-loop at 1"),
+    ([[0, 1], [1, 2]], "arc (1,2) out of range for n=2"),
+    ([[0, -1]], "arc (0,-1) out of range for n=2"),
+    ([[0, 1.0]], "arc endpoints must be integers"),
+    ([[0, True]], "arc endpoints must be integers"),
+], ids=["duplicate", "self-loop", "out of range", "negative", "float", "boolean"])
+def test_dstrong_refuses_bad_arcs(arcs, message, tmp_path, capsys):
+    bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+    bad.write_text(json.dumps({"n": 2, "arcs": arcs}))
+    good.write_text(Digraph(2, [(0, 1)]).to_json())
+    for inputs in ((bad, good), (good, bad)):
+        code = main(["product", "dstrong", *map(str, inputs)])
+        assert code == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "error": f"InputError: malformed {bad}: {message}"}
 
 
 # -- validate against the BFS / any-bag copy ------------------------------
