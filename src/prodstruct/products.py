@@ -108,7 +108,7 @@ class DirectedProductEmbedding:
 
 def _check_map(e) -> tuple:
     """The map check of both embedding checkers: the map's length, each
-    image's arity and range, and injectivity.  Returns the errors and the
+    image's arity, integer coordinates and range, and injectivity.  Returns the errors and the
     guest edges whose end images can be looked up in the factors."""
     g = e.guest
     width = 3 if e.c is not None else 2
@@ -118,6 +118,10 @@ def _check_map(e) -> tuple:
     for v, t in enumerate(e.map):
         if len(t) != width:
             errors.append(f"vertex {v}: tuple arity {len(t)} != {width}")
+            bad.add(v)
+            continue
+        if not all(type(x) is int for x in t):      # 1.0 passes the range check
+            errors.append(f"vertex {v}: non-integer coordinate")
             bad.add(v)
             continue
         if not (0 <= t[0] < e.factors[0].n and 0 <= t[1] < e.factors[1].n):

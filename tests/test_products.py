@@ -71,12 +71,18 @@ def test_validate_embedding_catches_bad_maps():
     assert any("injective" in e or "identical" in e for e in validate_embedding(dup))
     far = ProductEmbedding(complete(2), (path(3), path(1)), None, ((0, 0), (2, 0)))
     assert validate_embedding(far)
+    for images in (((1.0, 0), (0, 0)), ((True, 0), (0, 0))):
+        e = ProductEmbedding(g, f, None, images)
+        assert validate_embedding(e) == ["vertex 0: non-integer coordinate"]
+    kc = ProductEmbedding(g, f, 2, ((0, 0, 0), (1, 0, 1.0)))
+    assert validate_embedding(kc) == ["vertex 1: non-integer coordinate"]
 
 
 def test_directed_checker_reports_bad_images_without_raising():
     d, p2 = Digraph(2, [(0, 1)]), path(2)
     for images, want in ((((0, 0, 0), (1, 0)), ["vertex 0: tuple arity 3 != 2"]),
                          (((0, 0), (2, 0)), ["vertex 1: coordinate out of range"]),
+                         (((0, 0), (1.0, 0)), ["vertex 1: non-integer coordinate"]),
                          (((0, 0), (0, 0)), ["map not injective",
                                              "edge (0,1) realized in neither direction"])):
         e = DirectedProductEmbedding(p2, (d, Digraph(1, [])), images)
