@@ -108,8 +108,9 @@ class DirectedProductEmbedding:
 
 def _check_map(e) -> tuple:
     """The map check of both embedding checkers: the map's length, each
-    image's arity, integer coordinates and range, and injectivity.  Returns the errors and the
-    guest edges whose end images can be looked up in the factors."""
+    image's arity, integer coordinates and range, and injectivity.  Returns
+    the errors and the guest edges whose end images can be looked up in the
+    factors."""
     g = e.guest
     width = 3 if e.c is not None else 2
     if len(e.map) != g.n:
