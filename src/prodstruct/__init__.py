@@ -8,8 +8,7 @@ from .decomposition import (TreeDecomposition, PathDecomposition, Layering,
                             torso, orthogonality, project_product_decomposition,
                             bfs_layering, layering_to_path_decomposition,
                             witness_to_bandwidth_decomposition,
-                            witness_to_partition, make_layered_witness,
-                            bipartite_orthogonal_paths,
+                            witness_to_partition, bipartite_orthogonal_paths,
                             bipartite_star_decomposition,
                             glue_tree_f, glue_orthogonal)
 from .products import (cartesian, direct, strong, directed_strong,

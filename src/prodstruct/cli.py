@@ -120,20 +120,6 @@ class Run:
 
 # -- JSON payloads --------------------------------------------------------
 
-def _embedding(d, guest, factor=Graph):
-    """The embedding of guest in JSON object d: a ProductEmbedding, or with
-    factor=Digraph a DirectedProductEmbedding, whose map holds pairs."""
-    factors = tuple(factor.from_data(f) for f in d["factors"])
-    images = tuple(tuple(t) for t in d["map"])
-    if len(factors) != 2 or not all(type(x) is int for t in images for x in t):
-        raise InputError("an embedding has 2 factors and integer map coordinates")
-    if factor is Digraph:
-        return P.DirectedProductEmbedding(guest, factors, tuple((x, y) for x, y in images))
-    if d["c"] is not None and type(d["c"]) is not int:
-        raise InputError("c must be an integer or null")
-    return P.ProductEmbedding(guest, factors, d["c"], images)
-
-
 def _per_node(items, td, what, parse):
     """{x: parse(items[x], x)} for a JSON list with one entry per node of td."""
     if not isinstance(items, list) or len(items) != td.nodes:
@@ -241,7 +227,8 @@ def _apex_fan(out, a, h):
 def _glue_directed(out, a, g, td, embs):
     guests = [g.subgraph(bag)[0] for bag in td.bags]
     return P.glue_directed_products(g, td, _per_node(
-        embs, td, "bag embeddings", lambda d, x: _embedding(d, guests[x], Digraph)), a.h)
+        embs, td, "bag embeddings",
+        lambda d, x: P.embedding_from_data(d, guests[x], Digraph)), a.h)
 
 
 # kind -> (input kinds, handler(outputs, args, *inputs) -> the embedding to
@@ -282,14 +269,14 @@ def _planar_lexbfs(out, a, pt):
 
 
 def _witness_bandwidth(out, a, g, l, td):
-    w = D.make_layered_witness(g, l, td)
-    td2, orderings, span = D.witness_to_bandwidth_decomposition(g, w)
+    w = D.LayeredWitness(g, l, td)
+    orderings, span = D.witness_to_bandwidth_decomposition(w)
     out.update(k=w.k, orderings=orderings, max_span=span)
-    return [td2.to_json()]
+    return [td.to_json()]
 
 
 def _witness_partition(out, a, g, l, td):
-    w = D.make_layered_witness(g, l, td)
+    w = D.LayeredWitness(g, l, td)
     out.update(k=w.k, parts=[sorted(x) for x in D.witness_to_partition(w).parts])
     return []
 
@@ -328,8 +315,9 @@ DECOMP = {
     "glue-tree-f": (("graph", "td", "json"), _glue_tree_f),
     "glue-ortho": (("graph", "td", "json"), lambda out, a, g, td, pairs: _both(
         out, *D.glue_orthogonal(g, td, _per_node(pairs, td, "orthogonal pairs", _pair)))),
-    "project-product": (("graph", "json", "td", "td"), lambda out, a, g, emb, t1, t2: _both(
-        out, *D.project_product_decomposition(_parse("embedding", _embedding, emb, g), t1, t2))),
+    "project-product": (("graph", "json", "td", "td"), lambda out, a, g, d, t1, t2: _both(
+        out, *D.project_product_decomposition(
+            _parse("embedding", P.embedding_from_data, d, g), t1, t2))),
 }
 
 
@@ -354,8 +342,7 @@ def _check_ortho(g, td1, td2):
     return {"ok": ok, "value": D.orthogonality(td1, td2) if ok else None}
 
 
-def _check_embedding(g, emb):
-    errs = P.validate_embedding(_parse("embedding", _embedding, emb, g))
+def _verdict(errs):
     return {"ok": not errs, "errors": errs[:10]}
 
 
@@ -364,7 +351,10 @@ CHECK = {
     "td": (("graph", "td"), _check_decomposition),
     "pd": (("graph", "pd"), _check_decomposition),
     "ortho": (("graph", "td", "td"), _check_ortho),
-    "embedding": (("graph", "json"), _check_embedding),
+    "embedding": (("graph", "json"), lambda g, d: _verdict(P.validate_embedding(
+        _parse("embedding", P.embedding_from_data, d, g)))),
+    "dembedding": (("graph", "json"), lambda g, d: _verdict(P.validate_directed_embedding(
+        _parse("embedding", P.embedding_from_data, d, g, Digraph)))),
     "triangulation": (("triangulation",), lambda pt: {"ok": True, "n": pt.graph.n}),
 }
 

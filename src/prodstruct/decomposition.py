@@ -86,7 +86,11 @@ class TreeDecomposition:
     @staticmethod
     def from_data(d) -> "TreeDecomposition":
         """The decomposition in parsed JSON data, checked as from_json checks it."""
-        td = TreeDecomposition(*_host_and_bags(d), [tuple(e) for e in d["tree_edges"]])
+        edges = [tuple(e) for e in d["tree_edges"]]
+        # True == 1 and 2.0 == 2 would pass the tree and node-count checks
+        if type(d["nodes"]) is not int or not all(type(x) is int for e in edges for x in e):
+            raise DecompositionError("nodes and tree-edge endpoints must be integers")
+        td = TreeDecomposition(*_host_and_bags(d), edges)
         if td.nodes != d["nodes"]:
             raise DecompositionError("node count mismatch")
         return td
@@ -223,12 +227,9 @@ def project_product_decomposition(e, td_h1: TreeDecomposition, td_h2: TreeDecomp
     second factor.  Empty bags are kept so the tree shapes survive; the pair
     is at most (w1+1)(w2+1)*c orthogonal.
     """
-    from .products import validate_embedding
-    h1, h2 = e.factors[0], e.factors[1]
-    errs = validate_embedding(e)
-    if errs:
-        raise DecompositionError(f"invalid embedding: {errs[:3]}")
-    for h, td in ((h1, td_h1), (h2, td_h2)):
+    from .products import _checked
+    _checked(e)
+    for h, td in zip(e.factors, (td_h1, td_h2)):
         _require(h, td, "invalid factor decomposition")
     out1, out2 = (TreeDecomposition(e.guest.n, _pull_back(e, i, td), td.tree_edges)
                   for i, td in enumerate((td_h1, td_h2)))
@@ -290,23 +291,22 @@ def check_layering(g: Graph, l: Layering) -> bool:
 
 @dataclass(frozen=True)
 class LayeredWitness:
-    """A layering and a tree-decomposition of one graph.  k, the most
-    vertices any bag shares with any layer, is read off them (0 for the
-    empty graph)."""
+    """A layering and a tree-decomposition of one graph, both checked against
+    it on construction.  k, the most vertices any bag shares with any layer,
+    is read off them (0 for the empty graph)."""
+    graph: Graph
     layering: Layering
     decomposition: TreeDecomposition
+
+    def __post_init__(self):
+        if not check_layering(self.graph, self.layering):
+            raise DecompositionError("not a layering of g")
+        _require(self.graph, self.decomposition, "invalid decomposition")
 
     @property
     def k(self) -> int:
         return max((len(l & b) for l in self.layering.layers
                     for b in self.decomposition.bags), default=0)
-
-
-def make_layered_witness(g: Graph, l: Layering, td: TreeDecomposition) -> LayeredWitness:
-    if not check_layering(g, l):
-        raise DecompositionError("not a layering of g")
-    _require(g, td, "invalid decomposition")
-    return LayeredWitness(l, td)
 
 
 def bfs_layering(g: Graph, r: int) -> Layering:
@@ -342,22 +342,17 @@ def bag_span(g: Graph, order) -> int:
     return span
 
 
-def witness_to_bandwidth_decomposition(g: Graph, w: LayeredWitness):
-    """Per-bag orderings by (layer, id); span per bag is at most 2k-1.
-
-    Returns (decomposition, orderings, max_span).
-    """
-    if not check_layering(g, w.layering):
-        raise DecompositionError("invalid layering")
-    _require(g, w.decomposition, "invalid decomposition")
+def witness_to_bandwidth_decomposition(w: LayeredWitness):
+    """(orderings, max_span): the bags of w's decomposition ordered by (layer,
+    id), each of span at most 2k-1, and the largest span."""
     idx = w.layering.layer_of()
     orderings = [sorted(bag, key=lambda v: (idx[v], v)) for bag in w.decomposition.bags]
-    max_span = max(bag_span(g, order) for order in orderings)
+    max_span = max(bag_span(w.graph, order) for order in orderings)
     k = w.k
     if max_span > 2 * k - 1 and k > 0:
         raise DecompositionError(
             f"span {max_span} exceeds 2k-1={2 * k - 1}; witness malformed")
-    return w.decomposition, orderings, max_span
+    return orderings, max_span
 
 
 def witness_to_partition(w: LayeredWitness):

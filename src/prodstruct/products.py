@@ -106,6 +106,20 @@ class DirectedProductEmbedding:
     to_json = ProductEmbedding.to_json
 
 
+def embedding_from_data(d, guest: Graph, factor=Graph):
+    """The embedding of guest in JSON data d, as to_json writes it; with factor=Digraph
+    a DirectedProductEmbedding, whose c is null: D1 boxslash D2 has no K_c factor."""
+    factors = tuple(factor.from_data(f) for f in d["factors"])
+    images = tuple(tuple(t) for t in d["map"])
+    if len(factors) != 2 or not all(type(x) is int for t in images for x in t):
+        raise EmbeddingError("an embedding has 2 factors and integer map coordinates")
+    if d["c"] is not None and (factor is Digraph or type(d["c"]) is not int):
+        raise EmbeddingError("c must be an integer or null, and null with digraph factors")
+    if factor is Digraph:
+        return DirectedProductEmbedding(guest, factors, tuple((x, y) for x, y in images))
+    return ProductEmbedding(guest, factors, d["c"], images)
+
+
 def _check_map(e) -> tuple:
     """The map check of both embedding checkers: the map's length, each
     image's arity, integer coordinates and range, and injectivity.  Returns
@@ -174,12 +188,12 @@ def validate_directed_embedding(e: DirectedProductEmbedding) -> list:
     return errors
 
 
-def _checked(e):
-    checker = (validate_directed_embedding
-               if isinstance(e, DirectedProductEmbedding) else validate_embedding)
-    errs = checker(e)
+def _checked(e, what: str = "invalid embedding"):
+    """e, raising with `what` and the first errors unless its type's checker passes it."""
+    errs = (validate_directed_embedding if isinstance(e, DirectedProductEmbedding)
+            else validate_embedding)(e)
     if errs:
-        raise EmbeddingError("; ".join(errs[:3]))
+        raise EmbeddingError(f"{what}: {errs[:3]}")
     return e
 
 
@@ -388,9 +402,7 @@ def glue_directed_products(g: Graph, td: TreeDecomposition, bag_embeddings: dict
         sub, bag_order = g.subgraph(td.bags[x])
         if e.guest != sub:
             raise EmbeddingError(f"bag embedding at node {x} is not over g[B_{x}]")
-        errs = validate_directed_embedding(e)
-        if errs:
-            raise EmbeddingError(f"bag embedding at node {x} invalid: {errs[:3]}")
+        _checked(e, f"bag embedding at node {x} invalid")
         j1, j2 = e.factors
         k1 = {image[v][0] for v in adh}
         k2 = {image[v][1] for v in adh}

@@ -141,6 +141,18 @@ LAYER_IDS = "layer members must be integers"
 P3_FACTORS = '"factors": [{"n": 3, "edges": [[0, 1], [1, 2]]}, {"n": 1, "edges": []}]'
 FLOAT_MAP = '{%s, "c": null, "map": [[0, 0], [1.0, 0], [2, 0]]}' % P3_FACTORS
 FLOAT_C = '{%s, "c": 1.5, "map": [[0, 0, 0], [1, 0, 0], [2, 0, 0]]}' % P3_FACTORS
+# path(3) in a directed path boxslash a single vertex: D1 boxslash D2 has no K_c
+# factor, and a bag embedding with c 7 or no c at all was glued all the same
+P3_ARCS = '"factors": [{"n": 3, "arcs": [[0, 1], [1, 2]]}, {"n": 1, "arcs": []}]'
+DIRECTED_C = '{%s, "c": 7, "map": [[0, 0], [1, 0], [2, 0]]}' % P3_ARCS
+DIRECTED_NO_C = '{%s, "map": [[0, 0], [1, 0], [2, 0]]}' % P3_ARCS
+# decompositions of path(3) whose tree edge or node count is true or a float:
+# true and 2.0 passed the tree and node-count checks and were written out
+TD_IDS = "nodes and tree-edge endpoints must be integers"
+BOOLEAN_EDGE = '{"host_n": 3, "nodes": 2, "tree_edges": [[0, true]], "bags": [[0, 1], [1, 2]]}'
+FLOAT_EDGE = '{"host_n": 3, "nodes": 2, "tree_edges": [[0, 1.0]], "bags": [[0, 1], [1, 2]]}'
+BOOLEAN_NODES = '{"host_n": 3, "nodes": true, "tree_edges": [], "bags": [[0, 1, 2]]}'
+FLOAT_NODES = '{"host_n": 3, "nodes": 2.0, "tree_edges": [[0, 1]], "bags": [[0, 1], [1, 2]]}'
 # two disjoint triangles: every face a triangle, but 6 - 6 + 4 faces != 2
 TWO_TRIANGLES = ('{"n": 6, "rotation": [[1, 2], [2, 0], [0, 1], [4, 5], [5, 3], [3, 4]],'
                  ' "outer": [0, 1, 2]}')
@@ -161,22 +173,44 @@ TWO_TRIANGLES = ('{"n": 6, "rotation": [[1, 2], [2, 0], [0, 1], [4, 5], [5, 3], 
     (["check", "embedding"], FLOAT_MAP, "integer map coordinates"),
     (["check", "embedding"], FLOAT_C, "c must be an integer or null"),
     (["check", "triangulation"], TWO_TRIANGLES, "Euler formula violated"),
+    (["check", "dembedding"], DIRECTED_C, "null with digraph factors"),
+    (["check", "dembedding"], DIRECTED_NO_C, "malformed embedding: 'c'"),
+    (["check", "td"], BOOLEAN_EDGE, TD_IDS),
+    (["check", "td"], FLOAT_EDGE, TD_IDS),
+    (["check", "td"], BOOLEAN_NODES, TD_IDS),
+    (["check", "td"], FLOAT_NODES, TD_IDS),
+    (["check", "pd"], '{"host_n": 3, "bags": [[0, 1], [1.0, 2]]}', "bag members must be integers"),
+    (["product", "dstrong"], '{"n": true, "arcs": []}', "n must be an integer"),
+    (["decomp", "layering-path"], '{"layers": [[0, 1], [1, 2]]}', "layers overlap"),
+    (["decomp", "layering-path"], '{"layers": [[0], [2]]}', "layers do not cover the host"),
+    (["embed", "partition-check"], '{"parts": [[0, 5], [1, 2]]}', "vertex 5 out of range"),
 ], ids=["boolean n", "boolean endpoints", "float arc endpoint",
         "float outer check", "float outer lexbfs",
         "boolean rotation check", "boolean rotation lexbfs",
         "float layer", "boolean layer", "boolean part", "float part",
-        "float map coordinate", "float c", "two triangles"])
+        "float map coordinate", "float c", "two triangles",
+        "directed c", "directed no c", "boolean tree edge", "float tree edge",
+        "boolean nodes", "float nodes", "float bag member", "boolean digraph n",
+        "overlapping layers", "uncovered layers", "part vertex out of range"])
 def test_non_integer_graph_ids_are_bad_input(cmd, text, message, tmp_path, capsys):
+    # and other inputs of a legal JSON shape that their reader refuses
     bad = tmp_path / "bad.json"
     bad.write_text(text)
     files = [str(bad)] * (2 if cmd[0] == "product" else 1)
-    if cmd[1] in ("partition-check", "embedding"):     # a path on 3 vertices, then the payloads
+    if cmd[1] in ("partition-check", "embedding", "dembedding", "td", "pd"):
+        # a path on 3 vertices, then the payloads
         g = tmp_path / "g.json"
         g.write_text(Graph(3, [(0, 1), (1, 2)]).to_json())
         files = [str(g)] + [str(bad)] * (2 if cmd[1] == "partition-check" else 1)
     code, rep = run(capsys, *cmd, *files)
     assert code == 2
     assert rep["error"].startswith("InputError: ") and message in rep["error"]
+
+
+def test_unwritable_out_path_is_bad_input(tmp_path, capsys):
+    out = tmp_path / "missing" / "p3.json"
+    code, rep = run(capsys, "gen", "path", "--params", "3", "-o", str(out))
+    assert code == 2 and rep["error"].startswith(f"InputError: cannot write {out}: ")
 
 
 def test_runs_without_numpy():
@@ -298,7 +332,12 @@ def registry_cases():
         yield "exact", param, ("graph",)
 
 
-@pytest.mark.parametrize("cmd,kind,kinds", list(registry_cases()))
+# each case's test id ends in its index ("kinds25"): check dembedding, the
+# latest kind, goes last so that the ids of the others stay put
+MALFORMED = sorted(registry_cases(), key=lambda case: case[:2] == ("check", "dembedding"))
+
+
+@pytest.mark.parametrize("cmd,kind,kinds", MALFORMED)
 def test_malformed_input_is_bad_input(cmd, kind, kinds, valid_files, capsys):
     files = [valid_files[k] for k in kinds]
     attempts = [files[:-1], files + files[:1]]
@@ -331,6 +370,8 @@ def tiny(tmp_path_factory):
     p2 = path(2)
     k3_td, k3_pd = TreeDecomposition(3, [range(3)], []), PathDecomposition(3, [range(3)])
     tournament = {"n": 3, "arcs": [[0, 1], [0, 2], [1, 2]]}
+    k3_dembedding = {"factors": [tournament, {"n": 1, "arcs": []}], "c": None,
+                     "map": [[0, 0], [1, 0], [2, 0]]}
     p2_js = json.loads(p2.to_json())
     objects = {
         "p2": p2, "p3": path(3), "c4": cycle(4), "dp2": Digraph(2, [(0, 1)]),
@@ -347,8 +388,10 @@ def tiny(tmp_path_factory):
                                          ((0, 0), (0, 1), (1, 0), (1, 1))),
         "torsos": [json.loads(k3_td.to_json())] * 2,
         "pairs": [[json.loads(k3_td.to_json()), json.loads(k3_pd.to_json())]] * 2,
-        "bag_embeddings": [{"factors": [tournament, {"n": 1, "arcs": []}], "c": None,
-                            "map": [[0, 0], [1, 0], [2, 0]]}] * 2,
+        "bag_embeddings": [k3_dembedding] * 2,
+        "bag_embeddings_c7": [dict(k3_dembedding, c=7)] * 2,
+        "bag_embeddings_no_c": [{k: v for k, v in k3_dembedding.items() if k != "c"}] * 2,
+        "k3": complete(3), "k3_dembedding": k3_dembedding,
         "e3": Graph(3), "k5": complete(5),
         "empty": Graph(0), "empty_layering": Layering(0, []),
         "empty_td": TreeDecomposition(0, [()], []),
@@ -445,6 +488,7 @@ RUNS = {
     "check pd": (["p3", "p3_pd"], 0, None),
     "check ortho": (["p3", "p3_td", "p3_td"], 0, lambda t, out, outputs: outputs["value"] == 2),
     "check embedding": (["k4", "k4_embedding"], 0, None),
+    "check dembedding": (["k3", "k3_dembedding"], 0, None),
     "check embedding short map": (["p2", "short_map"], 1, lambda t, out, outputs:
                                   outputs["errors"] == ["map covers 1 vertices, guest has 2"]),
     "check embedding K_c out of range": (
@@ -486,6 +530,39 @@ def test_success_run(case, tiny, tmp_path, capsys):
         assert recheck(tiny, out, rep["outputs"])
 
 
+# embed kind -> (the check kind that re-reads what it writes on its RUNS
+#                inputs, and the guest of that embedding)
+WRITTEN = {
+    "join-product": ("embedding", lambda t: complete(5)),
+    "move-apex": ("embedding", lambda t: complete(5)),
+    "apex-partition": ("embedding", lambda t: t["c4"][0]),
+    "partition-check": ("embedding", lambda t: t["c4"][0]),
+    "apex-fan": ("dembedding", lambda t: apex(strong(path(3), path(2)))),
+    "glue-directed": ("dembedding", lambda t: t["two_tri"][0]),
+}
+
+
+@pytest.mark.parametrize("kind", list(WRITTEN))
+def test_written_embedding_rechecks(kind, tiny, tmp_path, capsys):
+    """What an embed kind writes passes its check kind; with one image moved
+    onto another it fails; the other check kind refuses to read it."""
+    check, guest = WRITTEN[kind]
+    out, g, moved = (str(tmp_path / name) for name in ("e.json", "g.json", "moved.json"))
+    args = [tiny[a][1] if a in tiny else a for a in RUNS[f"embed {kind}"][0]]
+    assert run(capsys, "embed", kind, *args, "-o", out)[0] == 0
+    pathlib.Path(g).write_text(guest(tiny).to_json())
+    code, rep = run(capsys, "check", check, g, out)
+    assert code == 0 and rep["outputs"] == {"ok": True, "errors": []}
+    d = json.loads(_read(out))
+    d["map"][0] = d["map"][1]
+    pathlib.Path(moved).write_text(json.dumps(d))
+    code, rep = run(capsys, "check", check, g, moved)
+    assert code == 1 and "map not injective" in rep["outputs"]["errors"]
+    other = "dembedding" if check == "embedding" else "embedding"
+    code, rep = run(capsys, "check", other, g, out)
+    assert code == 2 and rep["error"].startswith("InputError: malformed embedding: ")
+
+
 @pytest.mark.parametrize("argv,error", [
     (["decomp", "bipartite-ortho", "e3", "--side", "99"],
      "DecompositionError: side vertex 99 out of range for n=3"),
@@ -495,6 +572,11 @@ def test_success_run(case, tiny, tmp_path, capsys):
      "GraphError: vertex 0 keeps more than 1 neighbours in its part"),
     (["embed", "glue-directed", "two_tri", "two_tri_td", "bag_embeddings", "--h", "1"],
      "DecompositionError: adhesion 2 exceeds declared 1"),
+    (["embed", "glue-directed", "two_tri", "two_tri_td", "bag_embeddings_c7"],
+     "InputError: malformed bag embeddings entry 0: "
+     "c must be an integer or null, and null with digraph factors"),
+    (["embed", "glue-directed", "two_tri", "two_tri_td", "bag_embeddings_no_c"],
+     "InputError: malformed bag embeddings entry 0: 'c'"),
 ])
 def test_refused_input_exits_2_and_writes_nothing(argv, error, tiny, tmp_path, capsys):
     out = tmp_path / "out.json"
@@ -705,6 +787,8 @@ def other_cli_cases(draw, kinds=OTHER_KINDS):
         elif (cmd, kind) in (("decomp", "project-product"), ("check", "embedding")):
             files.append(draw(_embedding(n, files[0])))
             sizes = [f["n"] for f in files[-1]["factors"]]
+        elif (cmd, kind) == ("check", "dembedding"):
+            files.append(draw(_embedding(n, directed=True)))
         else:       # one entry per node of the decomposition before it
             entry = {"glue-directed": lambda m: _embedding(m, directed=True),
                      "glue-tree-f": _td,

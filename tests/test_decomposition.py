@@ -6,13 +6,12 @@ from conftest import random_graph, random_tree
 from prodstruct.constructions import (path, cycle, complete,
                                       complete_multipartite, grid2, star)
 from prodstruct.decomposition import (TreeDecomposition, PathDecomposition,
-                                      Layering, DecompositionError, validate,
+                                      Layering, LayeredWitness, DecompositionError, validate,
                                       bag_span,
                                       torso, orthogonality,
                                       project_product_decomposition,
                                       bfs_layering,
                                       layering_to_path_decomposition,
-                                      make_layered_witness,
                                       witness_to_bandwidth_decomposition,
                                       witness_to_partition,
                                       bipartite_orthogonal_paths,
@@ -20,7 +19,7 @@ from prodstruct.decomposition import (TreeDecomposition, PathDecomposition,
                                       glue_tree_f, glue_orthogonal)
 from prodstruct.exact import treewidth_exact, pathwidth_exact
 from prodstruct.graphs import Graph
-from prodstruct.products import ProductEmbedding, strong
+from prodstruct.products import EmbeddingError, ProductEmbedding, strong
 from prodstruct.rng import SplitMix64
 
 
@@ -170,16 +169,16 @@ def test_witness_to_bandwidth():
     l = Layering(16, [{r * 4 + c for c in range(4)} for r in range(4)])
     cols = PathDecomposition(16, [
         {r * 4 + c for c in (j, j + 1) for r in range(4)} for j in range(3)])
-    w = make_layered_witness(g, l, cols)
+    w = LayeredWitness(g, l, cols)
     assert w.k == 2
-    td, orderings, span = witness_to_bandwidth_decomposition(g, w)
+    orderings, span = witness_to_bandwidth_decomposition(w)
     assert span <= 3
 
 
 def test_witness_to_partition():
     g = grid2(3, 3)
     l = bfs_layering(g, 0)
-    w = make_layered_witness(g, l, TreeDecomposition(9, [set(range(9))], []))
+    w = LayeredWitness(g, l, TreeDecomposition(9, [set(range(9))], []))
     vp = witness_to_partition(w)
     for part in vp.parts:
         sub, _ = g.subgraph(part)
@@ -291,6 +290,9 @@ def test_project_product_decomposition():
     one = TreeDecomposition(2, [{0, 1}], [])
     a, b = project_product_decomposition(e2, one, one)
     assert orthogonality(a, b) == 4
+    moved = ProductEmbedding(k4, (k2, k2), None, ((0, 0), (0, 1), (1, 0), (0, 0)))
+    with pytest.raises(EmbeddingError, match=r"^invalid embedding: \['map not injective'"):
+        project_product_decomposition(moved, one, one)
 
 
 def test_json_round_trips():
@@ -304,6 +306,24 @@ def test_json_round_trips():
     with pytest.raises(DecompositionError, match="node count mismatch"):
         TreeDecomposition.from_data({"host_n": 3, "nodes": 3, "bags": [[0, 1], [1, 2]],
                                      "tree_edges": [[0, 1]]})
+
+
+@pytest.mark.parametrize("nodes, bags, edges", [
+    (True, [[0, 1, 2]], []), (2.0, [[0, 1], [1, 2]], [[0, 1]]),
+    (2, [[0, 1], [1, 2]], [[0, True]]), (2, [[0, 1], [1, 2]], [[0, 1.0]])])
+def test_tree_decomposition_ids_must_be_integers(nodes, bags, edges):
+    # True == 1 and 2.0 == 2 passed the tree and node-count checks, and a
+    # float endpoint raised a bare TypeError when it indexed the tree
+    with pytest.raises(DecompositionError,
+                       match="^nodes and tree-edge endpoints must be integers$"):
+        TreeDecomposition.from_data({"host_n": 3, "nodes": nodes, "bags": bags,
+                                     "tree_edges": edges})
+
+
+def test_bag_members_must_be_integers():
+    for kind in (TreeDecomposition, PathDecomposition):
+        with pytest.raises(DecompositionError, match="^bag members must be integers$"):
+            kind.from_data({"host_n": 3, "nodes": 1, "bags": [[0, 1.0, 2]], "tree_edges": []})
 
 
 def test_path_decomposition_is_a_tree_decomposition():
@@ -355,18 +375,26 @@ def test_path_decomposition_where_a_tree_decomposition_goes():
     l = Layering(16, [{r * 4 + c for c in range(4)} for r in range(4)])
     cols = PathDecomposition(16, [
         {r * 4 + c for c in (j, j + 1) for r in range(4)} for j in range(3)])
-    w, wt = (make_layered_witness(h, l, d) for d in (cols, _as_tree(cols)))
+    w, wt = (LayeredWitness(h, l, d) for d in (cols, _as_tree(cols)))
     assert w.k == wt.k == 2
-    got, want = (witness_to_bandwidth_decomposition(h, x) for x in (w, wt))
-    assert (_shape(got[0]), got[1:]) == (_shape(want[0]), want[1:])
+    assert witness_to_bandwidth_decomposition(w) == witness_to_bandwidth_decomposition(wt)
 
 
 def test_layered_witness_k_is_read_off_its_bags():
     g = grid2(3, 3)
-    w = make_layered_witness(g, bfs_layering(g, 0), TreeDecomposition(9, [range(9)], []))
+    w = LayeredWitness(g, bfs_layering(g, 0), TreeDecomposition(9, [range(9)], []))
     assert w.k == 3       # the middle diagonal {2, 4, 6}
     with pytest.raises(AttributeError):
         w.k = 1
+
+
+def test_layered_witness_checks_itself():
+    g, full = path(3), TreeDecomposition(3, [range(3)], [])
+    for layers in ([{0}, {1}], [{0}, {2}, {1}]):     # of another host; edge 01 skips a layer
+        with pytest.raises(DecompositionError, match="^not a layering of g$"):
+            LayeredWitness(g, Layering(len(set().union(*layers)), layers), full)
+    with pytest.raises(DecompositionError, match=r"^invalid decomposition: \["):
+        LayeredWitness(g, Layering(3, [{0}, {1}, {2}]), TreeDecomposition(3, [{0, 1}], []))
 
 
 # in-test copies of the three span loops that bag_span replaced, and of its
