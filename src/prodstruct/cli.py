@@ -141,7 +141,7 @@ def _hex(p, a):
 
 def _tightness(p, a):
     g, f1, f2, e = C.tightness_example(*p)
-    return g, e, {"factors": [_js(f1), _js(f2)]}
+    return g, e, {"factors": [f1.to_data(), f2.to_data()]}
 
 
 # family -> (names of its --params, None for any number of them;
@@ -219,8 +219,8 @@ def _partition_check(out, a, g, d1, d2):
 
 def _apex_fan(out, a, h):
     j, f, e = P.orient_apex_fan(h, _csv_ints(a.ordering, "--ordering"), a.path_len, a.a)
-    out["j"] = _js(j)
-    out["f"] = _js(f)
+    out["j"] = j.to_data()
+    out["f"] = f.to_data()
     return e
 
 
@@ -338,8 +338,12 @@ def _check_decomposition(g, dec):
 
 
 def _check_ortho(g, td1, td2):
-    ok = D.validate(g, td1).ok and D.validate(g, td2).ok
-    return {"ok": ok, "value": D.orthogonality(td1, td2) if ok else None}
+    """Both decompositions validated, their errors prefixed td1: and td2:."""
+    reps = D.validate(g, td1), D.validate(g, td2)
+    ok = reps[0].ok and reps[1].ok
+    errors = [f"td{i}: {err}" for i, rep in enumerate(reps, 1) for err in rep.errors]
+    return {"ok": ok, "errors": errors[:10],
+            "value": D.orthogonality(td1, td2) if ok else None}
 
 
 def _verdict(errs):

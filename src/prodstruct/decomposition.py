@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import heapq
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 
 from .graphs import Graph, VertexPartition, bfs_layers
 
@@ -136,46 +136,63 @@ class ValidationReport:
 def validate(g: Graph, td) -> ValidationReport:
     """Check the three decomposition axioms; report width/adhesion/tautness.
 
-    An adhesion set with a member outside g is not taut.
+    The tree is rooted at node 0, and a top of v is a node holding v whose
+    parent does not: x is a top of the members of B_x - B_parent(x).  The
+    node set of v is connected iff v has exactly one top.  Two subtrees meet
+    iff one holds the other's top (Gavril 1974), so an edge uv between
+    vertices with connected node sets is in a bag iff v is in B_top(u) or u
+    is in B_top(v).  That rule needs one top at each end, so the edges at a
+    vertex in no bag or with a split node set are tested on node sets.  An
+    adhesion set with a member outside g is not taut.
     """
     errors = []
     if td.host_n != g.n:
         errors.append(f"host mismatch: decomposition host_n={td.host_n}, graph n={g.n}")
         return ValidationReport(False, errors, -1, -1, False)
 
-    n = g.n
-    nodes_of = [[] for _ in range(n)]
-    outside = set()
-    for x, bag in enumerate(td.bags):
-        for v in bag:
-            if 0 <= v < n:
-                nodes_of[v].append(x)
-            else:
-                outside.add(v)
-                errors.append(f"bag {x} mentions out-of-range vertex {v}")
+    n, bags, adj, tree = g.n, td.bags, g.adj, td._adj
+    vertices = set(range(n))
+    # bfs_layers lists the children of each node together, in the order of
+    # the nodes: a node with d tree neighbours has d - 1 children, the root d.
+    # Each tree edge joins a node to its parent, so it is read once
+    order = list(chain.from_iterable(bfs_layers(tree, 0)))
+    parents = chain.from_iterable(repeat(x, len(tree[x]) - (x != 0)) for x in order)
+    top, split = dict.fromkeys(bags[0], 0), set()
+    adhesion, taut = 0, True
+    for x, p in zip(order[1:], parents):
+        new = bags[x] - bags[p]
+        adhesion = max(adhesion, len(bags[x]) - len(new))
+        if taut:
+            adh = bags[x] - new
+            taut = adh <= vertices and g.is_clique(adh)
+        for v in new:
+            if v in top:
+                split.add(v)
+            top[v] = x
 
-    errors += [f"vertex {v} in no bag" for v in range(n) if not nodes_of[v]]
+    outside = top.keys() - vertices
+    if outside:
+        errors += [f"bag {x} mentions out-of-range vertex {v}"
+                   for x, bag in enumerate(bags) for v in bag if v in outside]
+    missing = vertices - top.keys()
+    errors += [f"vertex {v} in no bag" for v in sorted(missing)]
 
-    # edge uv is in a bag iff the node sets of u and v meet; only the
-    # uncovered edges are sorted, into g.edges() order.  One node set is
-    # held as a frozenset at a time, to keep the memory of a large check flat
-    uncovered = []
-    for u, xs in enumerate(nodes_of):
-        nu = frozenset(xs)
-        uncovered += [(u, v) for v in g.adj[u] if u < v and nu.isdisjoint(nodes_of[v])]
+    split &= vertices
+    bad = missing | split
+    uncovered = {(u, v) for u in range(n) if u not in bad
+                 for v in adj[u] - bags[top[u]]
+                 if u < v and v not in bad and u not in bags[top[v]]}
+    if bad:
+        # node sets for the vertices at the edges that the top rule skipped
+        near = bad.union(*(adj[u] for u in bad))
+        nodes_of = {v: set() for v in near}
+        for x, bag in enumerate(bags):
+            for v in bag & near:
+                nodes_of[v].add(x)
+        uncovered.update((u, v) if u < v else (v, u) for u in bad for v in adj[u]
+                         if nodes_of[u].isdisjoint(nodes_of[v]))
     errors += [f"edge ({u},{v}) in no bag" for u, v in sorted(uncovered)]
-
-    # one pass over the adhesion sets, holding one at a time.  The tree-nodes
-    # of v induce a forest in the tree, and a forest is connected iff it has
-    # one node more than it has edges; out-of-range members never reach it
-    shared, adhesion, taut = Counter(), 0, True
-    for x, y in td.tree_edges:
-        adh = td.bags[x] & td.bags[y]
-        shared.update(adh)
-        adhesion = max(adhesion, len(adh))
-        taut = taut and adh.isdisjoint(outside) and g.is_clique(adh)
-    errors += [f"vertex {v} has a disconnected node set" for v, xs in enumerate(nodes_of)
-               if xs and len(xs) - shared[v] != 1]
+    errors += [f"vertex {v} has a disconnected node set" for v in sorted(split)]
     return ValidationReport(not errors, errors, td.width(), adhesion, taut)
 
 
@@ -214,10 +231,21 @@ def torso(g: Graph, td: TreeDecomposition, x: int) -> Graph:
 
 
 def orthogonality(td1, td2) -> int:
-    """Max over bag pairs of the intersection size."""
+    """Max over bag pairs of the intersection size.
+
+    td1's bags are listed per vertex, and each bag of td2 counts how many of
+    its members every bag of td1 holds: the work is the number of (vertex,
+    td1 bag, td2 bag) incidences, not the bag pairs times their sizes.
+    """
     if td1.host_n != td2.host_n:
         raise DecompositionError("host mismatch")
-    return max(len(a & b) for a in td1.bags for b in td2.bags)
+    at = defaultdict(list)
+    for x, bag in enumerate(td1.bags):
+        for v in bag:
+            at[v].append(x)
+    # the td1 bags of each member of b, counted at C level
+    return max(max(Counter(chain.from_iterable(map(at.get, b, repeat(())))).values(),
+                   default=0) for b in td2.bags)
 
 
 def project_product_decomposition(e, td_h1: TreeDecomposition, td_h2: TreeDecomposition):

@@ -123,13 +123,13 @@ def embedding_from_data(d, guest: Graph, factor=Graph):
 def _check_map(e) -> tuple:
     """The map check of both embedding checkers: the map's length, each
     image's arity, integer coordinates and range, and injectivity.  Returns
-    the errors and the guest edges whose end images can be looked up in the
-    factors."""
+    the errors and the guest vertices whose image cannot be looked up (all of
+    them when the map's length is wrong)."""
     g = e.guest
     width = 3 if e.c is not None else 2
     if len(e.map) != g.n:
-        return [f"map covers {len(e.map)} vertices, guest has {g.n}"], []
-    errors, bad = [], set()     # bad: vertices whose image cannot be looked up
+        return [f"map covers {len(e.map)} vertices, guest has {g.n}"], range(g.n)
+    errors, bad = [], set()
     for v, t in enumerate(e.map):
         if len(t) != width:
             errors.append(f"vertex {v}: tuple arity {len(t)} != {width}")
@@ -146,18 +146,37 @@ def _check_map(e) -> tuple:
             errors.append(f"vertex {v}: K_c coordinate out of range")
     if len(set(e.map)) != len(e.map):
         errors.append("map not injective")
+    return errors, bad
+
+
+def _edges_to_check(g: Graph, bad) -> list:
+    """The edges of g in g.edges() order, less those at a vertex in bad."""
     edges = g.edges()
-    return errors, [(u, v) for u, v in edges if u not in bad and v not in bad] if bad else edges
+    return [(u, v) for u, v in edges if u not in bad and v not in bad] if bad else edges
+
+
+def _neighbours_equal_or_adjacent(e, i: int) -> bool:
+    """Whether every guest vertex's neighbours have i-th coordinates in the
+    closed neighbourhood of its own: one set test per vertex."""
+    coord = [t[i] for t in e.map]
+    adj = e.factors[i].adj
+    closed = {a: adj[a] | {a} for a in set(coord)}
+    return all(closed[coord[u]].issuperset(map(coord.__getitem__, nbrs))
+               for u, nbrs in enumerate(e.guest.adj))
 
 
 def validate_embedding(e: ProductEmbedding) -> list:
     """Invariant checker, independent of the embedding constructors.
 
-    Returns a list of violation strings (empty = valid).
+    Returns a list of violation strings (empty = valid).  When the map check
+    passes, no edge has identical images, and both coordinate rules are
+    tested per vertex; the edge list is walked only to word the errors.
     """
-    errors, edges = _check_map(e)
+    errors, bad = _check_map(e)
+    if not errors and all(_neighbours_equal_or_adjacent(e, i) for i in (0, 1)):
+        return errors
     adj1, adj2 = e.factors[0].adj, e.factors[1].adj
-    for u, v in edges:
+    for u, v in _edges_to_check(e.guest, bad):
         tu, tv = e.map[u], e.map[v]
         if tu == tv:
             errors.append(f"edge ({u},{v}): identical images")
@@ -172,7 +191,7 @@ def validate_embedding(e: ProductEmbedding) -> list:
 
 def validate_directed_embedding(e: DirectedProductEmbedding) -> list:
     """Each guest edge must be an arc of D1 boxslash D2 in some direction."""
-    errors, edges = _check_map(e)
+    errors, bad = _check_map(e)
     d1, d2 = e.factors
 
     def arc(tu, tv):
@@ -182,7 +201,7 @@ def validate_directed_embedding(e: DirectedProductEmbedding) -> list:
         return ((x == xp or d1.has_arc(x, xp))
                 and (y == yp or d2.has_arc(y, yp)))
 
-    for u, v in edges:
+    for u, v in _edges_to_check(e.guest, bad):
         if not (arc(e.map[u], e.map[v]) or arc(e.map[v], e.map[u])):
             errors.append(f"edge ({u},{v}) realized in neither direction")
     return errors

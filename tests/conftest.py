@@ -3,16 +3,19 @@
 The mini-oracles here are deliberately written differently from the package
 implementations (definition-first brute force) so the two can disagree.  The
 raw-enumeration references at the end (twintw_raw, twtw_raw,
-raw_bag_path_check) refuse hosts above RAW_MAX_N vertices.
+raw_bag_path_check) refuse hosts above RAW_MAX_N vertices.  The certificate
+references (node_set_validate, edge_validate_embedding) are the plain
+per-edge checkers that the package's per-vertex checkers replaced.
 """
 
 import heapq
 import itertools
 from array import array
+from collections import Counter
 
 import prodstruct.exact
 import prodstruct.exact._kernels
-from prodstruct.decomposition import TreeDecomposition, validate
+from prodstruct.decomposition import TreeDecomposition, ValidationReport, validate
 from prodstruct.exact import InstanceTooLarge, longest_path_order, treewidth_exact
 from prodstruct.graphs import Graph, subgraph_contained
 from prodstruct.products import strong
@@ -246,3 +249,77 @@ def raw_bag_path_check(g: Graph, n: int) -> bool:
         if not any(longest_path_order(g.subgraph(b)[0]) >= n for b in fam):
             return False
     return True
+
+
+# -- certificate references ------------------------------------------------
+
+def node_set_validate(g: Graph, td) -> ValidationReport:
+    """validate by node sets: edge uv is in a bag iff the node sets of u and
+    v meet, and a node set is connected iff it has one node more than the
+    tree edges xy with v in B_x and B_y."""
+    errors = []
+    if td.host_n != g.n:
+        errors.append(f"host mismatch: decomposition host_n={td.host_n}, graph n={g.n}")
+        return ValidationReport(False, errors, -1, -1, False)
+    n = g.n
+    nodes_of = [[] for _ in range(n)]
+    outside = set()
+    for x, bag in enumerate(td.bags):
+        for v in bag:
+            if 0 <= v < n:
+                nodes_of[v].append(x)
+            else:
+                outside.add(v)
+                errors.append(f"bag {x} mentions out-of-range vertex {v}")
+    errors += [f"vertex {v} in no bag" for v in range(n) if not nodes_of[v]]
+    uncovered = []
+    for u, xs in enumerate(nodes_of):
+        nu = frozenset(xs)
+        uncovered += [(u, v) for v in g.adj[u] if u < v and nu.isdisjoint(nodes_of[v])]
+    errors += [f"edge ({u},{v}) in no bag" for u, v in sorted(uncovered)]
+    shared, adhesion, taut = Counter(), 0, True
+    for x, y in td.tree_edges:
+        adh = td.bags[x] & td.bags[y]
+        shared.update(adh)
+        adhesion = max(adhesion, len(adh))
+        taut = taut and adh.isdisjoint(outside) and g.is_clique(adh)
+    errors += [f"vertex {v} has a disconnected node set" for v, xs in enumerate(nodes_of)
+               if xs and len(xs) - shared[v] != 1]
+    return ValidationReport(not errors, errors, td.width(), adhesion, taut)
+
+
+def edge_validate_embedding(e) -> list:
+    """validate_embedding edge by edge: the map check, then every guest edge
+    whose end images can be looked up, in g.edges() order."""
+    g = e.guest
+    width = 3 if e.c is not None else 2
+    if len(e.map) != g.n:
+        return [f"map covers {len(e.map)} vertices, guest has {g.n}"]
+    errors, bad = [], set()
+    for v, t in enumerate(e.map):
+        if len(t) != width:
+            errors.append(f"vertex {v}: tuple arity {len(t)} != {width}")
+            bad.add(v)
+        elif not all(type(x) is int for x in t):
+            errors.append(f"vertex {v}: non-integer coordinate")
+            bad.add(v)
+        else:
+            if not (0 <= t[0] < e.factors[0].n and 0 <= t[1] < e.factors[1].n):
+                errors.append(f"vertex {v}: coordinate out of range")
+                bad.add(v)
+            if e.c is not None and not (0 <= t[2] < e.c):
+                errors.append(f"vertex {v}: K_c coordinate out of range")
+    if len(set(e.map)) != len(e.map):
+        errors.append("map not injective")
+    for u, v in g.edges():
+        if u in bad or v in bad:
+            continue
+        tu, tv = e.map[u], e.map[v]
+        if tu == tv:
+            errors.append(f"edge ({u},{v}): identical images")
+            continue
+        for i, word in ((0, "first"), (1, "second")):
+            if tu[i] != tv[i] and not e.factors[i].has_edge(tu[i], tv[i]):
+                errors.append(f"edge ({u},{v}): {word} coordinates {tu[i]},{tv[i]}"
+                              " not equal-or-adjacent")
+    return errors
