@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 
-from .graphs import Graph, GraphError, _joined, apex, subgraph_contained
+from .graphs import Graph, GraphError, apex, complete_join, subgraph_contained
 from .decomposition import PathDecomposition, TreeDecomposition, _require, bag_span
 from .planar import PlaneTriangulation, v8_fixture
 from .products import ProductEmbedding, EmbeddingError, cartesian, strong, _checked
@@ -40,7 +40,7 @@ def complete_multipartite(sizes) -> Graph:
     sizes = list(sizes)
     if not sizes or any(s < 1 for s in sizes):
         raise GraphError("need nonempty positive part sizes")
-    return _joined([(s, ()) for s in sizes])
+    return complete_join(*[Graph(s) for s in sizes])
 
 
 def star(n: int) -> Graph:
@@ -75,8 +75,8 @@ def hex_graph(n: int, diagonals=None):
     if diagonals is None:
         diagonals = [0] * cells
     diagonals = list(diagonals)
-    if len(diagonals) != cells:
-        raise GraphError(f"need {cells} diagonal bits")
+    if len(diagonals) != cells or not all(d in (0, 1) for d in diagonals):
+        raise GraphError(f"need {cells} diagonal bits, each 0 or 1")
     g = grid2(n, n)
     edges = list(g.edges())
     for r in range(n - 1):

@@ -2,8 +2,8 @@
 
 Vertices are dense integer ids 0..n-1.  All values are immutable after
 construction and every operation is a pure function, so concurrent use is
-safe.  Constructors document the id layout of their outputs (join: a-then-b;
-paste: g1-then-unmerged-g2) to keep downstream embeddings reproducible.
+safe.  Constructors document the id layout of their outputs (join: in argument
+order; paste: g1-then-unmerged-g2) to keep downstream embeddings reproducible.
 """
 
 from __future__ import annotations
@@ -56,6 +56,15 @@ class Graph:
         self.n = n
         self.adj = tuple(frozenset(s) for s in adj)
 
+    @staticmethod
+    def _from_adj(adj) -> "Graph":
+        """The graph with neighbour sets `adj`: symmetric, loop-free frozensets of ids
+        in range(len(adj)).  Unchecked: for sets that the package has built itself."""
+        g = Graph.__new__(Graph)
+        g.n = len(adj)
+        g.adj = tuple(adj)
+        return g
+
     # -- accessors -------------------------------------------------------
 
     def edges(self) -> list:
@@ -78,9 +87,10 @@ class Graph:
         return self.adj[v] | {v}
 
     def is_clique(self, vs) -> bool:
-        vs = list(vs)
-        return all(vs[j] in self.adj[vs[i]]
-                   for i in range(len(vs)) for j in range(i + 1, len(vs)))
+        """Whether the vertices vs, given without repeats, are pairwise adjacent."""
+        s = frozenset(vs)          # no copy when vs is a frozenset already
+        k = len(s) - 1
+        return all(len(self.adj[v] & s) == k for v in s)
 
     def is_connected(self) -> bool:
         return self.n == 0 or sum(map(len, bfs_layers(self.adj, 0))) == self.n
@@ -281,20 +291,20 @@ class VertexPartition:
 
 # -- operations ----------------------------------------------------------
 
-def _joined(parts) -> Graph:
-    """The join of graphs given as (n, edges), in one Graph build: ids run
-    through the parts in order, and vertices of different parts are adjacent."""
-    n, edges = 0, []
-    for m, part in parts:
-        edges += [(u + n, v + n) for u, v in part]
-        edges += [(u, n + v) for u in range(n) for v in range(m)]
-        n += m
-    return Graph(n, edges)
-
-
-def complete_join(a: Graph, b: Graph) -> Graph:
-    """A + B: disjoint union plus all cross edges; a's ids first."""
-    return _joined([(a.n, a.edges()), (b.n, b.edges())])
+def complete_join(*graphs: Graph) -> Graph:
+    """The join of graphs: their disjoint union plus every edge between two of
+    them.  Ids run through the graphs in order; the join of k copies of
+    Graph(1) is K_k."""
+    n = sum(g.n for g in graphs)
+    adj, start = [], 0
+    for g in graphs:
+        end = start + g.n
+        others = frozenset(range(start)).union(range(end, n))
+        # the first graph's sets need no shift: a frozenset union runs in C
+        nbrs = g.adj if start == 0 else [[v + start for v in s] for s in g.adj]
+        adj += [others.union(s) for s in nbrs]
+        start = end
+    return Graph._from_adj(adj)
 
 
 def apex(g: Graph) -> Graph:
@@ -326,6 +336,8 @@ def clique_paste(g1: Graph, c1, g2: Graph, c2) -> Graph:
         raise GraphError("clique size mismatch")
     if len(set(c1)) != len(c1) or len(set(c2)) != len(c2):
         raise GraphError("repeated clique vertex")
+    if not all(0 <= v < g.n for g, c in ((g1, c1), (g2, c2)) for v in c):
+        raise GraphError("clique vertex out of range")
     if not g1.is_clique(c1):
         raise GraphError("c1 is not a clique in g1")
     if not g2.is_clique(c2):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Optional
 
-from .graphs import Graph, Digraph, GraphError, VertexPartition, _joined, apex, quotient
+from .graphs import Graph, Digraph, GraphError, VertexPartition, apex, complete_join, quotient
 from .decomposition import TreeDecomposition, DecompositionError, _glue_steps
 
 
@@ -23,55 +23,50 @@ def pair_id(i: int, j: int, nb: int) -> int:
     return i * nb + j
 
 
-def _product_edges(a: Graph, b: Graph, rows: bool, pairs) -> list:
-    """Edges (i,j)(i,l) for jl in E(b) when rows is set, and (i,j)(k,l) for
-    ik in E(a) and (j,l) in pairs: each edge once, in time linear in the output."""
-    nb, b_edges = b.n, b.edges()
-    edges = [(i * nb + j, i * nb + l) for i in range(a.n) for j, l in b_edges] if rows else []
-    edges += [(i * nb + j, k * nb + l) for i, k in a.edges() for j, l in pairs]
-    return edges
+def _product(n1: int, n2: int, rects) -> list:
+    """The neighbour sets of a product on the ids (x, y) -> x*n2 + y: the set
+    of (x, y) is the union of A[x] x B[y] over the (A, B) pairs in rects, less
+    (x, y) itself.  A and B hold id sets of the first and second factor, so
+    the product is built in time linear in its size."""
+    sets = []
+    for x in range(n1):
+        rows = [([i * n2 for i in a[x]], b) for a, b in rects]
+        for y in range(n2):
+            s = {r + j for bases, b in rows for r in bases for j in b[y]}
+            s.discard(x * n2 + y)
+            sets.append(frozenset(s))
+    return sets
 
 
-def _both_ways(g: Graph) -> list:
-    edges = g.edges()
-    return edges + [(v, u) for u, v in edges]
+def _closed(sets) -> list:
+    return [s | {v} for v, s in enumerate(sets)]
 
 
-def _strong_edges(a: Graph, b: Graph) -> list:
-    """Closed neighbourhoods: (i,j)(k,l) is an edge iff i = k or ik in E(a),
-    and j = l or jl in E(b)."""
-    return _product_edges(a, b, True, [(j, j) for j in range(b.n)] + _both_ways(b))
+def _singletons(n: int) -> list:
+    return [(v,) for v in range(n)]
 
 
 def cartesian(a: Graph, b: Graph) -> Graph:
-    return Graph(a.n * b.n, _product_edges(a, b, True, [(j, j) for j in range(b.n)]))
+    """(i,j)(k,l) is an edge iff i = k and jl in E(b), or ik in E(a) and j = l."""
+    return Graph._from_adj(_product(a.n, b.n, [(_singletons(a.n), b.adj),
+                                               (a.adj, _singletons(b.n))]))
 
 
 def direct(a: Graph, b: Graph) -> Graph:
-    return Graph(a.n * b.n, _product_edges(a, b, False, _both_ways(b)))
+    """(i,j)(k,l) is an edge iff ik in E(a) and jl in E(b)."""
+    return Graph._from_adj(_product(a.n, b.n, [(a.adj, b.adj)]))
 
 
 def strong(a: Graph, b: Graph) -> Graph:
-    return Graph(a.n * b.n, _strong_edges(a, b))
+    """Closed neighbourhoods: (i,j)(k,l) is an edge iff i = k or ik in E(a),
+    and j = l or jl in E(b)."""
+    return Graph._from_adj(_product(a.n, b.n, [(_closed(a.adj), _closed(b.adj))]))
 
 
 def directed_strong(d1: Digraph, d2: Digraph) -> Digraph:
-    """Arc (x,y)->(x',y') iff each coordinate stays or follows an arc.
-
-    The out-set of (x,y) is (out1[x]+x) x (out2[y]+y) less (x,y) itself, so
-    the product is built in time O((|V1| + |A1|)(|V2| + |A2|)).
-    """
-    n2 = d2.n
-    closed2 = [sorted(s | {y}) for y, s in enumerate(d2.out)]
-    out = []
-    for x, s in enumerate(d1.out):
-        bases = [xp * n2 for xp in s]
-        bases.append(x * n2)
-        for y, c in enumerate(closed2):
-            o = {b + yp for b in bases for yp in c}
-            o.discard(x * n2 + y)
-            out.append(frozenset(o))
-    return Digraph._from_out(out)
+    """Arc (x,y)->(x',y') iff each coordinate stays or follows an arc: the
+    strong product of closed out-sets."""
+    return Digraph._from_out(_product(d1.n, d2.n, [(_closed(d1.out), _closed(d2.out))]))
 
 
 # -- embeddings ----------------------------------------------------------
@@ -218,15 +213,6 @@ def _checked(e, what: str = "invalid embedding"):
 
 # -- join lemmas ---------------------------------------------------------
 
-def _clique_edges(k: int) -> list:
-    return [(i, j) for i in range(k) for j in range(i + 1, k)]
-
-
-def _plus_clique(g: Graph, k: int) -> Graph:
-    """g + K_k, the clique's vertices after g's."""
-    return _joined([(g.n, g.edges()), (k, _clique_edges(k))])
-
-
 def _join_lemma(a: Graph, b: Graph, p: int, q: int, parts, head: list) -> ProductEmbedding:
     """The join of `parts` and K_pq inside (A+K_p) boxtimes (B+K_q).
 
@@ -236,8 +222,9 @@ def _join_lemma(a: Graph, b: Graph, p: int, q: int, parts, head: list) -> Produc
     """
     if p < 1 or q < 1:
         raise GraphError("need p, q >= 1")
-    guest = _joined(parts + [(p * q, _clique_edges(p * q))])
-    f1, f2 = _plus_clique(a, p), _plus_clique(b, q)
+    k1 = Graph(1)               # K_k is the join of k copies of K_1
+    guest = complete_join(*parts, *[k1] * (p * q))
+    f1, f2 = complete_join(a, *[k1] * p), complete_join(b, *[k1] * q)
     mapping = head + [(a.n + i, b.n + j) for i in range(p) for j in range(q)]
     return _checked(ProductEmbedding(guest, (f1, f2), None, tuple(mapping)))
 
@@ -248,13 +235,13 @@ def embed_join_product(a: Graph, b: Graph, p: int, q: int) -> ProductEmbedding:
     Guest layout: A's ids, then B's, then r_{i,j} at a.n+b.n+(i-1)q+(j-1).
     Map: A-vertex x -> (x, b1); B-vertex y -> (a1, y); r_{i,j} -> (a_i, b_j).
     """
-    return _join_lemma(a, b, p, q, [(a.n, a.edges()), (b.n, b.edges())],
+    return _join_lemma(a, b, p, q, [a, b],
                        [(x, b.n) for x in range(a.n)] + [(a.n, y) for y in range(b.n)])
 
 
 def embed_move_apex(a: Graph, b: Graph, p: int, q: int) -> ProductEmbedding:
     """(A boxtimes B)+K_pq inside (A+K_p) boxtimes (B+K_q), identity on AxB."""
-    return _join_lemma(a, b, p, q, [(a.n * b.n, _strong_edges(a, b))],
+    return _join_lemma(a, b, p, q, [strong(a, b)],
                        [(v // b.n, v % b.n) for v in range(a.n * b.n)])
 
 
@@ -390,7 +377,7 @@ def orient_apex_fan(h: Graph, ordering, path_len: int, a: int):
     f_graph = Digraph(path_len + 1, f_arcs)
 
     p = Graph(path_len, [(j, j + 1) for j in range(path_len - 1)])
-    guest = _joined([(h.n * path_len, _strong_edges(h, p)), (a, _clique_edges(a))])
+    guest = complete_join(strong(h, p), *[Graph(1)] * a)
     mapping = [(v // path_len, v % path_len) for v in range(h.n * path_len)]
     mapping += [(h.n + i, hub) for i in range(a)]
     emb = _checked(DirectedProductEmbedding(guest, (j_graph, f_graph), tuple(mapping)))

@@ -577,12 +577,38 @@ def test_written_embedding_rechecks(kind, tiny, tmp_path, capsys):
      "c must be an integer or null, and null with digraph factors"),
     (["embed", "glue-directed", "two_tri", "two_tri_td", "bag_embeddings_no_c"],
      "InputError: malformed bag embeddings entry 0: 'c'"),
+    (["gen", "hex", "--params", "2", "--diagonals", "7"],
+     "GraphError: need 1 diagonal bits, each 0 or 1"),
 ])
 def test_refused_input_exits_2_and_writes_nothing(argv, error, tiny, tmp_path, capsys):
     out = tmp_path / "out.json"
     code, rep = run(capsys, *[tiny[a][1] if a in tiny else a for a in argv], "-o", str(out))
     assert code == 2 and rep == {"error": error}
     assert list(tmp_path.iterdir()) == []
+
+
+def test_outside_input_never_takes_the_unchecked_path(tiny, monkeypatch, capsys):
+    """Graph._from_adj and Digraph._from_out trust the sets they are given;
+    every input file and payload must be read through the checked constructors."""
+    def refuse(sets):
+        raise AssertionError("an unchecked constructor was called")
+    monkeypatch.setattr(Graph, "_from_adj", staticmethod(refuse))
+    monkeypatch.setattr(Digraph, "_from_out", staticmethod(refuse))
+    with pytest.raises(AssertionError):
+        strong(path(2), path(2))
+    files = {"graph": "two_tri", "digraph": "dp2", "td": "two_tri_td", "pd": "p3_pd",
+             "triangulation": "triangulation", "layering": "c4_layering"}
+    assert set(files) == set(cli.LOADERS)
+    for kind, name in files.items():
+        text = _read(tiny[name][1])
+        assert cli.LOADERS[kind].from_json(text).to_json() == text
+    checks = [["td", "two_tri", "two_tri_td"], ["pd", "p3", "p3_pd"],
+              ["ortho", "p3", "p3_td", "p3_td"], ["embedding", "k4", "k4_embedding"],
+              ["dembedding", "k3", "k3_dembedding"], ["triangulation", "triangulation"]]
+    assert {kind for kind, *_ in checks} == set(cli.CHECK)
+    for kind, *names in checks:
+        code, rep = run(capsys, "check", kind, *[tiny[name][1] for name in names])
+        assert code == 0 and rep["outputs"]["ok"], (kind, rep)
 
 
 def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):

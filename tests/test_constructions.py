@@ -44,6 +44,9 @@ def test_hex_counts_and_witness():
         assert set(order) == set(bag)
     with pytest.raises(GraphError):
         C.hex_graph(3, [0, 1])  # wrong bit count
+    for bit in (7, 2, -1):
+        with pytest.raises(GraphError, match="each 0 or 1"):
+            C.hex_graph(2, [bit])
 
 
 def test_hex_witness_all_sizes():

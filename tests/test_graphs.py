@@ -82,6 +82,28 @@ def test_clique_independent():
     assert g.is_clique([0, 1, 2]) and not g.is_clique([0, 1, 3])
 
 
+def pairwise_adjacent(g: Graph, vs) -> bool:
+    """is_clique as it was: every pair tested."""
+    vs = list(vs)
+    return all(vs[j] in g.adj[vs[i]] for i in range(len(vs)) for j in range(i + 1, len(vs)))
+
+
+def test_is_clique_matches_the_pair_loop():
+    rng = SplitMix64(31)
+    cliques = 0
+    for _ in range(60):
+        n = rng.randrange(9)
+        g = random_graph(rng, n, 3, 4)
+        for _ in range(20):
+            vs = [v for v in range(n) if rng.randrange(3) == 0]
+            rng.shuffle(vs)
+            want = pairwise_adjacent(g, vs)
+            cliques += want and len(vs) > 2
+            assert g.is_clique(vs) is want
+            assert g.is_clique(set(vs)) is want and g.is_clique(frozenset(vs)) is want
+    assert cliques > 20
+
+
 def test_complete_join_and_apex():
     j = complete_join(Graph(2, [(0, 1)]), Graph(2))
     assert j.n == 4 and j.m == 5
@@ -101,6 +123,9 @@ def test_clique_paste():
     assert g.n == 4 and g.m == 5
     with pytest.raises(GraphError):
         clique_paste(Graph(3, [(0, 1)]), [0, 2], k3, [0, 1])
+    for c1, c2 in (([3], [0]), ([0], [5]), ([-1], [0])):
+        with pytest.raises(GraphError, match="clique vertex out of range"):
+            clique_paste(k3, c1, k3, c2)
 
 
 def test_digraph_and_conversions():

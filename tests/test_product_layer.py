@@ -1,11 +1,13 @@
 """The product, projection, validation and gluing layer against oracles.
 
 The oracles are networkx's products and in-test copies of the plain loops
-that the output-linear code replaced: the four-loop directed strong product,
-the per-vertex BFS and any-bag edge check of `validate`, the pull-back that
-scans every guest vertex per bag, and the gluing loop that rescans every
-glued bag for the adhesion clique and re-unions every path bag on each step.
-The fast code must give the same arcs, messages, bags and edges.
+that the output-linear code replaced: the edge-list products and joins, each
+built by one checked `Graph(n, edges)` call, the four-loop directed strong
+product, the per-vertex BFS and any-bag edge check of `validate`, the
+pull-back that scans every guest vertex per bag, and the gluing loop that
+rescans every glued bag for the adhesion clique and re-unions every path bag
+on each step.  The fast code must give the same arcs, messages, bags and
+edges.
 """
 
 import json
@@ -154,6 +156,123 @@ def test_dstrong_refuses_bad_arcs(arcs, message, tmp_path, capsys):
         assert code == 2
         assert json.loads(capsys.readouterr().out) == {
             "error": f"InputError: malformed {bad}: {message}"}
+
+
+# -- products and joins against the edge-list builders ---------------------
+
+def edge_list_product(a: Graph, b: Graph, rows: bool, pairs) -> list:
+    """Edges (i,j)(i,l) for jl in E(b) when rows is set, and (i,j)(k,l) for
+    ik in E(a) and (j,l) in pairs."""
+    nb, b_edges = b.n, b.edges()
+    edges = [(i * nb + j, i * nb + l) for i in range(a.n) for j, l in b_edges] if rows else []
+    edges += [(i * nb + j, k * nb + l) for i, k in a.edges() for j, l in pairs]
+    return edges
+
+
+def both_ways(g: Graph) -> list:
+    return g.edges() + [(v, u) for u, v in g.edges()]
+
+
+def edge_list_strong(a: Graph, b: Graph) -> list:
+    return edge_list_product(a, b, True, [(j, j) for j in range(b.n)] + both_ways(b))
+
+
+EDGE_LIST_PRODUCTS = {
+    P.cartesian: lambda a, b: Graph(a.n * b.n, edge_list_product(
+        a, b, True, [(j, j) for j in range(b.n)])),
+    P.direct: lambda a, b: Graph(a.n * b.n, edge_list_product(a, b, False, both_ways(b))),
+    P.strong: lambda a, b: Graph(a.n * b.n, edge_list_strong(a, b)),
+}
+
+
+def clique_edges(k: int) -> list:
+    return [(i, j) for i in range(k) for j in range(i + 1, k)]
+
+
+def edge_list_join(parts) -> Graph:
+    """The join of graphs given as (n, edges): ids run through the parts in
+    order, and vertices of different parts are adjacent."""
+    n, edges = 0, []
+    for m, part in parts:
+        edges += [(u + n, v + n) for u, v in part]
+        edges += [(u, n + v) for u in range(n) for v in range(m)]
+        n += m
+    return Graph(n, edges)
+
+
+def plus_clique(g: Graph, k: int) -> Graph:
+    return edge_list_join([(g.n, g.edges()), (k, clique_edges(k))])
+
+
+def assert_built_like(built: Graph, checked: Graph):
+    """built, from unchecked neighbour sets, is the value Graph(n, edges) gives."""
+    assert built == checked and hash(built) == hash(checked)
+    assert type(built.adj) is tuple and len(built.adj) == built.n
+    assert all(type(s) is frozenset for s in built.adj)
+    assert all(u not in s and all(u in built.adj[v] for v in s)
+               for u, s in enumerate(built.adj))
+    assert built.edges() == checked.edges()
+
+
+def factor_graphs():
+    """Random factors, with the empty graph, K_1, an edgeless and a complete
+    graph among them."""
+    rng = SplitMix64(29)
+    graphs = [Graph(0), Graph(1), Graph(3), Graph(4, [(u, v) for u in range(4)
+                                                      for v in range(u + 1, 4)])]
+    graphs += [random_graph(rng, rng.randrange(7)) for _ in range(8)]
+    return graphs
+
+
+@pytest.mark.parametrize("product", list(EDGE_LIST_PRODUCTS), ids=lambda f: f.__name__)
+def test_products_equal_the_edge_list_builders(product):
+    graphs = factor_graphs()
+    for a in graphs:
+        for b in graphs:
+            assert_built_like(product(a, b), EDGE_LIST_PRODUCTS[product](a, b))
+
+
+def test_joins_equal_the_edge_list_builders():
+    from prodstruct.constructions import complete_multipartite
+    from prodstruct.graphs import apex, complete_join
+    graphs = factor_graphs()
+    rng = random.Random(13)
+    for k in range(4):
+        for _ in range(12):
+            chosen = [rng.choice(graphs) for _ in range(k)]
+            assert_built_like(complete_join(*chosen),
+                              edge_list_join([(g.n, g.edges()) for g in chosen]))
+    for g in graphs:
+        assert_built_like(apex(g), edge_list_join([(g.n, g.edges()), (1, [])]))
+        assert_built_like(complete_join(*[Graph(1)] * g.n), Graph(g.n, clique_edges(g.n)))
+    for sizes in ([1], [3], [2, 1], [1, 2, 3], [2, 2, 2, 1]):
+        assert_built_like(complete_multipartite(sizes),
+                          edge_list_join([(s, []) for s in sizes]))
+
+
+def test_join_lemma_guests_and_factors_equal_the_edge_list_builders():
+    graphs = factor_graphs()
+    for a, b in zip(graphs, graphs[1:] + graphs[:1]):
+        for p, q in ((1, 1), (2, 1), (1, 3), (2, 2)):
+            pq = (p * q, clique_edges(p * q))
+            join = P.embed_join_product(a, b, p, q)
+            move = P.embed_move_apex(a, b, p, q)
+            assert_built_like(join.guest, edge_list_join(
+                [(a.n, a.edges()), (b.n, b.edges()), pq]))
+            assert_built_like(move.guest, edge_list_join(
+                [(a.n * b.n, edge_list_strong(a, b)), pq]))
+            for e in (join, move):
+                assert_built_like(e.factors[0], plus_clique(a, p))
+                assert_built_like(e.factors[1], plus_clique(b, q))
+
+
+def test_apex_fan_guests_equal_the_edge_list_builder():
+    for h in factor_graphs():
+        for path_len, a in ((1, 0), (3, 0), (2, 1), (4, 3)):
+            _, _, e = P.orient_apex_fan(h, range(h.n), path_len, a)
+            p = Graph(path_len, [(j, j + 1) for j in range(path_len - 1)])
+            assert_built_like(e.guest, edge_list_join(
+                [(h.n * path_len, edge_list_strong(h, p)), (a, clique_edges(a))]))
 
 
 # -- validate against the BFS / any-bag copy ------------------------------
