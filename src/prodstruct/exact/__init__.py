@@ -21,8 +21,9 @@ ordering continues the front end's, so the witness needs no lifting.  tree-f
 is the block DP of Bouchitté & Todinca over the potential maximal cliques
 (PMCs), each PMC found by testing its definition on every vertex subset, and
 f evaluated once per PMC it needs.  bw is one branch-and-bound over vertex
-bitmasks on an explicit stack, and td one table over all vertex subsets,
-filled bottom-up.  td's witness walk and the PMC test both split vertex sets
+bitmasks on an explicit stack, cut by placement deadlines, and td one table
+over all vertex subsets, filled bottom-up, each subset's component taken
+from its prefix's.  td's witness walk and the PMC test both split vertex sets
 with _kernels.components.  TwIntTw enumerates the minimal triangulations
 over the blocks of the same PMCs, and the block DP finds the best partner of
 each.  twtw enumerates ordered pairs of set partitions, asking of each
@@ -38,6 +39,7 @@ the package.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from itertools import accumulate, count, product
 from math import ceil, prod, sqrt
@@ -268,7 +270,12 @@ def bandwidth_exact(g: Graph, max_n=None):
     An ordering has bandwidth <= k iff each vertex has all its neighbours
     placed within the next k positions.  So before position p is filled, the
     vertex at p - k leaves the window and may miss at most the vertex placed
-    at p; that rule alone keeps every placed edge within k.
+    at p; that rule alone keeps every placed edge within k.  The deadline rule
+    of Del Corso & Manzini (Computing 62, 1999) extends it to the window: the
+    unplaced neighbours of the vertices at positions <= q are due by q + k,
+    so for each q in (p - k, p) they must number at most q + k - p + 1, or
+    the partial ordering has no completion.  Only subtrees without a
+    solution are cut, so the first ordering found is the same.
     """
     _cap(g, BW_MAX_N, max_n, "bandwidth_exact")
     masks = g.adjacency_masks()
@@ -282,9 +289,19 @@ def bandwidth_exact(g: Graph, max_n=None):
         while done != full:
             p = len(order)
             if len(todo) == p:
-                leaving = masks[order[p - k]] & ~done if 0 < k <= p else 0
+                free = full ^ done
+                leaving = masks[order[p - k]] & free if 0 < k <= p else 0
                 # two unplaced neighbours of the leaving vertex, one position
-                todo.append(0 if leaving & (leaving - 1) else leaving or full & ~done)
+                cand = 0 if leaving & (leaving - 1) else leaving or free
+                # deadlines: the unplaced neighbours of positions <= q must
+                # all fit into positions p .. q + k
+                due = leaving
+                for q in range(max(p - k + 1, 0), p if cand else 0):
+                    due |= masks[order[q]] & free
+                    if due.bit_count() > q + k - p + 1:
+                        cand = 0
+                        break
+                todo.append(cand)
             cand = todo[p]
             if cand:
                 b = cand & -cand
@@ -315,24 +332,41 @@ def treedepth_exact(g: Graph, max_n=None):
     td[S] = 1 + min over v of td[S - v], and root[S] is the least v that
     attains it.  The witness walks down from the components of the full set,
     each component hanging from the root of the set it split from.
+
+    C comes from the prefix: low[S] is C, and with h the highest vertex of S,
+    C = low[S - h] unless h has a neighbour in it; only then is h's component
+    in S - low[S - h] flooded and added.  The root scan stops early: since
+    td(S) - 1 <= td(S - v) <= td(S), the values td[S - v] lie within 1 of each
+    other, so the first one that differs from the lowest vertex's decides.
+    A smaller one is the minimum and its vertex the least root; a larger one
+    makes the lowest vertex the root.
     """
-    _cap(g, TD_MAX_N, max_n, "treedepth_exact", 2)      # td and root: 1 byte each
+    # td and root: 1 byte each; low: one array item, which holds a vertex set
+    _cap(g, TD_MAX_N, max_n, "treedepth_exact", 2 + array("I").itemsize)
     masks = g.adjacency_masks()
     size = 1 << g.n
     td = bytearray(size)
     root = bytearray(size)
+    low = array("I", [0]) * size
     for s in range(1, size):
-        comp = flood(masks, s, (s & -s).bit_length() - 1)[0]
+        h = s.bit_length() - 1
+        comp = low[s ^ 1 << h] or s         # a singleton is its own component
+        if masks[h] & comp:
+            comp |= flood(masks, s ^ comp, h)[0]
+        low[s] = comp
         if comp != s:
             td[s] = max(td[comp], td[s ^ comp])
             continue
-        best = 255
-        rest = s
+        first = s & -s
+        rest = s ^ first
+        best = td[s ^ first]
         while rest:
             b = rest & -rest
             rest ^= b
-            if td[s ^ b] < best:
-                best, first = td[s ^ b], b
+            if td[s ^ b] != best:
+                if td[s ^ b] < best:
+                    best, first = td[s ^ b], b
+                break
         td[s] = best + 1
         root[s] = first.bit_length() - 1
 

@@ -23,18 +23,19 @@ def pair_id(i: int, j: int, nb: int) -> int:
     return i * nb + j
 
 
-def _product(n1: int, n2: int, rects) -> list:
+def _product(n1: int, n2: int, rects, extra: frozenset = frozenset()) -> list:
     """The neighbour sets of a product on the ids (x, y) -> x*n2 + y: the set
     of (x, y) is the union of A[x] x B[y] over the (A, B) pairs in rects, less
-    (x, y) itself.  A and B hold id sets of the first and second factor, so
-    the product is built in time linear in its size."""
+    (x, y) itself, plus the ids in `extra`.  A and B hold id sets of the first
+    and second factor, so the product is built in time linear in its size."""
+    freeze = extra.union if extra else frozenset
     sets = []
     for x in range(n1):
         rows = [([i * n2 for i in a[x]], b) for a, b in rects]
         for y in range(n2):
             s = {r + j for bases, b in rows for r in bases for j in b[y]}
             s.discard(x * n2 + y)
-            sets.append(frozenset(s))
+            sets.append(freeze(s))
     return sets
 
 
@@ -213,17 +214,18 @@ def _checked(e, what: str = "invalid embedding"):
 
 # -- join lemmas ---------------------------------------------------------
 
-def _join_lemma(a: Graph, b: Graph, p: int, q: int, parts, head: list) -> ProductEmbedding:
-    """The join of `parts` and K_pq inside (A+K_p) boxtimes (B+K_q).
+def _join_lemma(a: Graph, b: Graph, p: int, q: int, join, head: list) -> ProductEmbedding:
+    """The join of some parts and K_pq inside (A+K_p) boxtimes (B+K_q).
 
-    `head` maps the parts' vertices; r_{i,j}, the clique vertex (i-1)q+(j-1)
-    after them, maps to (a_i, b_j), where a_i = a.n+i-1 and b_j = b.n+j-1 are
-    the joined clique vertices.
+    `join(ones)` builds that guest from `ones`, the pq copies of K_1 whose
+    join is K_pq.  `head` maps the parts' vertices; r_{i,j}, the clique
+    vertex (i-1)q+(j-1) after them, maps to (a_i, b_j), where a_i = a.n+i-1
+    and b_j = b.n+j-1 are the joined clique vertices.
     """
     if p < 1 or q < 1:
         raise GraphError("need p, q >= 1")
     k1 = Graph(1)               # K_k is the join of k copies of K_1
-    guest = complete_join(*parts, *[k1] * (p * q))
+    guest = join([k1] * (p * q))
     f1, f2 = complete_join(a, *[k1] * p), complete_join(b, *[k1] * q)
     mapping = head + [(a.n + i, b.n + j) for i in range(p) for j in range(q)]
     return _checked(ProductEmbedding(guest, (f1, f2), None, tuple(mapping)))
@@ -235,14 +237,22 @@ def embed_join_product(a: Graph, b: Graph, p: int, q: int) -> ProductEmbedding:
     Guest layout: A's ids, then B's, then r_{i,j} at a.n+b.n+(i-1)q+(j-1).
     Map: A-vertex x -> (x, b1); B-vertex y -> (a1, y); r_{i,j} -> (a_i, b_j).
     """
-    return _join_lemma(a, b, p, q, [a, b],
+    return _join_lemma(a, b, p, q, lambda ones: complete_join(a, b, *ones),
                        [(x, b.n) for x in range(a.n)] + [(a.n, y) for y in range(b.n)])
 
 
 def embed_move_apex(a: Graph, b: Graph, p: int, q: int) -> ProductEmbedding:
     """(A boxtimes B)+K_pq inside (A+K_p) boxtimes (B+K_q), identity on AxB."""
-    return _join_lemma(a, b, p, q, [strong(a, b)],
-                       [(v // b.n, v % b.n) for v in range(a.n * b.n)])
+    n = a.n * b.n
+
+    def join(ones):
+        # the product's sets are built with the clique ids already in them
+        clique = range(n, n + len(ones))
+        ids = frozenset(clique)
+        every = ids.union(range(n))
+        return Graph._from_adj(_product(a.n, b.n, [(_closed(a.adj), _closed(b.adj))], ids)
+                               + [every - {r} for r in clique])
+    return _join_lemma(a, b, p, q, join, [(v // b.n, v % b.n) for v in range(n)])
 
 
 def embed_apex_partition(g: Graph, v1, include_apex: bool = False):

@@ -56,6 +56,11 @@ def random_graph(rng: SplitMix64, n: int, p_num=1, p_den=2) -> Graph:
     return Graph(n, edges)
 
 
+def disjoint_union(g: Graph, h: Graph) -> Graph:
+    """g beside h, h's ids shifted past g's."""
+    return Graph(g.n + h.n, g.edges() + [(u + g.n, v + g.n) for u, v in h.edges()])
+
+
 def random_graph_max_degree(rng: SplitMix64, n: int, max_deg: int) -> Graph:
     cand = list(itertools.combinations(range(n), 2))
     rng.shuffle(cand)

@@ -24,7 +24,7 @@ import pytest
 
 import prodstruct.exact as X
 import prodstruct.exact._kernels as K
-from conftest import connected_atlas, counting, random_graph, twintw_raw
+from conftest import connected_atlas, counting, disjoint_union, random_graph, twintw_raw
 from prodstruct.constructions import (complete_multipartite, cycle, grid2, path,
                                       stacked_triangulation)
 from prodstruct.decomposition import TreeDecomposition, orthogonality, validate
@@ -146,10 +146,6 @@ def all_labelled_graphs(max_n):
         pairs = list(itertools.combinations(range(n), 2))
         for m in range(1 << len(pairs)):
             yield Graph(n, [e for i, e in enumerate(pairs) if m >> i & 1])
-
-
-def disjoint_union(g, h):
-    return Graph(g.n + h.n, g.edges() + [(u + g.n, v + g.n) for u, v in h.edges()])
 
 
 def _recognizer_graphs():

@@ -1,12 +1,14 @@
 """The bandwidth and treedepth searches against copies of their earlier loops.
 
-bandwidth_exact places vertices over adjacency bitmasks with one window rule,
-and treedepth_exact fills one table over all vertex subsets in increasing
-numeric order.  The reference oracles below are the earlier forms: a
-branch-and-bound over adjacency sets and a position dict that also checks
-every placed neighbour, and a memoized recursion that splits components
-itself and rebuilds the witness in a second recursion.  Both pairs must give
-the same values and the same witnesses.
+bandwidth_exact places vertices over adjacency bitmasks with the leaving-vertex
+rule and the deadline rule, and treedepth_exact fills one table over all
+vertex subsets in increasing numeric order, taking each subset's component
+from its prefix and stopping its root scan at the first different value.
+The reference oracles below are the earlier forms: a branch-and-bound over
+adjacency sets and a position dict that also checks every placed neighbour,
+the same bitmask search with the leaving-vertex rule alone, and a memoized
+recursion that splits components itself and rebuilds the witness in a second
+recursion.  Each must give the same values and the same witnesses.
 """
 
 import json
@@ -17,7 +19,7 @@ from math import ceil
 import pytest
 
 import prodstruct.constructions as C
-from conftest import counting, random_graph
+from conftest import counting, disjoint_union, random_graph
 from prodstruct.cli import main
 from prodstruct.exact import (InstanceTooLarge, bandwidth_exact, longest_path_order,
                               max_clique_order, treedepth_exact)
@@ -64,6 +66,39 @@ def plain_bandwidth(g):
         order = feasible(k)
         if order is not None:
             return k, order
+
+
+def window_bandwidth(g):
+    """The bitmask search with the leaving-vertex rule and no deadlines."""
+    masks = g.adjacency_masks()
+    full = (1 << g.n) - 1
+
+    def place(k):
+        order = []
+        done = 0
+        todo = []
+        while done != full:
+            p = len(order)
+            if len(todo) == p:
+                leaving = masks[order[p - k]] & ~done if 0 < k <= p else 0
+                todo.append(0 if leaving & (leaving - 1) else leaving or full & ~done)
+            cand = todo[p]
+            if cand:
+                b = cand & -cand
+                todo[p] = cand ^ b
+                order.append(b.bit_length() - 1)
+                done |= b
+            elif p:
+                todo.pop()
+                done ^= 1 << order.pop()
+            else:
+                return None
+        return order
+
+    k = max(((m.bit_count() + 1) // 2 for m in masks), default=0)
+    while (order := place(k)) is None:
+        k += 1
+    return k, order
 
 
 def plain_treedepth(g):
@@ -138,16 +173,46 @@ def seeded_graphs():
     return out
 
 
+def split_graphs(max_n):
+    """Seeded graphs of two parts with no edge between them, n <= max_n."""
+    rng = SplitMix64(43)
+    out = []
+    for n in range(2, max_n + 1):
+        for a in range(1, n // 2 + 1):
+            out.append(disjoint_union(random_graph(rng, n - a, 1 + rng.randrange(3), 4),
+                                      random_graph(rng, a, 1 + rng.randrange(3), 4)))
+    return out
+
+
 INSTANCES = exact_small_graphs() + seeded_graphs()
+# the deadline rule cuts most here: the window search alone takes 4-280 ms
+MULTIPARTITE = [C.complete_multipartite(s) for s in
+                ([3, 3, 3], [2, 3, 4], [2, 2, 2, 2], [1, 2, 3, 4])]
+BW_SEEDED = [random_graph(rng, n, num, 4) for rng in [SplitMix64(47)]
+             for num in (1, 2, 3) for n in range(1, 10) for _ in range(2)] + split_graphs(9)
 
 
-@pytest.mark.parametrize("g", INSTANCES, ids=lambda g: f"n{g.n}m{g.m}")
+def graph_id(g):
+    return f"n{g.n}m{g.m}"
+
+
+@pytest.mark.parametrize("g", INSTANCES, ids=graph_id)
 def test_bandwidth_matches_plain_loop(g):
     assert bandwidth_exact(g) == plain_bandwidth(g)
 
 
-@pytest.mark.parametrize("g", INSTANCES, ids=lambda g: f"n{g.n}m{g.m}")
+@pytest.mark.parametrize("g", INSTANCES + MULTIPARTITE + BW_SEEDED, ids=graph_id)
+def test_bandwidth_deadlines_keep_the_first_ordering(g):
+    assert bandwidth_exact(g) == window_bandwidth(g)
+
+
+@pytest.mark.parametrize("g", INSTANCES, ids=graph_id)
 def test_treedepth_matches_plain_loop(g):
+    assert treedepth_exact(g) == plain_treedepth(g)
+
+
+@pytest.mark.parametrize("g", split_graphs(10), ids=graph_id)
+def test_treedepth_of_split_graphs_matches_plain_loop(g):
     assert treedepth_exact(g) == plain_treedepth(g)
 
 
@@ -182,19 +247,49 @@ def test_longest_path_deeper_than_the_recursion_limit():
         sys.setrecursionlimit(limit)
 
 
+# -- bandwidth: deadlines cut the search -----------------------------------
+
+def test_bandwidth_deadlines_bound_the_search(monkeypatch):
+    # each search step reads masks; K_{4,4,4} takes 365 reads with the
+    # deadline rule, and 25,342,493 reads, seconds of search, with the
+    # leaving-vertex rule alone, so the count stops the search past 1000
+    reads = []
+
+    class Counted(list):
+        def __getitem__(self, i):
+            reads.append(1)
+            if len(reads) > 1000:
+                raise AssertionError("over 1000 search steps")
+            return super().__getitem__(i)
+
+    real = Graph.adjacency_masks
+    monkeypatch.setattr(Graph, "adjacency_masks", lambda g: Counted(real(g)))
+    assert bandwidth_exact(C.complete_multipartite([4, 4, 4])) == (
+        9, [0, 1, 4, 5, 6, 7, 8, 9, 10, 11, 2, 3])
+
+
 # -- treedepth: one table entry per subset ---------------------------------
 
-@pytest.mark.parametrize("g", INSTANCES, ids=lambda g: f"n{g.n}m{g.m}")
+@pytest.mark.parametrize("g", INSTANCES, ids=graph_id)
 def test_treedepth_splits_each_subset_once(g, monkeypatch):
-    # one flood per nonempty subset for the table; the witness walk's floods,
-    # at most one per root, run inside components
+    # at most one flood per nonempty subset for the table; the witness walk's
+    # floods, at most one per root, run inside components
     calls = counting(monkeypatch, "flood")
     treedepth_exact(g)
     assert len(calls) <= 2 ** g.n + g.n
 
 
+def test_treedepth_floods_only_where_the_highest_vertex_joins(monkeypatch):
+    # a subset's component is its prefix's unless the highest vertex touches
+    # it: path(10) floods 45 of its 1023 subsets
+    calls = counting(monkeypatch, "flood")
+    assert treedepth_exact(C.path(10))[0] == 4
+    assert len(calls) <= 64
+
+
 def test_treedepth_override_is_refused_not_overflowed(tmp_path, capsys):
-    # the table holds 2 bytes per subset, so n = 200 is far over the budget
+    # the tables hold 2 + array("I").itemsize bytes per subset (6 on common
+    # platforms), so n = 200 is far over the budget
     with pytest.raises(InstanceTooLarge, match="DP table"):
         treedepth_exact(C.path(200), max_n=200)
     p = tmp_path / "p300.json"
