@@ -26,28 +26,29 @@ over all vertex subsets, filled bottom-up, each subset's component taken
 from its prefix's.  td's witness walk and the PMC test both split vertex sets
 with _kernels.components.  TwIntTw enumerates the minimal triangulations
 over the blocks of the same PMCs, and the block DP finds the best partner of
-each.  twtw enumerates ordered pairs of set partitions, asking of each
-distinct quotient only "tw <= k?" at level k.  For k <= 2 that question
-needs no subset search: _tw_levels answers it with the front end's rules at
-low = k, which eliminate vertices of degree at most k, and the treewidth DP
-runs only on what the front end leaves of graphs of treewidth 3 or more.
-twtw keeps its many quotient treewidth questions in locals of the call, so
-nothing is cached from one call to the next.  The brute-force references
-these oracles are cross-checked against live in tests/conftest.py, not in
-the package.
+each.  twtw walks set partitions level by level, asking of each prefix's
+quotient only "tw <= k?" at level k, and cuts the prefixes that fail: their
+completions' quotients contain theirs.  Level k + 1 resumes from the
+prefixes cut at level k.  For k <= 2 the question needs no subset search:
+_tw_at_most answers it with the front end's rules at low = k, which
+eliminate vertices of degree at most k, and only level 3 and up runs the
+front end and the treewidth DP.  twtw keeps its answers in one dict per
+level, a local of the call, so nothing is cached from one call to the next.
+The brute-force references these oracles are cross-checked against live in
+tests/conftest.py, not in the package.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import Counter
-from itertools import accumulate, count, product
+from itertools import accumulate, product
 from math import ceil, prod, sqrt
 
 from ..graphs import Graph, GraphError, VertexPartition, quotient
 from ..decomposition import TreeDecomposition, PathDecomposition
 from ..rng import SplitMix64
-from ._kernels import STATE_BYTES, bits, components, flood, pathwidth_dp, q_set, treewidth_dp
+from ._kernels import STATE_BYTES, bits, components, pathwidth_dp, q_set, treewidth_dp
 
 TW_MAX_N = 16
 PW_MAX_N = 16
@@ -208,31 +209,18 @@ def treewidth_exact(g: Graph, max_n=None):
     return tw, _elimination_td(g, order)
 
 
-def _tw_levels(masks):
-    """Answers "tw <= k?" for k = 0, 1, 2, ... in turn, True from k = tw on.
-
-    Levels 0-2 run the front end's rules at low = k without growing low,
-    which eliminates vertices of degree at most k while there are any.  A
-    graph of treewidth t has a vertex of degree at most t, and each step
-    leaves a minor, so the graph empties iff tw <= k, and otherwise tw > k
-    and level k + 1 goes on from the same graph (the edgeless, forest and
-    series-parallel reductions of Arnborg & Proskurowski, SIAM J. Alg. Disc.
-    Meth. 1986).  If level 3 is asked of a graph of treewidth 3 or more,
-    _treewidth answers it and every later level from what is left: the front
-    end at low = 3, then the treewidth DP on its remainder.
-    """
-    adj = list(masks)
-    left = (1 << len(adj)) - 1
-    for k in range(3):
-        left = _reduce(adj, left, k, [], grow=False)[0]
-        if not left:
-            tw = k
-            break
-        yield False         # no vertex of degree <= k is left: tw > k
-    else:
-        k, tw = 3, _treewidth(adj, left, 3, [])
-    for k in count(k):
-        yield tw <= k
+def _tw_at_most(masks, k) -> bool:
+    """tw <= k for the graph of adjacency masks.  Levels 0-2 run the front
+    end's rules at low = k without growing low, which eliminate vertices of
+    degree at most k while there are any.  A graph of treewidth t has a
+    vertex of degree at most t, and each step leaves a minor, so the graph
+    empties iff tw <= k (the edgeless, forest and series-parallel reductions
+    of Arnborg & Proskurowski, SIAM J. Alg. Disc. Meth. 1986).  Above level
+    2, _treewidth answers at low = k: max(k, tw) <= k."""
+    full = (1 << len(masks)) - 1
+    if k < 3:
+        return not _reduce(list(masks), full, k, [], grow=False)[0]
+    return _treewidth(list(masks), full, k, []) <= k
 
 
 def _treewidth_value(g: Graph) -> int:
@@ -334,12 +322,14 @@ def treedepth_exact(g: Graph, max_n=None):
     each component hanging from the root of the set it split from.
 
     C comes from the prefix: low[S] is C, and with h the highest vertex of S,
-    C = low[S - h] unless h has a neighbour in it; only then is h's component
-    in S - low[S - h] flooded and added.  The root scan stops early: since
-    td(S) - 1 <= td(S - v) <= td(S), the values td[S - v] lie within 1 of each
-    other, so the first one that differs from the lowest vertex's decides.
-    A smaller one is the minimum and its vertex the least root; a larger one
-    makes the lowest vertex the root.
+    C = low[S - h] unless h has a neighbour in it.  Then C is h with every
+    component of S - h that h touches, and those are peeled off S - h one
+    lookup at a time, each the low entry of what is left: no subset is
+    flooded.  The root scan stops early: since td(S) - 1 <= td(S - v) <=
+    td(S), the values td[S - v] lie within 1 of each other, so the first one
+    that differs from the lowest vertex's decides.  A smaller one is the
+    minimum and its vertex the least root; a larger one makes the lowest
+    vertex the root.
     """
     # td and root: 1 byte each; low: one array item, which holds a vertex set
     _cap(g, TD_MAX_N, max_n, "treedepth_exact", 2 + array("I").itemsize)
@@ -352,7 +342,13 @@ def treedepth_exact(g: Graph, max_n=None):
         h = s.bit_length() - 1
         comp = low[s ^ 1 << h] or s         # a singleton is its own component
         if masks[h] & comp:
-            comp |= flood(masks, s ^ comp, h)[0]
+            rest = s ^ comp ^ 1 << h        # the other components of S - h
+            comp |= 1 << h
+            while rest:
+                c = low[rest]
+                rest ^= c
+                if masks[h] & c:
+                    comp |= c
         low[s] = comp
         if comp != s:
             td[s] = max(td[comp], td[s ^ comp])
@@ -633,21 +629,28 @@ def twtw_exact(g: Graph, c: int = 1, max_n=None):
     labels[v], parts numbered in order of their least vertex), depth-first
     in lexicographic order on an explicit stack that carries each prefix's
     quotient masks, so vertex v adds its edges to earlier vertices once per
-    prefix.  Each distinct quotient gets one _tw_levels within the call.
-    Level k only asks "tw(quotient) <= k?": it advances every undecided
-    quotient by one level, and a quotient decided there joins the pool of
-    level k.  Levels 0-2 need no subset search, and for c >= 1 every graph
-    with n <= 9 has twtw <= 2 (the rows and the columns of a 3 x 3 grid
-    layout), so the treewidth DP runs only under max_n overrides above 9.
-    Only the returned pair is built as partitions and quotient graphs.
+    prefix.  Level k asks each prefix it pops only "tw(quotient) <= k?",
+    once per distinct quotient.  A prefix's quotient is a subgraph of the
+    quotient of each of its completions (parts only gain vertices, and edges
+    between parts are only added), so a prefix that fails is cut: it joins
+    the frontier of level k + 1, which walks on from the prefixes cut at
+    level k in the order they were cut.  No prefix is expanded at two
+    levels, each partition joins the pool at the level of its quotient's tw,
+    and within a level in partition order.  Levels 0-2 need no subset search,
+    and for c >= 1 every graph with n <= 9 has twtw <= 2 (the rows and the
+    columns of a 3 x 3 grid layout), so the treewidth DP runs only under
+    max_n overrides above 9.  Only the returned pair is built as partitions
+    and quotient graphs.
     """
     if c < 1:
         raise GraphError("need c >= 1")
     _cap(g, TWTW_MAX_N, max_n, "twtw_exact")
     n = g.n
-    # 176 bytes per partition: tracemalloc peaked at 167-174 per partition
-    # on path(n), n = 9-11, and at 78-167 on K_n, n = 8-10; so n <= 12 fits
-    fits = TABLE_BUDGET_BYTES // 176
+    # 209 bytes per partition, the walk's pool, cuts and per-level dict
+    # included: tracemalloc peaked at 187-209 per partition on edgeless n =
+    # 9-11 (every partition joins the level-0 pool), 32-62 on path(n), n =
+    # 9-11, and 6-98 on K_n, n = 8-10; so n <= 12 fits
+    fits = TABLE_BUDGET_BYTES // 209
     row = [1]       # the Bell triangle: row k starts with Bell(k)
     while len(row) <= n and row[0] <= fits:
         row = list(accumulate(row, initial=row[-1]))
@@ -657,34 +660,6 @@ def twtw_exact(g: Graph, c: int = 1, max_n=None):
     if n == 0:
         return 0, None
     earlier = [list(bits(m & ((1 << v) - 1))) for v, m in enumerate(g.adjacency_masks())]
-    quotients = {}      # quotient adjacency masks -> index
-    searches = []       # per quotient, its _tw_levels until tw is known
-    labelings = []      # every partition's labels, in partition order
-    quotient_of = []    # and the index of its quotient
-    stack = [((), ())]  # (labels of a prefix, its quotient's masks)
-    while stack:
-        labels, masks = stack.pop()
-        v = len(labels)
-        if v == n:
-            q = quotients.get(masks)
-            if q is None:
-                q = quotients[masks] = len(searches)
-                searches.append(_tw_levels(masks))
-            labelings.append(labels)
-            quotient_of.append(q)
-            continue
-        near = 0        # the parts of v's earlier neighbours
-        for u in earlier[v]:
-            near |= 1 << labels[u]
-        near_parts = list(bits(near))
-        for p in range(len(masks), -1, -1):     # highest first, so part 0 pops first
-            bit = 1 << p
-            grown = list(masks) if p < len(masks) else [*masks, 0]
-            for a in near_parts:
-                grown[a] |= bit
-            grown[p] = (grown[p] | near) & ~bit
-            stack.append((labels + (p,), tuple(grown)))
-    tw = [None] * len(searches)
 
     def compatible(a, b) -> bool:
         # parts x of a and y of b meet in the vertices labelled (x, y)
@@ -693,16 +668,36 @@ def twtw_exact(g: Graph, c: int = 1, max_n=None):
     # the pool at level k holds the partitions of quotient tw <= k, by tw and
     # then in partition order; every pair of the pool at level k - 1 failed
     pool = []
+    frontier = [((), ())]       # (labels of a prefix, its quotient's masks)
     for k in range(n):
-        for q, search in enumerate(searches):
-            if search is not None and next(search):
-                tw[q] = k
-                searches[q] = None
+        known = {}      # quotient masks -> tw <= k
+        cut = []        # the prefixes whose quotient has tw > k, in walk order
         old = len(pool)
-        for labels, q in zip(labelings, quotient_of):
-            if tw[q] == k:
-                sizes = Counter(labels).values()
-                pool.append((labels, len(sizes), max(sizes)))
+        stack = frontier[::-1]
+        while stack:
+            labels, masks = stack.pop()
+            ok = known.get(masks)
+            if ok is None:
+                ok = known[masks] = _tw_at_most(masks, k)
+            if not ok:
+                cut.append((labels, masks))
+                continue
+            v = len(labels)
+            if v == n:      # one quotient vertex per part: the count and the largest size
+                pool.append((labels, len(masks), max(map(labels.count, range(len(masks))))))
+                continue
+            near = 0        # the parts of v's earlier neighbours
+            for u in earlier[v]:
+                near |= 1 << labels[u]
+            near_parts = list(bits(near))
+            for p in range(len(masks), -1, -1):     # highest first, so part 0 pops first
+                bit = 1 << p
+                grown = list(masks) if p < len(masks) else [*masks, 0]
+                for a in near_parts:
+                    grown[a] |= bit
+                grown[p] = (grown[p] | near) & ~bit
+                stack.append((labels + (p,), tuple(grown)))
+        frontier = cut
         for i, (a, na, sa) in enumerate(pool):
             for b, nb, sb in pool[max(i, old):]:
                 # a part of a meets each of the nb parts of b in at most c

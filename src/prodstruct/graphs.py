@@ -402,14 +402,3 @@ def subgraph_contained(h: Graph, g: Graph) -> Optional[dict]:
     if backtrack(0):
         return dict(sorted(assignment.items()))
     return None
-
-
-def is_valid_subgraph_map(h: Graph, g: Graph, phi: dict) -> bool:
-    """Independent check that phi witnesses h contained in g."""
-    if sorted(phi.keys()) != list(range(h.n)):
-        return False
-    if len(set(phi.values())) != h.n:
-        return False
-    if not all(0 <= x < g.n for x in phi.values()):
-        return False
-    return all(g.has_edge(phi[u], phi[v]) for u, v in h.edges())

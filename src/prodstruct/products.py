@@ -19,10 +19,6 @@ class EmbeddingError(ValueError):
     pass
 
 
-def pair_id(i: int, j: int, nb: int) -> int:
-    return i * nb + j
-
-
 def _product(n1: int, n2: int, rects, extra: frozenset = frozenset()) -> list:
     """The neighbour sets of a product on the ids (x, y) -> x*n2 + y: the set
     of (x, y) is the union of A[x] x B[y] over the (A, B) pairs in rects, less

@@ -5,7 +5,8 @@ implementations (definition-first brute force) so the two can disagree.  The
 raw-enumeration references at the end (twintw_raw, twtw_raw,
 raw_bag_path_check) refuse hosts above RAW_MAX_N vertices.  The certificate
 references (node_set_validate, edge_validate_embedding) are the plain
-per-edge checkers that the package's per-vertex checkers replaced.
+per-edge checkers that the package's per-vertex checkers replaced, and
+is_valid_subgraph_map checks a subgraph_contained witness.
 """
 
 import heapq
@@ -257,6 +258,17 @@ def raw_bag_path_check(g: Graph, n: int) -> bool:
 
 
 # -- certificate references ------------------------------------------------
+
+def is_valid_subgraph_map(h: Graph, g: Graph, phi: dict) -> bool:
+    """Independent check that phi witnesses h contained in g."""
+    if sorted(phi.keys()) != list(range(h.n)):
+        return False
+    if len(set(phi.values())) != h.n:
+        return False
+    if not all(0 <= x < g.n for x in phi.values()):
+        return False
+    return all(g.has_edge(phi[u], phi[v]) for u, v in h.edges())
+
 
 def node_set_validate(g: Graph, td) -> ValidationReport:
     """validate by node sets: edge uv is in a bag iff the node sets of u and

@@ -291,15 +291,15 @@ def test_twintw_enumeration_is_refused_before_it_is_built(tmp_path, capsys):
 
 
 def test_twtw_enumeration_is_refused_before_it_is_built(tmp_path, capsys, monkeypatch):
-    # at 176 bytes per partition, Bell(12) = 4,213,597 fit the budget and
+    # at 209 bytes per partition, Bell(12) = 4,213,597 fit the budget and
     # Bell(13) = 27,644,437 do not: refused from the count, before the first
-    # partition's quotient is searched
+    # prefix's quotient is asked "tw <= k?"
     class Searched(Exception):
         pass
 
-    def search(masks):
+    def search(masks, k):
         raise Searched
-    monkeypatch.setattr(prodstruct.exact, "_tw_levels", search)
+    monkeypatch.setattr(prodstruct.exact, "_tw_at_most", search)
     with pytest.raises(Searched):
         twtw_exact(path(12), max_n=12)
     for n in (13, 1000):

@@ -1,8 +1,10 @@
 """The nested oracles twtw and TwIntTw against copies of their plain loops.
 
-twtw_exact asks each distinct quotient "tw <= k?" one level at a time
-(_tw_levels: low-degree elimination for k <= 2, the treewidth DP above it),
-building quotient masks along its partition walk.  twintw_exact takes each
+twtw_exact walks partition prefixes level by level, building quotient masks
+along the walk, and asks each distinct prefix quotient "tw <= k?" once per
+level (_tw_at_most: low-degree elimination for k <= 2, the treewidth front
+end and DP above it).  A prefix that fails is cut, and level k + 1 resumes
+from the prefixes cut at level k.  twintw_exact takes each
 minimal triangulation T1 that _minimal_triangulations enumerates from one
 PMC sweep, by the block recursion of the tree-f DP, and asks the block DP
 for its best partner T2.  The reference oracles below are the loops without
@@ -13,11 +15,12 @@ their own, tried in pairs.  Both oracles must give the values of the
 references, and the block DP the best partner the pair loop finds for each
 T1.  twtw must give the same witnesses; a TwIntTw witness must be a valid
 pair of clique trees of minimal triangulations that attains the value.  And
-the fast oracles must do bounded work.
+the fast oracles must do bounded work: twtw pops fewer prefixes than a walk
+without the cut would, and asks fewer questions than there are quotients.
 """
 
 import itertools
-from itertools import islice
+import sys
 
 import networkx as nx
 import pytest
@@ -28,8 +31,9 @@ from conftest import connected_atlas, counting, disjoint_union, random_graph, tw
 from prodstruct.constructions import (complete_multipartite, cycle, grid2, path,
                                       stacked_triangulation)
 from prodstruct.decomposition import TreeDecomposition, orthogonality, validate
-from prodstruct.exact import (_blocks, _minimal_triangulations, _treewidth_value, _tw_levels,
-                              max_clique_order, treewidth_exact, twintw_exact, twtw_exact)
+from prodstruct.exact import (_blocks, _minimal_triangulations, _reduce, _treewidth_value,
+                              _tw_at_most, max_clique_order, treewidth_exact, twintw_exact,
+                              twtw_exact)
 from prodstruct.exact._kernels import bits, q_set
 from prodstruct.graphs import Graph, VertexPartition, quotient
 from prodstruct.rng import SplitMix64
@@ -137,8 +141,14 @@ TWINTW_GRAPHS = ([complete_multipartite([2, 2, 2]), cycle(7),
 # seeded graphs with n <= 7, sparse to dense
 SEEDED = [random_graph(rng, n, num, 4) for rng in [SplitMix64(7)]
           for num in (1, 2, 3) for n in range(1, 8)]
-TWTW_SEEDED = SEEDED + [random_graph(rng, n, num, 4) for rng in [SplitMix64(11)]
-                        for num in (1, 2, 3) for n in range(2, 8)]
+TWTW_SEEDED = (SEEDED + [random_graph(rng, n, num, 4) for rng in [SplitMix64(11)]
+                         for num in (1, 2, 3) for n in range(2, 8)]
+               # disjoint unions, and graphs with isolated vertices
+               + [disjoint_union(random_graph(rng, a, num, 4), random_graph(rng, b, 3, 4))
+                  for rng in [SplitMix64(13)] for num in (2, 3) for a, b in ((2, 3), (3, 4), (4, 3))]
+               + [disjoint_union(g, Graph(k, []))
+                  for g in (path(4), cycle(5), complete_multipartite([2, 3])) for k in (1, 2)]
+               + [Graph(n, []) for n in (1, 4, 7)])
 
 
 def all_labelled_graphs(max_n):
@@ -159,14 +169,17 @@ def _recognizer_graphs():
     return out
 
 
-# treewidth 3, but _tw_levels's elimination, carried on to degree 3 after
-# levels 0-2, gets stuck: it decides only levels 0-2, where it leaves a minor
+# treewidth 3, with one vertex of degree 2 and the rest of degree 3 or more
 TW3_STUCK = Graph(7, [(0, 1), (0, 2), (0, 5), (1, 3), (1, 6), (2, 3), (2, 6),
                       (3, 5), (3, 6), (4, 5), (4, 6)])
 
+# treewidth 3, but no vertex is almost simplicial, so eliminating vertices of
+# degree at most 3 gets stuck at once: level 3 needs the treewidth DP
+K33 = complete_multipartite([3, 3])
+
 # every labelled graph with n <= 5, seeded graphs with n = 6-9 up to tw 8,
-# and TW3_STUCK
-LOW_TW_GRAPHS = list(all_labelled_graphs(5)) + _recognizer_graphs() + [TW3_STUCK]
+# TW3_STUCK and K33
+LOW_TW_GRAPHS = list(all_labelled_graphs(5)) + _recognizer_graphs() + [TW3_STUCK, K33]
 
 
 def snapshot(w):
@@ -294,14 +307,20 @@ def test_completions_match_the_plain_loop_on_seeded_graphs(i):
 # -- tw <= k without a subset search ---------------------------------------
 
 def test_tw_levels_answer_each_level():
-    # levels 0-2 by low-degree elimination, higher ones by the treewidth DP
+    # levels 0-2 by low-degree elimination, higher ones by the treewidth
+    # front end and DP, where the degree rule alone would leave K33
     tws = []
     for g in LOW_TW_GRAPHS:
         tw = treewidth_exact(g)[0]
-        got = list(islice(_tw_levels(g.adjacency_masks()), g.n))
-        assert got == [tw <= k for k in range(g.n)], (g.n, g.edges())
+        masks = tuple(g.adjacency_masks())
+        got = [_tw_at_most(masks, k) for k in range(g.n + 1)]
+        assert got == [tw <= k for k in range(g.n + 1)], (g.n, g.edges())
+        assert masks == tuple(g.adjacency_masks())
         tws.append(tw)
     assert max(tws) >= 6
+    stuck = K33.adjacency_masks()
+    assert _reduce(list(stuck), (1 << 6) - 1, 3, [], grow=False)[0] == (1 << 6) - 1
+    assert _tw_at_most(tuple(stuck), 3)
 
 
 def test_treewidth_value_is_treewidth():
@@ -311,11 +330,46 @@ def test_treewidth_value_is_treewidth():
 
 # -- work bounds ----------------------------------------------------------
 
-def test_twtw_runs_one_dp_per_distinct_quotient(monkeypatch):
-    # grid2(2, 4) has Bell(8) = 4140 partitions but 455 distinct quotients
-    calls = counting(monkeypatch, "_tw_levels")
+def popped_prefixes(g):
+    """twtw_exact's value on g, and how many prefixes it pops off its walk
+    stack: the profile hook's calls of list.pop in twtw_exact's own frame."""
+    pops = []
+
+    def hook(frame, event, arg):
+        if event == "c_call" and frame.f_code is twtw_exact.__code__ and arg.__name__ == "pop":
+            pops.append(1)
+    sys.setprofile(hook)
+    try:
+        value = twtw_exact(g)[0]
+    finally:
+        sys.setprofile(None)
+    return value, len(pops)
+
+
+def test_twtw_cuts_prefixes_of_quotient_tw_over_the_level():
+    # grid2(2, 4) has 5,296 prefixes and Bell(8) = 4140 partitions; the cut
+    # pops 16 at level 0 and 1,367 at level 1.  A walk that cut nothing, or
+    # asked only full partitions, would pop all 5,296 at level 0
+    value, pops = popped_prefixes(grid2(2, 4))
+    assert value == 1 and 0 < pops < 1500
+
+
+def test_twtw_resumes_each_level_from_its_cuts():
+    # the answer is 2 on stacked7 and K222: the walk pops 883 and 298
+    # prefixes, where walking each level again from the empty prefix pops
+    # 1,042 and 378
+    for g, most in ((stacked_triangulation(7, 3).graph, 950),
+                    (complete_multipartite([2, 2, 2]), 340)):
+        value, pops = popped_prefixes(g)
+        assert value == 2 and 0 < pops < most
+
+
+def test_twtw_asks_each_quotient_once_per_level(monkeypatch):
+    # grid2(2, 4) has 455 distinct partition quotients; the walk asks 3
+    # distinct prefix quotients at level 0 and 70 at level 1
+    calls = counting(monkeypatch, "_tw_at_most")
     assert twtw_exact(grid2(2, 4))[0] == 1
-    assert 0 < len(calls) <= 455
+    assert 0 < len(calls) <= 73
 
 
 def test_twintw_sweeps_the_pmcs_once(monkeypatch):
@@ -335,7 +389,7 @@ def test_twintw_sweeps_the_pmcs_once(monkeypatch):
 
 
 def test_memo_does_not_outlive_the_call(monkeypatch):
-    calls = counting(monkeypatch, "_tw_levels")
+    calls = counting(monkeypatch, "_tw_at_most")
     twtw_exact(path(5))
     first = len(calls)
     twtw_exact(path(5))

@@ -3,7 +3,8 @@
 bandwidth_exact places vertices over adjacency bitmasks with the leaving-vertex
 rule and the deadline rule, and treedepth_exact fills one table over all
 vertex subsets in increasing numeric order, taking each subset's component
-from its prefix and stopping its root scan at the first different value.
+from its prefix's by table lookups alone and stopping its root scan at the
+first different value.
 The reference oracles below are the earlier forms: a branch-and-bound over
 adjacency sets and a position dict that also checks every placed neighbour,
 the same bitmask search with the leaving-vertex rule alone, and a memoized
@@ -19,6 +20,7 @@ from math import ceil
 import pytest
 
 import prodstruct.constructions as C
+import prodstruct.exact._kernels as K
 from conftest import counting, disjoint_union, random_graph
 from prodstruct.cli import main
 from prodstruct.exact import (InstanceTooLarge, bandwidth_exact, longest_path_order,
@@ -272,19 +274,21 @@ def test_bandwidth_deadlines_bound_the_search(monkeypatch):
 
 @pytest.mark.parametrize("g", INSTANCES, ids=graph_id)
 def test_treedepth_splits_each_subset_once(g, monkeypatch):
-    # at most one flood per nonempty subset for the table; the witness walk's
-    # floods, at most one per root, run inside components
-    calls = counting(monkeypatch, "flood")
+    # no flood for the table; the witness walk's floods run inside
+    # components, one per component it splits off, and so one per root
+    calls = counting(monkeypatch, "flood", K)
     treedepth_exact(g)
-    assert len(calls) <= 2 ** g.n + g.n
+    assert len(calls) <= g.n
 
 
-def test_treedepth_floods_only_where_the_highest_vertex_joins(monkeypatch):
-    # a subset's component is its prefix's unless the highest vertex touches
-    # it: path(10) floods 45 of its 1023 subsets
-    calls = counting(monkeypatch, "flood")
+def test_treedepth_table_floods_no_subset(monkeypatch):
+    # a subset's component is its prefix's, or the highest vertex with the
+    # components it touches, each a table lookup: path(10) flooded 45 of its
+    # 1023 subsets when the highest vertex's component was flooded, and now
+    # floods only once per root in the witness walk
+    calls = counting(monkeypatch, "flood", K)
     assert treedepth_exact(C.path(10))[0] == 4
-    assert len(calls) <= 64
+    assert len(calls) == 10
 
 
 def test_treedepth_override_is_refused_not_overflowed(tmp_path, capsys):

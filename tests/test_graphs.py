@@ -3,11 +3,10 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_graph
+from conftest import is_valid_subgraph_map, random_graph
 from prodstruct.graphs import (Graph, Digraph, GraphError, VertexPartition,
                                complete_join, apex, quotient, clique_paste,
-                               bidirect, underlying, subgraph_contained,
-                               is_valid_subgraph_map)
+                               bidirect, underlying, subgraph_contained)
 from prodstruct.rng import SplitMix64
 
 

@@ -58,7 +58,7 @@ def test_products_match_networkx(ours, theirs):
     for a, b in product_pairs():
         got = ours(a, b)
         want = nx.relabel_nodes(theirs(to_nx(a), to_nx(b)),
-                                {(i, j): P.pair_id(i, j, b.n)
+                                {(i, j): i * b.n + j
                                  for i in range(a.n) for j in range(b.n)})
         assert got.n == want.number_of_nodes() == a.n * b.n
         assert set(got.edges()) == {(min(e), max(e)) for e in want.edges()}
@@ -78,7 +78,7 @@ def four_loop_directed_strong(d1: Digraph, d2: Digraph) -> set:
                         continue
                     if (x, y) == (xp, yp):
                         continue
-                    arcs.add((P.pair_id(x, y, d2.n), P.pair_id(xp, yp, d2.n)))
+                    arcs.add((x * d2.n + y, xp * d2.n + yp))
     return arcs
 
 

@@ -6,7 +6,7 @@ from prodstruct.constructions import (path, cycle, complete, star,
 from prodstruct.graphs import (Graph, Digraph, GraphError, bidirect, underlying,
                                subgraph_contained, VertexPartition)
 from prodstruct.products import (cartesian, direct, strong, directed_strong,
-                                 pair_id, ProductEmbedding, DirectedProductEmbedding,
+                                 ProductEmbedding, DirectedProductEmbedding,
                                  EmbeddingError,
                                  validate_embedding, validate_directed_embedding,
                                  embed_join_product, embed_move_apex,
@@ -56,10 +56,6 @@ def test_directed_strong_orientation():
     d2 = Digraph(1, [])
     ds = directed_strong(d1, d2)
     assert ds.arcs() == [(0, 1)]
-
-
-def test_pair_id_row_major():
-    assert pair_id(2, 3, 5) == 13
 
 
 def test_validate_embedding_catches_bad_maps():

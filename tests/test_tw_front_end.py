@@ -6,17 +6,15 @@ is blocked), and run treewidth_dp only on what is left.  The reference is
 treewidth_dp on the masks of the whole graph.  On every graph of networkx's
 atlas (n <= 7, disconnected ones included) and on seeded graphs with n <= 11,
 the value must be the reference's, the witness must validate with width equal
-to the value, and _tw_levels must answer every level by it.
+to the value, and _tw_at_most must answer "tw <= k?" by it at every level k.
 """
-
-from itertools import islice
 
 import pytest
 
 import prodstruct.constructions as C
 from conftest import random_graph
 from prodstruct.decomposition import validate
-from prodstruct.exact import (_contraction_degeneracy, _reduce, _treewidth_value, _tw_levels,
+from prodstruct.exact import (_contraction_degeneracy, _reduce, _treewidth_value, _tw_at_most,
                               treewidth_exact)
 from prodstruct.exact._kernels import treewidth_dp
 from prodstruct.graphs import Graph
@@ -48,7 +46,8 @@ def assert_front_end_exact(g):
     rep = validate(g, td)
     assert rep.ok and rep.width == value, (g.n, g.edges(), rep)
     assert _treewidth_value(g) == value, (g.n, g.edges())
-    levels = list(islice(_tw_levels(g.adjacency_masks()), g.n))
+    masks = tuple(g.adjacency_masks())
+    levels = [_tw_at_most(masks, k) for k in range(g.n)]
     assert levels == [value <= k for k in range(g.n)], (g.n, g.edges())
 
 
