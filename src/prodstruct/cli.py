@@ -6,7 +6,10 @@ Bad input is an unreadable or malformed file or option, a failed
 precondition or a size cap; any other exception is a bug in the program.
 main returns the code and never raises SystemExit: a usage error that
 argparse rejects returns 2 with its message on stderr and as the error on
-stdout, and --help returns 0.
+stdout, and --help returns 0.  An argv that names a command is parsed by
+that command's subparser alone.  Reports are written by `_dump`, with the text
+of `json.dumps(report, indent=2, sort_keys=True)`: json uses its C encoder
+only when no indent is set.  Input files are read and hashed as bytes.
 
 One registry per subcommand maps each kind to its input file kinds and its
 handler, and argparse takes its choices from the registry keys.  Handlers
@@ -72,6 +75,31 @@ def _js(obj):
     return json.loads(obj.to_json())
 
 
+_str = json.encoder.encode_basestring_ascii
+# exact type -> its JSON text, as json.dumps writes it
+_SCALARS = {str: _str, int: int.__repr__, bool: lambda b: "true" if b else "false",
+            type(None): lambda _: "null"}
+
+
+def _dump(x, ind="\n"):
+    """json.dumps(x, indent=2, sort_keys=True), with each line after the first
+    indented as `ind` says."""
+    scalar = _SCALARS.get(type(x))
+    if scalar is not None:
+        return scalar(x)
+    inner = ind + "  "
+    if type(x) is dict and set(map(type, x)) == {str}:
+        return ("{" + inner + ("," + inner).join(
+            f"{_str(k)}: {_dump(x[k], inner)}" for k in sorted(x)) + ind + "}")
+    if type(x) in (list, tuple) and x:
+        items = (map(int.__repr__, x) if set(map(type, x)) == {int}
+                 else (_dump(v, inner) for v in x))
+        return "[" + inner + ("," + inner).join(items) + ind + "]"
+    # floats, empty containers, dicts with other keys, anything else: encoded
+    # JSON holds no raw newline, so indenting its lines is exact
+    return json.dumps(x, indent=2, sort_keys=True).replace("\n", ind)
+
+
 class Run:
     """One command's RunReport: argv, the sha256 of every input file, outputs,
     files written."""
@@ -85,12 +113,13 @@ class Run:
 
     def load(self, path, kind):
         try:
-            with open(path) as f:
-                text = f.read()
+            with open(path, "rb", buffering=0) as f:
+                data = f.read()
         except OSError as ex:
             raise InputError(f"cannot read {path}: {ex}")
-        self.report["inputs"][path] = hashlib.sha256(text.encode()).hexdigest()
-        return _parse(path, json.loads if kind == "json" else LOADERS[kind].from_json, text)
+        self.report["inputs"][path] = hashlib.sha256(data).hexdigest()
+        # json.loads decodes the bytes, so a file that is not UTF-8 is malformed
+        return _parse(path, json.loads if kind == "json" else LOADERS[kind].from_json, data)
 
     def inputs(self, args, kinds):
         """The positional input files, one of each declared kind, loaded."""
@@ -114,7 +143,7 @@ class Run:
 
     def finish(self, ok=True):
         self.report["wall_time_s"] = round(time.monotonic() - self.t0, 3)
-        print(json.dumps(self.report, indent=2, sort_keys=True))
+        print(_dump(self.report))
         return 0 if ok else 1
 
 
@@ -425,8 +454,9 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser():
-    """The argparse parser, built once: it holds the cmd_* functions, and the
-    handlers they dispatch to still look library functions up when called."""
+    """The argparse parser and its subparser per command, built once: they hold
+    the cmd_* functions, and the handlers they dispatch to still look library
+    functions up when called."""
     ap = _Parser(prog="prodstruct")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
@@ -471,13 +501,20 @@ def build_parser():
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=None)
-    return ap
+    return ap, sub.choices
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
+    top, commands = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        if argv and argv[0] in commands:    # one pass, by the command's own parser
+            args, extras = commands[argv[0]].parse_known_args(argv[1:])
+            if extras:      # the top parser's own error, as a full pass gives it
+                top.error(f"unrecognized arguments: {' '.join(extras)}")
+            args.cmd = argv[0]
+        else:
+            args = top.parse_args(argv)
     except SystemExit as ex:    # usage error (2) or --help (0), already printed
         return ex.code
     try:

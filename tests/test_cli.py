@@ -69,6 +69,34 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
     assert code == 2
 
 
+COMMANDS = "'gen', 'product', 'embed', 'decomp', 'check', 'exact', 'probe'"
+EXACT_KINDS = ("'tw', 'pw', 'bw', 'td', 'ttw', 'tpw', 'tbw', 'ttd', 'tree-maxdeg', "
+               "'tree-longest-path', 'twintw', 'twtw'")
+TOP_USAGE = "usage: prodstruct [-h] {gen,product,embed,decomp,check,exact,probe} ..."
+
+
+# argv -> the line it prints: the error on stdout, or for help the first line
+# of the usage
+USAGE_LINES = {
+    ("exact", "nope", "x.json"):
+        f"prodstruct exact: error: argument kind: invalid choice: 'nope' (choose from {EXACT_KINDS})",
+    ("decomp", "bipartite-star", "g.json", "--side", "-1,1"):
+        "prodstruct decomp: error: argument --side: expected one argument",
+    ("exact", "tw", "g.json", "--c", "one"):
+        "prodstruct exact: error: argument --c: invalid int value: 'one'",
+    (): "prodstruct: error: the following arguments are required: cmd",
+    ("--help",): TOP_USAGE,
+    ("exact", "--help"): "usage: prodstruct exact [-h] [--c C] [--max-n MAX_N]",
+    ("exact", "tw", "g.json", "--bogus"): "prodstruct: error: unrecognized arguments: --bogus",
+    ("bogus",): f"prodstruct: error: argument cmd: invalid choice: 'bogus' (choose from {COMMANDS})",
+    ("exa", "tw", "g.json"):
+        f"prodstruct: error: argument cmd: invalid choice: 'exa' (choose from {COMMANDS})",
+    ("exact",): "prodstruct exact: error: the following arguments are required: kind, inputs",
+    ("-h",): TOP_USAGE,
+    ("exact", "-h"): "usage: prodstruct exact [-h] [--c C] [--max-n MAX_N]",
+}
+
+
 @pytest.mark.parametrize("argv,code", [
     (["exact", "nope", "x.json"], 2),
     (["decomp", "bipartite-star", "g.json", "--side", "-1,1"], 2),
@@ -76,16 +104,24 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
     ([], 2),
     (["--help"], 0),
     (["exact", "--help"], 0),
+    (["exact", "tw", "g.json", "--bogus"], 2),
+    (["bogus"], 2),
+    (["exa", "tw", "g.json"], 2),
+    (["exact"], 2),
+    (["-h"], 0),
+    (["exact", "-h"], 0),
 ])
-def test_usage_errors_and_help_return_their_exit_code(argv, code, capsys):
+def test_usage_errors_and_help_return_their_exit_code(argv, code, monkeypatch, capsys):
     # argparse's exit status comes back from main; no SystemExit escapes
+    monkeypatch.setenv("COLUMNS", "80")     # the width argparse wraps help to
+    line = USAGE_LINES[tuple(argv)]
     assert main(argv) == code
     out, err = capsys.readouterr()
     if code == 0:
-        assert "usage:" in out
+        assert out.splitlines()[0] == line
     else:   # argparse's message on stderr, and the same line as the error on stdout
         assert "usage:" in err
-        assert json.loads(out) == {"error": err.splitlines()[-1]}
+        assert json.loads(out) == {"error": err.splitlines()[-1]} == {"error": line}
 
 
 def test_check_td_out_of_range_adhesion_fails(tmp_path, capsys):
@@ -512,14 +548,19 @@ def test_every_registry_kind_has_a_success_run():
     assert {f"{cmd} {kind}" for cmd, kind, _ in registry_cases()} <= set(RUNS)
 
 
+def _argv(case, tiny):
+    """The argv of a RUNS case, without -o."""
+    return case.split()[:2] + [tiny[a][1] if a in tiny else a for a in RUNS[case][0]]
+
+
 @pytest.mark.parametrize("case", list(RUNS))
 def test_success_run(case, tiny, tmp_path, capsys):
     """Each kind runs to its exit code on tiny inputs; what it wrote re-checks
     from the definitions."""
-    cmd, kind = case.split()[:2]
-    args, want, recheck = RUNS[case]
+    cmd = case.split()[0]
+    _, want, recheck = RUNS[case]
     out = str(tmp_path / "out.json")
-    argv = [cmd, kind] + [tiny[a][1] if a in tiny else a for a in args]
+    argv = _argv(case, tiny)
     if cmd not in ("check", "exact"):
         argv += ["-o", out]
     code, rep = run(capsys, *argv)
@@ -662,6 +703,77 @@ def test_report_hashes_json_payload_inputs(tmp_path, capsys):
     assert code == 0
     assert sorted(rep["inputs"]) == sorted(map(str, (g, td, pairs)))
     assert rep["inputs"][str(pairs)] == hashlib.sha256(pairs.read_bytes()).hexdigest()
+
+
+NOT_UTF8 = b'{"n": 3, "edges": [[0, 1]], "note": "\xff"}'
+
+
+@pytest.mark.parametrize("argv", [
+    ["exact", "tw", "BAD"],
+    ["check", "td", "p3", "BAD"],
+    ["decomp", "glue-tree-f", "two_tri", "two_tri_td", "BAD"],
+])
+def test_a_file_that_is_not_utf8_is_bad_input(argv, tiny, tmp_path, capsys):
+    """Decoding happens inside the parse, so a byte that is not UTF-8 is
+    malformed input (exit 2), not an internal error."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(NOT_UTF8)
+    code, rep = run(capsys, *[str(bad) if a == "BAD" else tiny[a][1] if a in tiny else a
+                              for a in argv])
+    assert code == 2
+    assert rep["error"].startswith(f"InputError: malformed {bad}: 'utf-8' codec can't decode")
+
+
+def test_inputs_digest_is_the_sha256_of_the_file_bytes(tmp_path, capsys):
+    """A CRLF file reports the digest of its own bytes and the outputs of its
+    LF twin."""
+    text = json.dumps({"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]}, indent=1)
+    lf, crlf = tmp_path / "lf.json", tmp_path / "crlf.json"
+    lf.write_bytes(text.encode())
+    crlf.write_bytes(text.replace("\n", "\r\n").encode())
+    reps = {}
+    for f in (lf, crlf):
+        code, reps[f] = run(capsys, "exact", "tw", str(f))
+        assert code == 0
+        assert reps[f]["inputs"] == {str(f): hashlib.sha256(f.read_bytes()).hexdigest()}
+    assert reps[lf]["inputs"][str(lf)] != reps[crlf]["inputs"][str(crlf)]
+    assert reps[lf]["outputs"] == reps[crlf]["outputs"]
+
+
+# -- the report writer ------------------------------------------------------
+
+# str keys with quotes, backslashes, control and non-ASCII characters
+_keys = st.text(st.sampled_from('"\\\x00\x1f\n\u00e9\u2603\ud800') | st.characters(),
+                max_size=5)
+_ints = st.integers(-2 ** 70, 2 ** 70)
+_json_values = st.recursive(
+    st.none() | st.booleans() | _ints | st.floats() | _keys,
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+                  | st.lists(_ints | st.booleans(), max_size=5)
+                  | st.lists(_ints, max_size=5).map(tuple)
+                  | st.dictionaries(_keys, kids, max_size=4)
+                  | st.dictionaries(_ints, kids, max_size=3)),
+    max_leaves=24)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(x=_json_values)
+def test_dump_writes_what_json_dumps_writes(x):
+    assert cli._dump(x) == json.dumps(x, indent=2, sort_keys=True)
+
+
+# one run of each subcommand, and of every exact kind, its values inline
+TEXT_RUNS = (["gen tightness", "product strong", "embed apex-fan", "decomp glue-ortho",
+              "check ortho"] + [f"exact {param}" for param in cli.EXACT])
+
+
+@pytest.mark.parametrize("case", TEXT_RUNS + ["probe mixing"])
+def test_report_is_json_dumps_indent_2(case, tiny, capsys):
+    argv = (["probe", "mixing", "--n", "20", "--d", "16", "--samples", "50", "--seed", "4"]
+            if case == "probe mixing" else _argv(case, tiny))
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
 # -- no internal error on tiny legal input ----------------------------------
