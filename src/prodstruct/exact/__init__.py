@@ -22,17 +22,18 @@ is the block DP of Bouchitté & Todinca over the potential maximal cliques
 (PMCs), each PMC found by testing its definition on every vertex subset, and
 f evaluated once per PMC it needs.  bw is one branch-and-bound over vertex
 bitmasks on an explicit stack, cut by placement deadlines, and td one table
-over all vertex subsets, filled bottom-up, each subset's component taken
-from its prefix's.  td's witness walk and the PMC test both split vertex sets
-with _kernels.components.  TwIntTw enumerates the minimal triangulations
-over the blocks of the same PMCs, and the block DP finds the best partner of
-each.  twtw walks set partitions level by level, asking of each prefix's
-quotient only "tw <= k?" at level k, and cuts the prefixes that fail: their
-completions' quotients contain theirs.  Level k + 1 resumes from the
-prefixes cut at level k.  For k <= 2 the question needs no subset search:
-_tw_at_most answers it with the front end's rules at low = k, which
-eliminate vertices of degree at most k, and only level 3 and up runs the
-front end and the treewidth DP.  twtw keeps its answers in one dict per
+over all vertex subsets, filled bottom-up.  td's table, its witness walk and
+the PMC test all split vertex sets with one subset-component table,
+_kernels.low_table, whose entry for S is the component of S's lowest vertex,
+taken from its prefix's with no flood.  TwIntTw enumerates the minimal
+triangulations over the blocks of the same PMCs, and the block DP finds the
+best partner of each.  twtw walks set partitions level by level, asking of
+each prefix's quotient only "tw <= k?" at level k, and cuts the prefixes
+that fail: their completions' quotients contain theirs.  Level k + 1
+resumes from the prefixes cut at level k.  For k <= 2 the question needs no
+subset search: _tw_at_most answers it with the front end's rules at low = k,
+which eliminate vertices of degree at most k, and only level 3 and up runs
+the front end and the treewidth DP.  twtw keeps its answers in one dict per
 level, a local of the call, so nothing is cached from one call to the next.
 The brute-force references these oracles are cross-checked against live in
 tests/conftest.py, not in the package.
@@ -48,7 +49,7 @@ from math import ceil, prod, sqrt
 from ..graphs import Graph, GraphError, VertexPartition, quotient
 from ..decomposition import TreeDecomposition, PathDecomposition
 from ..rng import SplitMix64
-from ._kernels import STATE_BYTES, bits, components, pathwidth_dp, q_set, treewidth_dp
+from ._kernels import STATE_BYTES, bits, low_table, pathwidth_dp, q_set, split, treewidth_dp
 
 TW_MAX_N = 16
 PW_MAX_N = 16
@@ -321,15 +322,13 @@ def treedepth_exact(g: Graph, max_n=None):
     attains it.  The witness walks down from the components of the full set,
     each component hanging from the root of the set it split from.
 
-    C comes from the prefix: low[S] is C, and with h the highest vertex of S,
-    C = low[S - h] unless h has a neighbour in it.  Then C is h with every
-    component of S - h that h touches, and those are peeled off S - h one
-    lookup at a time, each the low entry of what is left: no subset is
-    flooded.  The root scan stops early: since td(S) - 1 <= td(S - v) <=
-    td(S), the values td[S - v] lie within 1 of each other, so the first one
-    that differs from the lowest vertex's decides.  A smaller one is the
-    minimum and its vertex the least root; a larger one makes the lowest
-    vertex the root.
+    C is low[S], read off the shared _kernels.low_table, which takes it from
+    the prefix S - h for the highest vertex h of S: no subset is flooded.
+    The witness walk splits each set by the same table.  The root scan stops
+    early: since td(S) - 1 <= td(S - v) <= td(S), the values td[S - v] lie
+    within 1 of each other, so the first one that differs from the lowest
+    vertex's decides.  A smaller one is the minimum and its vertex the least
+    root; a larger one makes the lowest vertex the root.
     """
     # td and root: 1 byte each; low: one array item, which holds a vertex set
     _cap(g, TD_MAX_N, max_n, "treedepth_exact", 2 + array("I").itemsize)
@@ -337,19 +336,9 @@ def treedepth_exact(g: Graph, max_n=None):
     size = 1 << g.n
     td = bytearray(size)
     root = bytearray(size)
-    low = array("I", [0]) * size
+    low = low_table(masks)
     for s in range(1, size):
-        h = s.bit_length() - 1
-        comp = low[s ^ 1 << h] or s         # a singleton is its own component
-        if masks[h] & comp:
-            rest = s ^ comp ^ 1 << h        # the other components of S - h
-            comp |= 1 << h
-            while rest:
-                c = low[rest]
-                rest ^= c
-                if masks[h] & c:
-                    comp |= c
-        low[s] = comp
+        comp = low[s]
         if comp != s:
             td[s] = max(td[comp], td[s ^ comp])
             continue
@@ -367,12 +356,12 @@ def treedepth_exact(g: Graph, max_n=None):
         root[s] = first.bit_length() - 1
 
     parent = [-1] * g.n
-    stack = [(c, -1) for c, _ in components(masks, size - 1)]
+    stack = [(c, -1) for c in split(low, size - 1)]
     while stack:
         mask, par = stack.pop()
         r = root[mask]
         parent[r] = par
-        stack += [(c, r) for c, _ in components(masks, mask ^ 1 << r)]
+        stack += [(c, r) for c in split(low, mask ^ 1 << r)]
     return td[-1], parent
 
 
@@ -409,11 +398,18 @@ def potential_maximal_cliques(masks) -> dict:
     Every non-empty vertex set is tested with the definition (Bouchitté &
     Todinca, TCS 2002, Theorem 3.15): Ω is a PMC iff no component C of
     G - Ω has N(C) = Ω, and every non-adjacent pair of Ω lies in one N(C).
+    The components of G - Ω are read off _kernels.low_table, and N(C) is
+    nb[C] - C, where nb[S] is the union of the neighbourhoods in S: no set
+    is flooded.
     """
     full = (1 << len(masks)) - 1
+    nb = array("I", [0]) * (full + 1)
+    for h, m in enumerate(masks):           # nb[S] = nb[S - h] | masks[h]
+        nb[1 << h:2 << h] = array("I", map(m.__or__, nb[:1 << h]))
+    low = low_table(masks)
     out = {}
     for omega in range(1, full + 1):
-        comps = components(masks, full ^ omega)
+        comps = [(c, nb[c] & ~c) for c in split(low, full ^ omega)]
         seps = [nc for _, nc in comps]
         if omega in seps:
             continue
@@ -534,6 +530,8 @@ def tree_param_exact(g: Graph, f: str, max_n=None):
     """
     if f not in PARAMS:
         raise GraphError(f"unknown or non-hereditary parameter {f!r}")
+    # the PMC sweep's low and nb tables, 4 + 4 bytes per subset, sit inside
+    # the STATE_BYTES charge
     _cap(g, TREEF_MAX_N, max_n, "tree_param_exact", STATE_BYTES)
     if g.n == 0:
         return 0, TreeDecomposition(0, [frozenset()], [])
@@ -591,6 +589,8 @@ def twintw_exact(g: Graph, max_n=None):
     on T1's cliques and 1 elsewhere: only T1 reaches 0, as another that did
     would be a subgraph of it.
     """
+    # the PMC sweep's low and nb tables, 4 + 4 bytes per subset, sit inside
+    # the STATE_BYTES charge
     _cap(g, TWINTW_MAX_N, max_n, "twintw_exact", STATE_BYTES)
     if g.n == 0:
         return 0, None

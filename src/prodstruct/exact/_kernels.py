@@ -1,5 +1,6 @@
 """The elimination-ordering DPs behind the treewidth and pathwidth oracles,
-and the bitmask flood fills that split vertex sets into components.
+the flood fill behind their Q-sets, and the one subset-component table,
+low_table, that treedepth and the PMC sweep split vertex sets with.
 
 Both parameters are a minimum over vertex orderings of the largest cost
 of one elimination step (the Q-set recurrence of Bodlaender, Fomin, Koster,
@@ -78,17 +79,41 @@ def flood(masks, within: int, v: int):
     return comp, reach
 
 
-def components(masks, within: int) -> list:
-    """[(C, N(C))] for the components C of the subgraph that `within` induces,
-    the component of the lowest vertex first; N(C) is the set of vertices
-    outside C with a neighbour in C."""
-    out = []
-    rest = within
-    while rest:
-        comp, reach = flood(masks, within, (rest & -rest).bit_length() - 1)
-        out.append((comp, reach & ~comp))
-        rest ^= comp
-    return out
+def low_table(masks) -> array:
+    """low[S] for every vertex set S: the component of S's lowest vertex in
+    the subgraph that S induces, with low[0] = 0.
+
+    Filled in increasing numeric order, one block per highest vertex h, so
+    every subset of S comes first.  low[S] is low[S - h] unless h has a
+    neighbour in it.  Then it is h with every component of S - h that h
+    touches, and those are peeled off S - h one lookup at a time, each the
+    low entry of what is left: no subset is flooded.  4 bytes per subset.
+    """
+    low = array("I", [0]) * (1 << len(masks))
+    for h, m in enumerate(masks):
+        bit = 1 << h
+        low[bit] = bit                      # a singleton is its own component
+        for r in range(1, bit):             # S = r u {h}, h its highest vertex
+            comp = low[r]
+            if m & comp:
+                rest = r ^ comp             # the other components of S - h
+                comp |= bit
+                while rest:
+                    c = low[rest]
+                    rest ^= c
+                    if m & c:
+                        comp |= c
+            low[r | bit] = comp
+    return low
+
+
+def split(low, s: int):
+    """The components of the subgraph that s induces, read off a low_table,
+    the component of the lowest vertex first."""
+    while s:
+        c = low[s]
+        yield c
+        s ^= c
 
 
 def q_set(masks, t: int, v: int) -> int:

@@ -5,8 +5,10 @@ implementations (definition-first brute force) so the two can disagree.  The
 raw-enumeration references at the end (twintw_raw, twtw_raw,
 raw_bag_path_check) refuse hosts above RAW_MAX_N vertices.  The certificate
 references (node_set_validate, edge_validate_embedding) are the plain
-per-edge checkers that the package's per-vertex checkers replaced, and
-is_valid_subgraph_map checks a subgraph_contained witness.
+per-edge checkers that the package's per-vertex checkers replaced,
+is_valid_subgraph_map checks a subgraph_contained witness, and components
+floods each component, as the treedepth and PMC tables did before they
+shared one subset-component table.
 """
 
 import heapq
@@ -18,6 +20,7 @@ import prodstruct.exact
 import prodstruct.exact._kernels
 from prodstruct.decomposition import TreeDecomposition, ValidationReport, validate
 from prodstruct.exact import InstanceTooLarge, longest_path_order, treewidth_exact
+from prodstruct.exact._kernels import flood
 from prodstruct.graphs import Graph, subgraph_contained
 from prodstruct.products import strong
 from prodstruct.rng import SplitMix64
@@ -89,6 +92,20 @@ def connected_atlas(max_n: int):
         n = G.number_of_nodes()
         if 1 <= n <= max_n and nx.is_connected(G):
             out.append(Graph(n, [tuple(sorted(e)) for e in G.edges()]))
+    return out
+
+
+def components(masks, within: int) -> list:
+    """[(C, N(C))] for the components C of the subgraph that `within` induces,
+    the component of the lowest vertex first, each flooded from that vertex;
+    N(C) is the set of vertices outside C with a neighbour in C.  The
+    reference for the shared low_table and the PMC sweep."""
+    out = []
+    rest = within
+    while rest:
+        comp, reach = flood(masks, within, (rest & -rest).bit_length() - 1)
+        out.append((comp, reach & ~comp))
+        rest ^= comp
     return out
 
 

@@ -269,13 +269,18 @@ def test_table_budget_refuses_before_allocating():
         treewidth_exact(path(40), max_n=40)
     with pytest.raises(InstanceTooLarge, match="DP table"):
         treewidth_exact(path(27), max_n=27)
-    with pytest.raises(InstanceTooLarge, match="DP table"):
-        tree_param_exact(path(31), "maxdeg", max_n=31)
-    with pytest.raises(InstanceTooLarge, match="DP table"):
-        twintw_exact(path(31), max_n=31)
-    # treedepth: 2 bytes per subset, so n = 30 is over and n = 29 exactly at the budget
-    with pytest.raises(InstanceTooLarge, match="DP table"):
-        treedepth_exact(path(30), max_n=30)
+    # tree-f and TwIntTw charge STATE_BYTES = 9 per subset, so n = 27 is the
+    # first size refused; only refused sizes are tried, so nothing is built
+    for n in (27, 31):
+        with pytest.raises(InstanceTooLarge, match="DP table"):
+            tree_param_exact(path(n), "maxdeg", max_n=n)
+        with pytest.raises(InstanceTooLarge, match="DP table"):
+            twintw_exact(path(n), max_n=n)
+    # treedepth: 2 bytes for td and root plus a 4-byte low entry per subset,
+    # 6 * 2^28 > 2^30 >= 6 * 2^27, so n = 28 is the first size refused
+    for n in (28, 30):
+        with pytest.raises(InstanceTooLarge, match="DP table"):
+            treedepth_exact(path(n), max_n=n)
 
 
 def test_twintw_enumeration_is_refused_before_it_is_built(tmp_path, capsys):

@@ -2,14 +2,15 @@
 
 bandwidth_exact places vertices over adjacency bitmasks with the leaving-vertex
 rule and the deadline rule, and treedepth_exact fills one table over all
-vertex subsets in increasing numeric order, taking each subset's component
-from its prefix's by table lookups alone and stopping its root scan at the
-first different value.
+vertex subsets in increasing numeric order, reading each subset's component
+off the shared low_table, splitting its witness walk by the same table, and
+stopping its root scan at the first different value.
 The reference oracles below are the earlier forms: a branch-and-bound over
 adjacency sets and a position dict that also checks every placed neighbour,
 the same bitmask search with the leaving-vertex rule alone, and a memoized
-recursion that splits components itself and rebuilds the witness in a second
-recursion.  Each must give the same values and the same witnesses.
+recursion that splits components with the flooding reference in conftest and
+rebuilds the witness in a second recursion.  Each must give the same values
+and the same witnesses.
 """
 
 import json
@@ -21,11 +22,11 @@ import pytest
 
 import prodstruct.constructions as C
 import prodstruct.exact._kernels as K
-from conftest import counting, disjoint_union, random_graph
+from conftest import components, counting, disjoint_union, random_graph
 from prodstruct.cli import main
 from prodstruct.exact import (InstanceTooLarge, bandwidth_exact, longest_path_order,
                               max_clique_order, treedepth_exact)
-from prodstruct.exact._kernels import bits, flood
+from prodstruct.exact._kernels import bits
 from prodstruct.graphs import Graph
 from prodstruct.rng import SplitMix64
 
@@ -109,13 +110,7 @@ def plain_treedepth(g):
     masks = g.adjacency_masks()
 
     def comps(mask):
-        out = []
-        rest = mask
-        while rest:
-            comp = flood(masks, mask, (rest & -rest).bit_length() - 1)[0]
-            out.append(comp)
-            rest &= ~comp
-        return out
+        return [c for c, _ in components(masks, mask)]
 
     @lru_cache(maxsize=None)
     def solve(mask):
@@ -274,21 +269,20 @@ def test_bandwidth_deadlines_bound_the_search(monkeypatch):
 
 @pytest.mark.parametrize("g", INSTANCES, ids=graph_id)
 def test_treedepth_splits_each_subset_once(g, monkeypatch):
-    # no flood for the table; the witness walk's floods run inside
-    # components, one per component it splits off, and so one per root
+    # the table and the witness walk both read the shared low_table: no flood
     calls = counting(monkeypatch, "flood", K)
     treedepth_exact(g)
-    assert len(calls) <= g.n
+    assert len(calls) == 0
 
 
 def test_treedepth_table_floods_no_subset(monkeypatch):
     # a subset's component is its prefix's, or the highest vertex with the
     # components it touches, each a table lookup: path(10) flooded 45 of its
-    # 1023 subsets when the highest vertex's component was flooded, and now
-    # floods only once per root in the witness walk
+    # 1023 subsets when the highest vertex's component was flooded, then once
+    # per root in the witness walk, and now floods none
     calls = counting(monkeypatch, "flood", K)
     assert treedepth_exact(C.path(10))[0] == 4
-    assert len(calls) == 10
+    assert len(calls) == 0
 
 
 def test_treedepth_override_is_refused_not_overflowed(tmp_path, capsys):

@@ -17,7 +17,9 @@ searches against bounds on the work they do.
 tree_param_exact is the block DP over potential maximal cliques.  The full
 elimination table with the tree-f step cost is its reference, and the block
 DP with cost |Ω| - 1 is checked as a second treewidth oracle, against
-treewidth_exact and networkx.
+treewidth_exact and networkx.  The subset-component table, low_table read
+through split, and each PMC's component list are checked against the
+flooding components reference in conftest.
 """
 
 from array import array
@@ -27,7 +29,8 @@ import pytest
 import prodstruct.constructions as C
 import prodstruct.exact as X
 import prodstruct.exact._kernels as K
-from conftest import brute_vertex_separation, connected_atlas, counting, queued, random_graph
+from conftest import (brute_vertex_separation, components, connected_atlas, counting, queued,
+                      random_graph)
 from prodstruct.decomposition import TreeDecomposition, validate
 from prodstruct.exact import pathwidth_exact, tree_param_exact, treewidth_exact
 from prodstruct.exact._kernels import bits, pathwidth_dp, q_set, treewidth_dp
@@ -221,7 +224,9 @@ def test_pathwidth_matches_full_table_on_seeded_graphs():
 @pytest.mark.parametrize("g", SMALL[2:20], ids=lambda g: f"n{g.n}m{g.m}")
 def test_q_set_and_component_match_plain_loops(g):
     masks = g.adjacency_masks()
+    low = K.low_table(masks)
     for t in range(1 << g.n):
+        assert list(K.split(low, t)) == [c for c, _ in components(masks, t)]
         for v in range(g.n):
             if not t >> v & 1:
                 assert q_set(masks, t, v) == plain_q_set(masks, t, v)
@@ -345,6 +350,22 @@ def minimal_triangulation_cliques(g):
 def test_pmcs_are_the_cliques_of_minimal_triangulations(g):
     assert list(X.potential_maximal_cliques(g.adjacency_masks())) == \
         minimal_triangulation_cliques(g)
+
+
+@pytest.mark.parametrize("g", SMALL[2:20] + seeded_tree_f_graphs(), ids=lambda g: f"n{g.n}m{g.m}")
+def test_pmc_components_match_the_flooding_reference(g):
+    # each PMC's [(C, N(C))] list, in order, as a flood per component gives it
+    masks = g.adjacency_masks()
+    full = (1 << g.n) - 1
+    for omega, comps in X.potential_maximal_cliques(masks).items():
+        assert comps == components(masks, full ^ omega), (g.edges(), omega)
+
+
+def test_pmc_sweep_floods_no_set(monkeypatch):
+    # the components of each G - Ω are low_table lookups and N(C) an nb lookup
+    calls = counting(monkeypatch, "flood", K)
+    assert len(X.potential_maximal_cliques(C.v8().adjacency_masks())) > 0
+    assert len(calls) == 0
 
 
 def block_dp_treewidth(g):
