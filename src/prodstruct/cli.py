@@ -71,6 +71,8 @@ def _seed(args, what):
     return args.seed
 
 
+# exact's tree- and path-decomposition witnesses, through to_json and back:
+# perfbench requires their to_json spans on the exact workloads, with no other caller
 def _js(obj):
     return json.loads(obj.to_json())
 
@@ -408,7 +410,7 @@ def _exact(v, w, witness=_js):
 def _twtw_witness(w):
     p1, p2, q1, q2 = w
     return {"parts1": [sorted(x) for x in p1.parts], "parts2": [sorted(x) for x in p2.parts],
-            "quotient1": _js(q1), "quotient2": _js(q2)}
+            "quotient1": q1.to_data(), "quotient2": q2.to_data()}
 
 
 # tree-f parameter -> the bag parameter f of tree_param_exact

@@ -3,21 +3,13 @@
 All oracles are exact and return witnesses.  Size caps are module constants
 with per-call overrides; exceeding a cap, or a table over TABLE_BUDGET_BYTES,
 raises InstanceTooLarge, never silently truncates.  tw and pw are
-elimination-ordering subset DPs (the Q-set DP of Bodlaender, Fomin, Koster,
-Kratsch & Thilikos, ACM TALG 2012; see _kernels), each searched level by
-level from the empty set until it pops the full set: only states of value
-at most the answer are expanded.  A state's value is final when it is
-first reached, so each search queues each state once, on the level of its
-value, and keeps one byte per state: the vertex that first reached it.  The
-witness ordering is read back along those bytes from the full set, with no
-step cost evaluated again.  pw expands a state only by the lowest vertex
-that does not grow its boundary, if there is one (a safe greedy step, since
-the boundary size is submodular).  tw runs a safe-reduction front end
-first (_reduce): simplicial vertices, and almost simplicial ones of degree
-at most a lower bound on tw, are eliminated while there are any, the bound
-raised to MMD+ once one is blocked, and the DP runs only on the relabelled
-remainder.  Its elimination
-ordering continues the front end's, so the witness needs no lifting.  tree-f
+elimination-ordering subset DPs, searched level by level by the one
+_kernels._level_search, whose module docstring gives the account.  tw runs
+a safe-reduction front end first (_reduce): simplicial vertices, and almost
+simplicial ones of degree at most a lower bound on tw, are eliminated while
+there are any, the bound raised to MMD+ once one is blocked, and the DP runs
+only on the relabelled remainder.  Its elimination ordering continues the
+front end's, so the witness needs no lifting.  tree-f
 is the block DP of Bouchitté & Todinca over the potential maximal cliques
 (PMCs), each PMC found by testing its definition on every vertex subset, and
 f evaluated once per PMC it needs.  bw is one branch-and-bound over vertex

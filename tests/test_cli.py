@@ -40,6 +40,20 @@ def test_gen_and_exact(tmp_path, capsys):
     assert code == 0 and rep["outputs"]["value"] == 1
 
 
+def test_exact_twtw_reports_its_quotients_as_data(tmp_path, capsys, monkeypatch):
+    # the quotients go into the report as to_data(), with no to_json round trip
+    c6 = tmp_path / "c6.json"
+    c6.write_text(cycle(6).to_json())
+    calls = []
+    real = Graph.to_json
+    monkeypatch.setattr(Graph, "to_json", lambda g: calls.append(g) or real(g))
+    code, rep = run(capsys, "exact", "twtw", str(c6), "--c", "1")
+    assert code == 0 and calls == []
+    _, (_, _, q1, q2) = prodstruct.exact.twtw_exact(cycle(6), 1)
+    w = rep["outputs"]["witness"]
+    assert [w["quotient1"], w["quotient2"]] == [json.loads(real(q1)), json.loads(real(q2))]
+
+
 def test_gen_hex_witness_round_trip(tmp_path, capsys):
     out = tmp_path / "hex.json"
     code, rep = run(capsys, "gen", "hex", "--params", "3", "-o", str(out))

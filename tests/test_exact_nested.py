@@ -306,7 +306,7 @@ def test_completions_match_the_plain_loop_on_seeded_graphs(i):
 
 # -- tw <= k without a subset search ---------------------------------------
 
-def test_tw_levels_answer_each_level():
+def test_tw_at_most_answers_each_level():
     # levels 0-2 by low-degree elimination, higher ones by the treewidth
     # front end and DP, where the degree rule alone would leave K33
     tws = []

@@ -1,9 +1,10 @@
 """The elimination kernels against copies of their earlier full-table loops.
 
-treewidth_dp and pathwidth_dp search level by level, queue each state once,
-record the vertex that first reached each state, and stop when they pop the
-full set; flood grows the component of a vertex and unions its
-neighbourhoods in one pass, and q_set reads Q(t, v) off it.  The references
+treewidth_dp and pathwidth_dp each run _level_search once with their own
+expansion rule: it searches level by level, queues each state once, records
+the vertex that first reached each state, and stops when it pops the full
+set.  flood grows the component of a vertex and unions its neighbourhoods
+in one pass, and q_set reads Q(t, v) off it.  The references
 below are full_elimination_dp, which fills all 2^n states for any step
 cost, a component walk followed by a second walk over the component, and
 the pathwidth table filled by the full DP with one cost per (state, vertex)
@@ -256,6 +257,21 @@ def test_front_end_leaves_the_dp_only_what_no_rule_reduces(monkeypatch):
     assert sizes == []
     treewidth_exact(C.random_regular(13, 4, 5))
     assert sizes == [13]
+
+
+def test_each_kernel_runs_the_one_level_search_once(monkeypatch):
+    runs = []
+    real = K._level_search
+
+    def spy(n, expand):
+        runs.append(real(n, expand))
+        return runs[-1]
+    monkeypatch.setattr(K, "_level_search", spy)
+    for kernel in (treewidth_dp, pathwidth_dp):
+        for g in (Graph(0), C.path(6), LARGE["rr13_4"]):
+            runs.clear()
+            result = kernel(g.adjacency_masks())
+            assert len(runs) == 1 and result is runs[0]
 
 
 def test_search_on_a_path_stops_at_its_treewidth(monkeypatch):
